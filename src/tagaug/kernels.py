@@ -1,78 +1,38 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy fallback.
+"""The sparse (CSR) x dense product behind every graph convolution.
 
-The only kernel that dominates runtime at desk scale is the sparse
-(CSR) x dense matrix product used by the graph convolution: it runs
-twice per layer per epoch in the forward pass and twice again in the
-backward pass, for every training epoch.
-
-Backend selection: set ``TAGAUG_BACKEND=numpy`` to force the fallback,
-``TAGAUG_BACKEND=numba`` to require the jitted kernel (raises if numba
-is unavailable). Default is numba when importable, numpy otherwise.
-Both backends accumulate per row in index order, so results are
-deterministic for a fixed backend.
-
-``benchmarks/bench_kernels.py`` compares the two.
+It runs twice per layer per epoch (forward and backward) for every
+training epoch, so it dominates GCN training. The kernel is numpy only
+and vectorised across rows: rows are ordered by degree, most entries
+first, so at step j the rows that still have a j-th entry form a prefix
+of that order, and one broadcast multiply-add handles all of them. Each
+row still receives its entries one at a time in index order, so the
+result is bit-equal to the sequential loop
+``out[r] += data[j] * dense[indices[j]]`` and deterministic run to run.
+Temporaries are at most rows x cols.
 """
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via TAGAUG_BACKEND=numpy
-    HAS_NUMBA = False
-
-
-def _csr_matmul_numpy(indptr, indices, data, dense):
-    out = np.zeros((indptr.shape[0] - 1, dense.shape[1]), dtype=np.float64)
-    for row in range(indptr.shape[0] - 1):
-        lo, hi = indptr[row], indptr[row + 1]
-        if lo != hi:
-            out[row] = data[lo:hi] @ dense[indices[lo:hi]]
-    return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _csr_matmul_numba(indptr, indices, data, dense):
-        n_rows = indptr.shape[0] - 1
-        n_cols = dense.shape[1]
-        out = np.zeros((n_rows, n_cols), dtype=np.float64)
-        for row in range(n_rows):
-            for j in range(indptr[row], indptr[row + 1]):
-                col = indices[j]
-                val = data[j]
-                for c in range(n_cols):
-                    out[row, c] += val * dense[col, c]
-        return out
-
-
-def active_backend():
-    """Resolve the backend name from TAGAUG_BACKEND (read per call)."""
-    choice = os.environ.get("TAGAUG_BACKEND", "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("TAGAUG_BACKEND=numba but numba is not installed")
-        return "numba"
-    if choice not in ("", "auto"):
-        raise ValueError(f"unknown TAGAUG_BACKEND value: {choice!r}")
-    return "numba" if HAS_NUMBA else "numpy"
 
 
 def csr_matmul(indptr, indices, data, dense):
     """Sparse (CSR) @ dense product, (n_rows x n_cols) float64 output."""
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    dense = np.ascontiguousarray(dense, dtype=np.float64)
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    data = np.asarray(data, dtype=np.float64)
+    dense = np.asarray(dense, dtype=np.float64)
     if dense.ndim != 2:
         raise ValueError("dense operand must be 2-D")
-    if active_backend() == "numba":
-        return _csr_matmul_numba(indptr, indices, data, dense)
-    return _csr_matmul_numpy(indptr, indices, data, dense)
+    degree = np.diff(indptr)
+    order = np.argsort(-degree, kind="stable")
+    starts = indptr[:-1][order]
+    # widths[j]: how many rows have more than j entries (a prefix of order).
+    widths = len(degree) - np.cumsum(np.bincount(degree))[:-1]
+    acc = np.zeros((len(degree), dense.shape[1]))
+    for j, width in enumerate(widths.tolist()):
+        pos = starts[:width] + j
+        term = dense[indices[pos]]
+        term *= data[pos, None]
+        acc[:width] += term
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out

@@ -5,7 +5,12 @@ cross-entropy, an Adam optimizer, and a central-difference gradient checker.
 Everything is float64 and deterministic for a fixed seed: weight init uses
 a seeded PCG64 stream, dropout masks come from a counter-based Philox
 stream keyed by (seed, epoch, layer), and the sparse product accumulates
-in fixed index order (see kernels.py).
+each row in index order (see kernels.py).
+
+Training is full-batch. A GCN runs over every row, because neighbours feed
+the rows the loss reads. An MLP's rows are independent, so it trains on the
+train_idx rows alone and its dropout masks have that shape; prediction
+still scores every row. backward returns parameter gradients only.
 """
 
 import json
@@ -164,11 +169,11 @@ def backward(model, caches, dlogits, adjacency=None):
         gz = g_out if i == last else g_out * (cache.pre_act > 0.0)
         db = gz.sum(axis=0)
         ga = adjacency.matmul(gz) if model.kind == "gcn" else gz
-        dw = cache.dropped.T @ ga
-        g_out = ga @ model.layers[i].weight.T
-        if cache.mask is not None:
-            g_out = g_out * cache.mask
-        grads[i] = (dw, db)
+        grads[i] = (cache.dropped.T @ ga, db)
+        if i > 0:  # nothing reads the gradient of the input features
+            g_out = ga @ model.layers[i].weight.T
+            if cache.mask is not None:
+                g_out = g_out * cache.mask
     return grads
 
 
@@ -244,6 +249,9 @@ def train_classifier(
         raise ValueError("training mask must cover at least 2 classes")
 
     features = np.asarray(features, dtype=np.float64)
+    if kind == "mlp":  # rows are independent: fit only the rows the loss reads
+        features, labels = features[train_idx], labels[train_idx]
+        train_idx = np.arange(len(train_idx))
     model = init_model(kind, features.shape[1], class_count, cfg)
 
     m_state = [

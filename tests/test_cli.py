@@ -107,6 +107,30 @@ class TestTrainEval:
         assert set(block) == {"acc", "bacc", "macro_f1", "gmean", "head_tail_gap", "final_loss"}
         assert len(report["cells"]["origin"]["per_seed"]) == 2
 
+    def test_probe_trained_only_for_non_origin_cells(
+        self, tmp_path, toy_dataset_dir, monkeypatch
+    ):
+        from tagaug import edges, pipeline
+
+        kinds = []
+        original = pipeline.train_classifier
+
+        def counting(*args, **kwargs):
+            kinds.append(kwargs.get("kind", "mlp"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_classifier", counting)
+        monkeypatch.setattr(edges, "train_classifier", counting)
+        cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
+        run_augment(cfg)
+        kinds.clear()
+        origin_only = run_train_eval(cfg, grid=("origin",))
+        assert kinds == ["gcn", "gcn"]  # one GCN per eval seed, no probe
+        kinds.clear()
+        with_llm = run_train_eval(cfg, grid=("origin", "llm"))
+        assert kinds == ["mlp"] + ["gcn"] * 4
+        assert origin_only["cells"]["origin"] == with_llm["cells"]["origin"]
+
     def test_mean_std_over_seeds(self, tmp_path, toy_dataset_dir):
         cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
         run_augment(cfg)

@@ -185,6 +185,29 @@ class TestTraining:
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
             train_classifier(x, y, np.arange(2), cfg, kind="mlp")
 
+    def test_mlp_reads_only_train_rows(self, rng):
+        # Rows 20-22 lie outside train_idx: non-finite features, and class 2
+        # appears only there. They must not touch the fit, yet class 2 keeps
+        # its output unit.
+        x, y = separable_toy(rng)
+        x = np.vstack([x, [[np.nan, 1.0], [np.inf, 0.0], [-np.inf, np.nan]]])
+        y = np.concatenate([y, [2, 2, 0]])
+        train_idx = np.array([0, 3, 5, 11, 14, 19, 7])
+        cfg = TrainConfig(epochs=20, learning_rate=0.05, dropout=0.0, hidden_dims=(5,), seed=2)
+        model = train_classifier(x, y, train_idx, cfg, kind="mlp")
+        assert model.class_count == 3 and model.layers[-1].weight.shape == (5, 3)
+
+        # Reference: the train rows alone, plus one finite placeholder row
+        # outside its mask that carries class 2, so the output width matches.
+        x_ref = np.vstack([x[train_idx], np.zeros((1, 2))])
+        y_ref = np.concatenate([y[train_idx], [2]])
+        ref = train_classifier(x_ref, y_ref, np.arange(len(train_idx)), cfg, kind="mlp")
+        assert model.loss_history == ref.loss_history
+        for got, want in zip(model.layers, ref.layers):
+            np.testing.assert_array_equal(got.weight, want.weight)
+            np.testing.assert_array_equal(got.bias, want.bias)
+        assert np.all(np.isfinite(predict(model, x[:20])[1]))
+
     def test_empty_and_single_class_masks_rejected(self, rng):
         x, y = separable_toy(rng)
         cfg = TrainConfig(epochs=2, hidden_dims=(4,), seed=0)
