@@ -18,6 +18,7 @@ from .edges import (
     score_edges,
     select_topk_global,
     train_confidence,
+    wire_nodes,
 )
 from .embedding import (
     EmbeddingMatrix,

@@ -11,7 +11,8 @@ import logging
 import sys
 
 from .graph import graph_stats, load_dataset, make_longtail_split
-from .pipeline import RunConfig, run_augment, run_train_eval, run_verify, write_report
+from .pipeline import RunConfig, _read_meta, _resolve_tail_count
+from .pipeline import run_augment, run_train_eval, run_verify
 
 
 
@@ -117,9 +118,7 @@ def main(argv=None):
 
     if args.command == "stats":
         graph = load_dataset(args.data)
-        with open(f"{args.data}/meta.json", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        tail_count = meta.get("tail_class_count", max(1, graph.num_classes // 2))
+        tail_count = _resolve_tail_count(None, _read_meta(args.data), graph)
         split = make_longtail_split(
             graph,
             head_count=args.head_count,

@@ -32,8 +32,6 @@ class ConfidenceNet:
 class EdgeAssignConfig:
     factor: int = 20  # edge budget = synthetic count x factor
     tau_conf: float = 0.0
-    allow_synthetic_targets: bool = False
-    per_node: bool = False  # per-synthetic-node top-k instead of one global budget
 
     def __post_init__(self):
         if self.factor < 1:
@@ -80,22 +78,9 @@ def select_topk_global(candidates, synthetic_count, cfg):
         raise ValueError("synthetic_count must be >= 1")
     candidates = np.asarray(candidates, dtype=np.float64).reshape(-1, 3)
     keep = candidates[candidates[:, 2] >= cfg.tau_conf]
-    k_edge = synthetic_count * cfg.factor
-
-    if len(keep):
-        order = np.lexsort((keep[:, 1], keep[:, 0], -keep[:, 2]))
-        keep = keep[order]
-        if cfg.per_node:
-            rows = []
-            for syn in np.unique(keep[:, 0]):
-                rows.append(keep[keep[:, 0] == syn][: cfg.factor])
-            selected = np.vstack(rows) if rows else keep[:0]
-        else:
-            selected = keep[:k_edge]
-    else:
-        selected = keep
-
-    connected = set(int(s) for s in selected[:, 0]) if len(selected) else set()
+    order = np.lexsort((keep[:, 1], keep[:, 0], -keep[:, 2]))
+    selected = keep[order[: synthetic_count * cfg.factor]]
+    connected = {int(s) for s in selected[:, 0]}
     isolated = [i for i in range(synthetic_count) if i not in connected]
     return selected, isolated
 
@@ -137,3 +122,32 @@ def assign_edges(synthetic, graph, emb, conf, cfg):
         "score_quantiles": quantiles,
     }
     return out, summary
+
+
+def wire_nodes(nodes, graph, strategy, emb, conf, cfg):
+    """Wire synthetic nodes into the graph by one of the edge strategies.
+
+    confidence: global top-k over kappa x cosine scores (assign_edges);
+    duplicate: copy the anchor's edges, each scored 1.0; none: leave every
+    node isolated. Returns copies of the nodes with edges/isolated filled
+    and the edge-assignment summary.
+    """
+    if strategy == "confidence":
+        return assign_edges(nodes, graph, emb, conf, cfg)
+    if strategy == "duplicate":
+        wired = []
+        for node in nodes:
+            edges = [(t, 1.0) for t in duplicate_edges(node.provenance["anchor"], graph)]
+            wired.append(replace(node, edges=edges, isolated=not edges))
+        nodes = wired
+    elif strategy == "none":
+        nodes = [replace(node, edges=[], isolated=True) for node in nodes]
+    else:
+        raise ValueError(f"unknown edge strategy: {strategy!r}")
+    summary = {
+        "k_edge": 0,
+        "edges_added": sum(len(node.edges) for node in nodes),
+        "isolated": sum(1 for node in nodes if node.isolated),
+        "score_quantiles": [],
+    }
+    return nodes, summary

@@ -38,9 +38,6 @@ class EmbeddingMatrix:
     def dim(self):
         return self.vectors.shape[1]
 
-    def row(self, node):
-        return self.vectors[node]
-
 
 @dataclass
 class EncoderConfig:
@@ -86,18 +83,27 @@ def encode_hashing(texts, dim=256):
     return EmbeddingMatrix(vectors=out, encoder_id=f"hashing-{dim}")
 
 
-def _post_with_retries(url, payload, headers, cfg, context):
+def _post_with_retries(url, payload, cfg, error_cls, prefix=""):
+    """POST payload as JSON and return the decoded body of a 2xx reply.
+
+    Shared by the embeddings and chat clients. Sends a bearer token when
+    the environment variable named by cfg.api_key_env is set, makes
+    cfg.retry_count + 1 attempts with a retry_backoff * 2**attempt sleep
+    between them, then raises error_cls(prefix + the last failure).
+    """
+    headers = {"Content-Type": "application/json"}
+    api_key = os.environ.get(cfg.api_key_env, "")
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
     last_error = None
     for attempt in range(cfg.retry_count + 1):
         try:
             resp = requests.post(url, json=payload, headers=headers, timeout=cfg.timeout)
             if resp.status_code // 100 == 2:
                 return resp.json()
-            last_error = EncoderError(
-                f"{context}: HTTP {resp.status_code}: {resp.text[:200]}"
-            )
+            last_error = error_cls(f"{prefix}HTTP {resp.status_code}: {resp.text[:200]}")
         except requests.RequestException as exc:
-            last_error = EncoderError(f"{context}: transport failure: {exc}")
+            last_error = error_cls(f"{prefix}transport failure: {exc}")
         if attempt < cfg.retry_count:
             time.sleep(cfg.retry_backoff * (2**attempt))
     raise last_error
@@ -105,10 +111,6 @@ def _post_with_retries(url, payload, headers, cfg, context):
 
 def encode_remote(texts, cfg):
     """Encode via the remote embeddings endpoint, batching and preserving order."""
-    headers = {"Content-Type": "application/json"}
-    api_key = os.environ.get(cfg.api_key_env, "")
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
     url = cfg.endpoint.rstrip("/") + "/v1/embeddings"
 
     rows = []
@@ -117,7 +119,7 @@ def encode_remote(texts, cfg):
         batch_index = start // cfg.batch_size
         batch = list(texts[start : start + cfg.batch_size])
         payload = {"model": cfg.model, "input": batch}
-        body = _post_with_retries(url, payload, headers, cfg, f"batch {batch_index}")
+        body = _post_with_retries(url, payload, cfg, EncoderError, f"batch {batch_index}: ")
         items = sorted(body["data"], key=lambda item: item["index"])
         if len(items) != len(batch):
             raise EncoderError(
@@ -175,16 +177,8 @@ def cosine_matrix(rows_a, rows_b):
 
 def knn_same_class(anchor, k, emb, labels, candidate_idx):
     """k same-label candidates ranked by descending cosine, ties to lower id."""
-    if k <= 0:
-        return []
-    anchor_vec = emb.vectors[anchor]
-    scored = []
-    for cand in candidate_idx:
-        if cand == anchor or labels[cand] != labels[anchor]:
-            continue
-        scored.append((-cosine_similarity(anchor_vec, emb.vectors[cand]), cand))
-    scored.sort()
-    return [cand for _negsim, cand in scored[:k]]
+    same = [cand for cand in candidate_idx if labels[cand] == labels[anchor]]
+    return knn_embedding(anchor, k, emb, same)
 
 
 def knn_embedding(anchor, k, emb, candidate_idx):
@@ -211,9 +205,6 @@ class Centroids:
         if cls not in self.by_class:
             raise KeyError(f"centroid undefined for class {cls}")
         return self.by_class[cls]
-
-    def defined_classes(self):
-        return sorted(self.by_class)
 
 
 def class_centroids(emb, labels, subset_idx=None):

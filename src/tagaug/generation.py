@@ -12,13 +12,11 @@ import hashlib
 import json
 import logging
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import requests
 
-from .embedding import knn_embedding, knn_same_class
+from .embedding import _post_with_retries, knn_embedding, knn_same_class
 
 logger = logging.getLogger(__name__)
 
@@ -332,10 +330,6 @@ class RemoteChatGenerator:
 
     def generate(self, messages):
         cfg = self.cfg
-        headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(cfg.api_key_env, "")
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
         payload = {
             "model": cfg.model,
             "messages": messages,
@@ -343,36 +337,41 @@ class RemoteChatGenerator:
             "max_tokens": cfg.max_tokens,
         }
         url = cfg.endpoint.rstrip("/") + "/v1/chat/completions"
-        last_error = None
-        for attempt in range(cfg.retry_count + 1):
-            try:
-                resp = requests.post(
-                    url, json=payload, headers=headers, timeout=cfg.timeout
-                )
-                if resp.status_code // 100 == 2:
-                    return resp.json()["choices"][0]["message"]["content"]
-                last_error = GeneratorError(
-                    f"HTTP {resp.status_code}: {resp.text[:200]}"
-                )
-            except requests.RequestException as exc:
-                last_error = GeneratorError(f"transport failure: {exc}")
-            if attempt < cfg.retry_count:
-                time.sleep(cfg.retry_backoff * (2**attempt))
-        raise last_error
+        body = _post_with_retries(url, payload, cfg, GeneratorError)
+        return body["choices"][0]["message"]["content"]
 
 
 class GenCache:
-    """Append-only jsonl cache of generated texts, keyed by content digest."""
+    """Append-only jsonl cache of generated texts, keyed by content digest.
+
+    A crash mid-append can leave a torn final line: one with no trailing
+    newline that does not parse. Loading drops it (with a warning) and the
+    next append first truncates the file back to the last newline, so the
+    cache stays a valid resume point. A malformed line anywhere else raises.
+    """
 
     def __init__(self, path):
         self.path = os.fspath(path)
         self.entries = {}
-        if os.path.exists(self.path):
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        rec = json.loads(line)
-                        self.entries[rec["key"]] = rec
+        self._truncate_to = None  # byte offset of a torn final line
+        self._unterminated = False  # the final record lacks its newline
+        if not os.path.exists(self.path):
+            return
+        with open(self.path, "rb") as fh:
+            blob = fh.read()
+        body, _, tail = blob.rpartition(b"\n")
+        records = [json.loads(line) for line in body.split(b"\n") if line.strip()]
+        if tail.strip():
+            try:
+                records.append(json.loads(tail))
+                self._unterminated = True
+            except ValueError:
+                logger.warning(
+                    "%s: dropping torn final line (%d bytes): %r",
+                    self.path, len(tail), tail[:200],
+                )
+                self._truncate_to = len(blob) - len(tail)
+        self.entries = {rec["key"]: rec for rec in records}
 
     def get(self, key):
         rec = self.entries.get(key)
@@ -389,8 +388,13 @@ class GenCache:
         }
         self.entries[key] = rec
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        if self._truncate_to is not None:
+            os.truncate(self.path, self._truncate_to)
+            self._truncate_to = None
+        lead = "\n" if self._unterminated else ""
+        self._unterminated = False
         with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(lead + json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def cache_key(variant, pair, t1, t2, class1, class2, gen, spec, attempt=0):

@@ -11,6 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,15 +62,15 @@ class TextGraph:
         return len(self.class_names)
 
     def neighbors(self, node):
-        out = []
-        for u, v in self.edges:
-            if u == node:
-                out.append(v)
-            elif v == node:
-                out.append(u)
-        return sorted(out)
+        """Sorted neighbour ids of node, from the per-graph adjacency index."""
+        if not 0 <= node < self.node_count:
+            raise IndexError(f"node {node} out of range [0, {self.node_count})")
+        return list(self._adjacency[node])
 
-    def adjacency_lists(self):
+    @cached_property
+    def _adjacency(self):
+        # Built on first use; a frozen graph's edges never change, and every
+        # derived graph (merge_augmented) is a new object with its own index.
         lists = [[] for _ in range(self.node_count)]
         for u, v in self.edges:
             lists[u].append(v)
@@ -241,13 +242,6 @@ def tail_classes_by_frequency(graph, tail_class_count):
     return frozenset(order[:tail_class_count])
 
 
-def tail_classes_by_median(graph):
-    """Classes whose full-graph frequency is below the median frequency."""
-    freq = class_frequencies(graph)
-    median = float(np.median(freq))
-    return frozenset(cls for cls, f in enumerate(freq) if f < median)
-
-
 def make_longtail_split(
     graph,
     head_count=20,
@@ -255,7 +249,6 @@ def make_longtail_split(
     tail_class_count=None,
     val_fraction=0.25,
     seed=0,
-    tail_rule="count",
 ):
     """Long-tail training split: head classes get head_count training nodes,
     tail classes get round(head_count * imbalance_ratio), remaining nodes are
@@ -263,12 +256,9 @@ def make_longtail_split(
     """
     if not 0 < imbalance_ratio <= 1:
         raise ValueError("imbalance_ratio must lie in (0, 1]")
-    if tail_rule == "median":
-        tail = tail_classes_by_median(graph)
-    else:
-        if tail_class_count is None:
-            raise ValueError("tail_class_count is required with tail_rule='count'")
-        tail = tail_classes_by_frequency(graph, tail_class_count)
+    if tail_class_count is None:
+        raise ValueError("tail_class_count is required")
+    tail = tail_classes_by_frequency(graph, tail_class_count)
 
     tail_train = max(1, int(math.floor(head_count * imbalance_ratio + 0.5)))
     per_class = {

@@ -76,13 +76,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be non-negative")
 
 
-def gcn_train_defaults(seed=0):
-    """GCN defaults: two 64-unit hidden layers, dropout 0.5, 1000 epochs, lr 0.01."""
-    return TrainConfig(
-        epochs=1000, learning_rate=0.01, dropout=0.5, hidden_dims=(64, 64), seed=seed
-    )
-
-
 def confidence_train_defaults(seed=0):
     """Confidence-MLP defaults: one 256-unit hidden layer, dropout 0, lr 0.001."""
     return TrainConfig(
@@ -183,8 +176,8 @@ def softmax(logits):
     return expv / expv.sum(axis=1, keepdims=True)
 
 
-def masked_cross_entropy(logits, labels, idx, class_weights=None):
-    """Weighted-mean softmax cross-entropy over the rows in idx.
+def masked_cross_entropy(logits, labels, idx):
+    """Mean softmax cross-entropy over the rows in idx.
 
     Returns (loss, dlogits) with dlogits zero outside idx.
     """
@@ -193,16 +186,11 @@ def masked_cross_entropy(logits, labels, idx, class_weights=None):
     sub = logits[idx]
     probs = softmax(sub)
     y = labels[idx]
-    if class_weights is None:
-        w = np.ones(len(idx))
-    else:
-        w = np.asarray(class_weights, dtype=np.float64)[y]
-    wsum = w.sum()
     picked = np.clip(probs[np.arange(len(idx)), y], 1e-300, None)
-    loss = float((w * -np.log(picked)).sum() / wsum)
+    loss = float((-np.log(picked)).sum() / len(idx))
     dsub = probs
     dsub[np.arange(len(idx)), y] -= 1.0
-    dsub *= (w / wsum)[:, None]
+    dsub *= 1.0 / len(idx)
     dlogits = np.zeros_like(logits)
     dlogits[idx] = dsub
     return loss, dlogits
@@ -221,15 +209,6 @@ def squared_loss(logits, labels, idx):
     return loss, dlogits
 
 
-def inverse_frequency_weights(labels, train_idx, class_count):
-    counts = np.bincount(
-        np.asarray(labels, dtype=np.int64)[np.asarray(train_idx)], minlength=class_count
-    ).astype(np.float64)
-    safe = np.where(counts == 0, 1.0, counts)
-    weights = 1.0 / safe
-    return weights * class_count / weights.sum()
-
-
 def train_classifier(
     features,
     labels,
@@ -237,7 +216,6 @@ def train_classifier(
     cfg,
     kind="mlp",
     adjacency=None,
-    class_weights=None,
 ):
     """Full-batch Adam training of a GCN or MLP, deterministic per seed."""
     train_idx = np.asarray(train_idx, dtype=np.int64)
@@ -270,7 +248,7 @@ def train_classifier(
             seed=cfg.seed,
             epoch=epoch,
         )
-        loss, dlogits = masked_cross_entropy(logits, labels, train_idx, class_weights)
+        loss, dlogits = masked_cross_entropy(logits, labels, train_idx)
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch, loss)
         model.loss_history.append(loss)
@@ -299,21 +277,6 @@ def predict(model, features, adjacency=None):
     logits, _ = forward(model, features, adjacency=adjacency, train_mode=False)
     probs = softmax(logits)
     return np.argmax(logits, axis=1), probs, logits
-
-
-def gcn_forward(adjacency, features, model, train_mode=False, seed=0, epoch=0):
-    logits, _ = forward(
-        model, features, adjacency=adjacency, train_mode=train_mode, seed=seed,
-        epoch=epoch,
-    )
-    return logits
-
-
-def mlp_forward(features, model, train_mode=False, seed=0, epoch=0):
-    logits, _ = forward(
-        model, features, adjacency=None, train_mode=train_mode, seed=seed, epoch=epoch
-    )
-    return logits
 
 
 def gradient_check(

@@ -15,12 +15,7 @@ import numpy as np
 from . import verify
 from . import __version__
 from .baselines import numeric_augment
-from .edges import (
-    EdgeAssignConfig,
-    assign_edges,
-    duplicate_edges,
-    train_confidence,
-)
+from .edges import EdgeAssignConfig, train_confidence, wire_nodes
 from .embedding import EmbeddingMatrix, EncoderConfig, encode_texts
 from .generation import (
     GeneratorConfig,
@@ -49,7 +44,7 @@ from .metrics import (
     icr,
 )
 from .embedding import class_centroids
-from .neural import TrainConfig, predict, train_classifier
+from .neural import TrainConfig, confidence_train_defaults, predict, train_classifier
 
 GRID_CELLS = ("origin", "num", "num_C", "llm", "llm_C")
 
@@ -75,11 +70,7 @@ class RunConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     classifier: TrainConfig = field(default_factory=TrainConfig)
-    confidence: TrainConfig = field(
-        default_factory=lambda: TrainConfig(
-            epochs=1000, learning_rate=0.001, dropout=0.0, hidden_dims=(256,)
-        )
-    )
+    confidence: TrainConfig = field(default_factory=confidence_train_defaults)
 
     def __post_init__(self):
         if self.variant not in ("O", "S", "M"):
@@ -118,11 +109,6 @@ class RunConfig:
             data["eval_seeds"] = tuple(data["eval_seeds"])
         return cls(**data)
 
-    @classmethod
-    def from_json(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
 
 def write_report(report, path):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -136,9 +122,10 @@ def _read_meta(dataset_dir):
         return json.load(fh)
 
 
-def _resolve_tail_count(cfg, meta, graph):
-    if cfg.tail_class_count is not None:
-        return cfg.tail_class_count
+def _resolve_tail_count(tail_class_count, meta, graph):
+    """The tail-class count: the given value, else meta.json's, else C // 2."""
+    if tail_class_count is not None:
+        return tail_class_count
     if "tail_class_count" in meta:
         return meta["tail_class_count"]
     return max(1, graph.num_classes // 2)
@@ -152,6 +139,15 @@ def _split_block(split):
         "tail_classes": sorted(split.tail_classes),
         "head_count": split.head_count,
         "imbalance_ratio": split.imbalance_ratio,
+    }
+
+
+def _split_counts(split):
+    return {
+        "train": len(split.train_idx),
+        "val": len(split.val_idx),
+        "test": len(split.test_idx),
+        "tail_classes": sorted(split.tail_classes),
     }
 
 
@@ -175,7 +171,7 @@ def run_augment(cfg):
     t0 = time.perf_counter()
     graph = load_dataset(cfg.dataset_dir)
     meta = _read_meta(cfg.dataset_dir)
-    tail_count = _resolve_tail_count(cfg, meta, graph)
+    tail_count = _resolve_tail_count(cfg.tail_class_count, meta, graph)
     split = make_longtail_split(
         graph,
         head_count=cfg.head_count,
@@ -214,30 +210,13 @@ def run_augment(cfg):
     timings["encode_synthetic_s"] = time.perf_counter() - t3
 
     t4 = time.perf_counter()
-    edge_summary = {"k_edge": 0, "edges_added": 0, "isolated": len(nodes), "score_quantiles": []}
+    conf = None
     if cfg.edge_strategy == "confidence" and nodes:
         conf = train_confidence(emb, labels, split.train_idx, cfg.confidence)
-        nodes, edge_summary = assign_edges(
-            nodes, graph, emb, conf,
-            EdgeAssignConfig(factor=cfg.edge_factor, tau_conf=cfg.tau_conf),
-        )
-    elif cfg.edge_strategy == "duplicate":
-        filled = []
-        edges_added = 0
-        for node in nodes:
-            targets_ids = duplicate_edges(node.provenance["anchor"], graph)
-            edges = [(t, 1.0) for t in targets_ids]
-            edges_added += len(edges)
-            filled.append(replace(node, edges=edges, isolated=not edges))
-        nodes = filled
-        edge_summary = {
-            "k_edge": 0,
-            "edges_added": edges_added,
-            "isolated": sum(1 for n in nodes if n.isolated),
-            "score_quantiles": [],
-        }
-    else:
-        nodes = [replace(node, edges=[], isolated=True) for node in nodes]
+    nodes, edge_summary = wire_nodes(
+        nodes, graph, cfg.edge_strategy, emb, conf,
+        EdgeAssignConfig(factor=cfg.edge_factor, tau_conf=cfg.tau_conf),
+    )
     timings["edges_s"] = time.perf_counter() - t4
 
     augmented = merge_augmented(graph, nodes)
@@ -270,12 +249,7 @@ def run_augment(cfg):
         "config_digest": cfg.digest(),
         "seed": cfg.seed,
         "graph_stats": graph_stats(graph, split).as_dict(),
-        "split_counts": {
-            "train": len(split.train_idx),
-            "val": len(split.val_idx),
-            "test": len(split.test_idx),
-            "tail_classes": sorted(split.tail_classes),
-        },
+        "split_counts": _split_counts(split),
         "generation": gen_stats.as_dict(),
         "synthetic_count": len(nodes),
         "edge_assignment": edge_summary,
@@ -430,40 +404,15 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
                     )
                 rows = syn_rows
                 row_labels = np.array([n.label for n in nodes], dtype=np.int64)
-                cell_nodes = [
-                    SyntheticNode(
-                        text=n.text,
-                        label=n.label,
-                        provenance=n.provenance,
-                        embedding=n.embedding,
-                    )
-                    for n in nodes
-                ]
+                cell_nodes = nodes
             if not cell_nodes:
                 raise ValueError(f"cell {cell}: nothing to augment with")
 
-            if cell.endswith("_C"):
-                cell_nodes, _summary = assign_edges(
-                    cell_nodes,
-                    graph,
-                    emb,
-                    conf_net,
-                    EdgeAssignConfig(factor=cfg.edge_factor, tau_conf=cfg.tau_conf),
-                )
-            else:
-                cell_nodes = [
-                    replace(
-                        node,
-                        edges=[
-                            (t, 1.0)
-                            for t in duplicate_edges(node.provenance["anchor"], graph)
-                        ],
-                    )
-                    for node in cell_nodes
-                ]
-                cell_nodes = [
-                    replace(node, isolated=not node.edges) for node in cell_nodes
-                ]
+            strategy = "confidence" if cell.endswith("_C") else "duplicate"
+            cell_nodes, _summary = wire_nodes(
+                cell_nodes, graph, strategy, emb, conf_net,
+                EdgeAssignConfig(factor=cfg.edge_factor, tau_conf=cfg.tau_conf),
+            )
             cell_graph = merge_augmented(graph, cell_nodes)
             features = np.vstack([emb.vectors, rows])
             cell_labels = list(cell_graph.labels)
@@ -508,12 +457,7 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
         "config": cfg.to_dict(),
         "config_digest": cfg.digest(),
         "eval_seeds": list(cfg.eval_seeds),
-        "split_counts": {
-            "train": len(split.train_idx),
-            "val": len(split.val_idx),
-            "test": len(split.test_idx),
-            "tail_classes": sorted(split.tail_classes),
-        },
+        "split_counts": _split_counts(split),
         "cells": cells_report,
         "theory_checks": theory_block,
         "timings": {k: round(v, 6) for k, v in timings.items()},

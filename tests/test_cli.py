@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from tagaug.cli import main
+from tagaug.graph import make_longtail_split, write_dataset
 from tagaug.pipeline import RunConfig, run_augment, run_train_eval
 from tagaug.embedding import EncoderConfig
 from tagaug.generation import GeneratorConfig
@@ -74,6 +76,32 @@ class TestAugmentPipeline:
         assert report["edge_assignment"]["isolated"] == report["synthetic_count"]
         prov = (tmp_path / "run" / "augmented" / "provenance.jsonl").read_text()
         assert all(json.loads(l)["isolated"] for l in prov.splitlines() if l.strip())
+
+    def test_duplicate_strategy_copies_anchor_edges(self, tmp_path, toy_graph):
+        # Cut every edge of one tail-class training node (an anchor; the
+        # split ignores edges), so both degree-0 and connected anchors occur.
+        split = make_longtail_split(
+            toy_graph, head_count=20, imbalance_ratio=0.1, tail_class_count=2, seed=4
+        )
+        lone = min(i for i in split.train_idx if toy_graph.labels[i] in split.tail_classes)
+        graph = replace(toy_graph, edges=tuple(e for e in toy_graph.edges if lone not in e))
+        write_dataset(graph, tmp_path / "data", tail_class_count=2)
+        data = fast_config(tmp_path / "data", tmp_path / "run")
+        data["edge_strategy"] = "duplicate"
+        report = run_augment(RunConfig.from_dict(data))
+
+        prov = (tmp_path / "run" / "augmented" / "provenance.jsonl").read_text()
+        records = [json.loads(l) for l in prov.splitlines() if l.strip()]
+        assert len(records) == report["synthetic_count"] > 0
+        assert {r["isolated"] for r in records} == {True, False}
+        total = 0
+        for rec in records:
+            neighbors = graph.neighbors(rec["anchor"])
+            assert rec["edges"] == [[t, 1.0] for t in neighbors]
+            assert rec["isolated"] == (len(neighbors) == 0)
+            total += len(neighbors)
+        assert report["edge_assignment"]["edges_added"] == total
+        assert report["edge_assignment"]["isolated"] == sum(r["isolated"] for r in records)
 
     def test_warm_cache_reuses_generations(self, tmp_path, toy_dataset_dir):
         cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))

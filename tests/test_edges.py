@@ -8,6 +8,7 @@ from tagaug.edges import (
     score_edges,
     select_topk_global,
     train_confidence,
+    wire_nodes,
 )
 from tagaug.embedding import EmbeddingMatrix, encode_hashing
 from tagaug.generation import (
@@ -165,19 +166,6 @@ class TestSelectTopkGlobal:
             assert previous <= set(isolated)
             previous = set(isolated)
 
-    def test_per_node_option(self):
-        cands = cand(
-            [[0, 0, 0.9], [0, 1, 0.8], [0, 2, 0.7], [1, 0, 0.5], [1, 1, 0.4]]
-        )
-        selected, isolated = select_topk_global(
-            cands, 2, EdgeAssignConfig(factor=2, per_node=True)
-        )
-        per_syn = {int(s): 0 for s, _, _ in selected}
-        for s, _, _ in selected:
-            per_syn[int(s)] += 1
-        assert per_syn == {0: 2, 1: 2}
-        assert isolated == []
-
 
 class TestDuplicateEdges:
     def test_copies_anchor_neighbors(self):
@@ -231,9 +219,22 @@ def pipeline(tmp_path_factory, toy_graph):
 class TestAssignEdges:
     def test_in_class_nodes_rarely_isolated(self, pipeline):
         graph, emb, nodes, conf = pipeline
-        filled, summary = assign_edges(nodes, graph, emb, conf, EdgeAssignConfig())
+        filled, summary = wire_nodes(nodes, graph, "confidence", emb, conf, EdgeAssignConfig())
         assert summary["isolated"] / len(filled) < 0.10
         assert summary["edges_added"] == len(filled) * 20
+
+        # the other strategies' summaries, and every strategy on no nodes
+        none_filled, none_summary = wire_nodes(
+            nodes, graph, "none", emb, None, EdgeAssignConfig()
+        )
+        assert all(n.isolated and n.edges == [] for n in none_filled)
+        assert none_summary == {
+            "k_edge": 0, "edges_added": 0, "isolated": len(nodes), "score_quantiles": []
+        }
+        for strategy in ("confidence", "duplicate", "none"):
+            assert wire_nodes([], graph, strategy, emb, None, EdgeAssignConfig()) == (
+                [], {"k_edge": 0, "edges_added": 0, "isolated": 0, "score_quantiles": []}
+            )
 
     def test_out_of_vocabulary_text_isolated(self, pipeline):
         graph, emb, nodes, conf = pipeline

@@ -1,10 +1,15 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagaug.embedding import encode_hashing
 from tagaug.generation import (
+    GenCache,
     GenerationParseError,
     GeneratorConfig,
     PromptSpec,
@@ -282,3 +287,44 @@ class TestGenerateInterpolations:
         k1 = cache_key("S", pair, "text one", "text two", **pair_args)
         k2 = cache_key("S", pair, "text one EDITED", "text two", **pair_args)
         assert k1 != k2
+
+
+class TestGenCache:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.text(max_size=12), min_size=3, max_size=3))
+    def test_cut_at_every_byte_offset_resumes(self, texts):
+        # A crash mid-append leaves a prefix of the file. Loading it must
+        # keep every record whose JSON is complete, and a record appended
+        # afterwards must land on a line of its own.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "gen_cache.jsonl")
+            full = GenCache(path)
+            full.append("k0", texts[0], "m", "S", 0, 1)
+            full.append("k1", texts[1], "m", "S", 1, 0)
+            with open(path, "rb") as fh:
+                blob = fh.read()
+            json_end = {"k0": blob.index(b"\n"), "k1": len(blob) - 1}
+            for cut in range(len(blob) + 1):
+                with open(path, "wb") as fh:
+                    fh.write(blob[:cut])
+                kept = [key for key in ("k0", "k1") if cut >= json_end[key]]
+                assert sorted(GenCache(path).entries) == kept
+                GenCache(path).append("k2", texts[2], "m", "S", 2, 2)
+                reloaded = GenCache(path)
+                assert sorted(reloaded.entries) == kept + ["k2"]
+                assert [reloaded.get(key) for key in kept + ["k2"]] == [
+                    texts[int(key[1])] for key in kept + ["k2"]
+                ]
+                with open(path, "rb") as fh:
+                    assert fh.read().endswith(b"\n")
+
+    def test_only_the_final_line_may_be_torn(self, tmp_path, caplog):
+        path = tmp_path / "gen_cache.jsonl"
+        whole = json.dumps({"key": "k0", "text": "x"}) + "\n"
+        path.write_text(whole + '{"key": "k1", "te', encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            assert list(GenCache(path).entries) == ["k0"]
+        assert "torn final line" in caplog.text and '{"key": "k1", "te' in caplog.text
+        path.write_text('{"key": "k1", "te\n' + whole, encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError):
+            GenCache(path)

@@ -14,7 +14,6 @@ from tagaug.graph import (
     make_longtail_split,
     merge_augmented,
     normalized_adjacency,
-    tail_classes_by_median,
     write_dataset,
 )
 
@@ -164,9 +163,6 @@ class TestLongtailSplit:
         with pytest.raises(ValueError, match="tail_class_count"):
             make_longtail_split(toy_graph, 20, 0.5, tail_class_count=4, seed=0)
 
-    def test_median_rule(self, toy_graph):
-        assert tail_classes_by_median(toy_graph) == frozenset({2, 3})
-
     def test_ratio_validation(self, toy_graph):
         with pytest.raises(ValueError):
             make_longtail_split(toy_graph, 20, 0.0, tail_class_count=2, seed=0)
@@ -312,3 +308,31 @@ class TestGraphStats:
         assert stats.mean_text_length == pytest.approx(
             np.mean([len(t) for t in toy_graph.texts])
         )
+
+
+def edge_scan_neighbors(graph, node):
+    """Oracle: the neighbours of node by a scan over every edge."""
+    return sorted([v for u, v in graph.edges if u == node] + [u for u, v in graph.edges if v == node])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_neighbors_match_edge_scan(data):
+    n = data.draw(st.integers(1, 12))
+    pair_pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pair_pool), unique=True)) if pair_pool else []
+    graph = TextGraph(n, ("t",) * n, (0,) * n, ("a",), tuple(sorted(edges)))
+    # every node is checked, so 0, n - 1 and the isolated nodes are too
+    for v in range(n):
+        assert graph.neighbors(v) == edge_scan_neighbors(graph, v)
+    for out_of_range in (-1, n):
+        with pytest.raises(IndexError):
+            graph.neighbors(out_of_range)
+
+    # graph's index is built by now; the merged graph must answer from its own
+    targets = data.draw(
+        st.lists(st.lists(st.integers(0, n - 1), unique=True, max_size=3), max_size=3)
+    )
+    merged = merge_augmented(graph, [synth(0, [(t, 1.0) for t in ts]) for ts in targets])
+    for v in range(merged.node_count):
+        assert merged.neighbors(v) == edge_scan_neighbors(merged, v)

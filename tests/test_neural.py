@@ -11,12 +11,9 @@ from tagaug.neural import (
     confidence_train_defaults,
     dropout_mask,
     forward,
-    gcn_forward,
-    gcn_train_defaults,
     gradient_check,
     init_model,
     load_model,
-    mlp_forward,
     predict,
     save_model,
     train_classifier,
@@ -67,7 +64,7 @@ class TestForward:
         ]
         model = ClassifierModel("gcn", layers, 0.0, 2)
         adj = normalized_adjacency(line_graph(5))
-        logits = gcn_forward(adj, np.ones((5, 3)), model)
+        logits, _ = forward(model, np.ones((5, 3)), adjacency=adj)
         np.testing.assert_array_equal(logits, np.zeros((5, 2)))
 
     def test_single_node_gcn_equals_mlp(self, rng):
@@ -76,8 +73,8 @@ class TestForward:
         adj = normalized_adjacency(line_graph(1))
         x = rng.normal(size=(1, 3))
         for train_mode in (False, True):
-            got = gcn_forward(adj, x, model, train_mode=train_mode, seed=3)
-            want = mlp_forward(x, mlp, train_mode=train_mode, seed=3)
+            got, _ = forward(model, x, adjacency=adj, train_mode=train_mode, seed=3)
+            want, _ = forward(mlp, x, train_mode=train_mode, seed=3)
             np.testing.assert_allclose(got, want, atol=1e-15)
 
     def test_matches_dense_chain_oracle(self, rng):
@@ -92,13 +89,13 @@ class TestForward:
         w1, b1 = model.layers[0].weight, model.layers[0].bias
         w2, b2 = model.layers[1].weight, model.layers[1].bias
         oracle = a @ np.maximum(a @ x @ w1 + b1, 0.0) @ w2 + b2
-        got = gcn_forward(adj, x, model)
+        got, _ = forward(model, x, adjacency=adj)
         np.testing.assert_allclose(got, oracle, rtol=1e-10, atol=1e-12)
 
     def test_dimension_mismatch(self, rng):
         model = init_model("mlp", 3, 2, TrainConfig(hidden_dims=(4,), seed=0))
         with pytest.raises(ValueError, match="input dim"):
-            mlp_forward(rng.normal(size=(2, 5)), model)
+            forward(model, rng.normal(size=(2, 5)))
 
 
 def separable_toy(rng, n_per=10):
@@ -158,7 +155,7 @@ class TestTraining:
         assert a.loss_history == b.loss_history
 
     def test_default_configs_match_protocol(self):
-        gcn = gcn_train_defaults()
+        gcn = TrainConfig()
         assert gcn.epochs == 1000 and gcn.learning_rate == 0.01
         assert gcn.hidden_dims == (64, 64) and gcn.dropout == 0.5
         conf = confidence_train_defaults()
@@ -173,7 +170,7 @@ class TestTraining:
         x = rng.normal(size=(n, 5))
         y = np.array([0, 1] * 6)
         model = train_classifier(
-            x, y, np.arange(n), gcn_train_defaults(seed=0), kind="gcn", adjacency=adj
+            x, y, np.arange(n), TrainConfig(seed=0), kind="gcn", adjacency=adj
         )
         assert len(model.loss_history) == 1000
         assert [l.weight.shape for l in model.layers] == [(5, 64), (64, 64), (64, 2)]

@@ -2,6 +2,7 @@
 order, and retry behavior for the embeddings and chat-completions clients."""
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from tagaug.embedding import EncoderConfig, EncoderError, encode_remote
-from tagaug.generation import GeneratorConfig, RemoteChatGenerator
+from tagaug.generation import GeneratorConfig, GeneratorError, RemoteChatGenerator
 
 
 class StubHandler(BaseHTTPRequestHandler):
@@ -187,7 +188,23 @@ class TestChatClient:
             kind="remote", endpoint=base, model="m", retry_count=1,
             retry_backoff=0.01,
         )
-        from tagaug.generation import GeneratorError
-
         with pytest.raises(GeneratorError, match="HTTP 500"):
             RemoteChatGenerator(cfg).generate([{"role": "user", "content": "x"}])
+
+
+def test_transport_failure_after_retries():
+    # Nothing listens on a port just released, so every attempt of both
+    # clients fails to connect.
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        base = f"http://127.0.0.1:{sock.getsockname()[1]}"
+    enc = EncoderConfig(
+        kind="remote", endpoint=base, model="m", retry_count=1, retry_backoff=0.001
+    )
+    with pytest.raises(EncoderError, match="batch 0: transport failure"):
+        encode_remote(["hello"], enc)
+    gen = GeneratorConfig(
+        kind="remote", endpoint=base, model="m", retry_count=1, retry_backoff=0.001
+    )
+    with pytest.raises(GeneratorError, match="transport failure"):
+        RemoteChatGenerator(gen).generate([{"role": "user", "content": "x"}])
