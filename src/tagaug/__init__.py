@@ -9,7 +9,7 @@ validate the whole construction.
 
 __version__ = "0.1.0"
 
-from .baselines import mixup_interpolate, numeric_augment, oversample, smote_interpolate
+from .baselines import mixup_interpolate, numeric_augment, smote_interpolate
 from .edges import (
     ConfidenceNet,
     EdgeAssignConfig,

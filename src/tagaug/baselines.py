@@ -1,51 +1,16 @@
-"""Numeric interpolation baselines over embedding rows: oversampling,
+"""Numeric interpolation baselines over embedding rows: anchor copies,
 same-class segment interpolation, and Beta-weighted cross-pair mixing.
 
-numeric_augment reuses the generation module's pair schedule so the
-numeric and text-level routes differ only in the synthesis operator.
+numeric_augment schedules every mode with the generation module's
+find_vicinal_twins (variant O, S or M), so the numeric and text-level
+routes differ only in the synthesis operator.
 """
 
 import numpy as np
 
-from dataclasses import dataclass
-
 from .generation import find_vicinal_twins
 
-
-@dataclass
-class InterpolationParams:
-    lam: float = None  # fixed lambda; None draws from the seeded stream
-    beta_alpha: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.lam is not None and not 0 <= self.lam <= 1:
-            raise ValueError("lambda must lie in [0, 1]")
-        if self.beta_alpha <= 0:
-            raise ValueError("beta_alpha must be > 0")
-
-
-def oversample(emb, labels, split, target_counts):
-    """Duplicate tail-class training rows round-robin up to the class target.
-
-    target_counts maps class -> desired total training count; copies are
-    bit-identical to their sources.
-    """
-    rows, out_labels, sources = [], [], []
-    for cls in sorted(target_counts):
-        members = sorted(i for i in split.train_idx if labels[i] == cls)
-        if not members:
-            raise ValueError(f"class {cls} has no training rows to oversample")
-        want = target_counts[cls] - len(members)
-        if want < 0:
-            raise ValueError(f"class {cls} already exceeds its target")
-        for j in range(want):
-            src = members[j % len(members)]
-            rows.append(emb.vectors[src].copy())
-            out_labels.append(cls)
-            sources.append(src)
-    stacked = np.array(rows) if rows else np.zeros((0, emb.dim))
-    return stacked, np.array(out_labels, dtype=np.int64), sources
+VARIANT_BY_MODE = {"oversample": "O", "smote": "S", "mixup": "M"}
 
 
 def smote_interpolate(x_i, x_k, lam):
@@ -59,12 +24,12 @@ def smote_interpolate(x_i, x_k, lam):
     return x_i + lam * (x_k - x_i)
 
 
-def mixup_interpolate(x_i, x_j, y_i, y_j, params, rng=None):
-    """Convex combination of inputs and one-hot labels.
+def mixup_interpolate(x_i, x_j, y_i, y_j, lam):
+    """Convex combination lam * (x_i, y_i) + (1 - lam) * (x_j, y_j) of
+    inputs and one-hot labels.
 
-    lambda comes from params.lam or a Beta(alpha, alpha) draw on the
-    seeded stream; returns (x, soft y, hard label) with the hard label
-    as argmax of the soft label, ties going to y_i's class.
+    Returns (x, soft y, hard label) with the hard label as argmax of the
+    soft label, ties going to y_i's class.
     """
     x_i = np.asarray(x_i, dtype=np.float64)
     x_j = np.asarray(x_j, dtype=np.float64)
@@ -72,11 +37,8 @@ def mixup_interpolate(x_i, x_j, y_i, y_j, params, rng=None):
     y_j = np.asarray(y_j, dtype=np.float64)
     if x_i.shape != x_j.shape or y_i.shape != y_j.shape:
         raise ValueError("dimension mismatch between pair members")
-    if params.lam is not None:
-        lam = params.lam
-    else:
-        rng = rng or np.random.default_rng(params.seed)
-        lam = float(rng.beta(params.beta_alpha, params.beta_alpha))
+    if not 0 <= lam <= 1:
+        raise ValueError("lambda must lie in [0, 1]")
     x_new = lam * x_i + (1 - lam) * x_j
     y_new = lam * y_i + (1 - lam) * y_j
     anchor_cls = int(np.argmax(y_i))
@@ -85,26 +47,20 @@ def mixup_interpolate(x_i, x_j, y_i, y_j, params, rng=None):
     return x_new, y_new, hard
 
 
-def numeric_augment(emb, labels, split, mode, knn_k, target_counts, seed, beta_alpha=1.0):
+def numeric_augment(emb, labels, split, mode, knn_k, target_counts, seed):
     """Synthesize embedding rows on the shared vicinal-pair schedule.
 
-    mode: oversample (row copies), smote (same-class segment points,
-    lambda ~ U(0,1)), or mixup (cross-class Beta mixing with soft-label
-    argmax). Returns (rows, labels, pairs).
+    mode: oversample (anchor copies on variant O's schedule), smote
+    (same-class segment points on variant S's, lambda ~ U(0,1)), or mixup
+    (Beta(1, 1) mixing on variant M's, soft-label argmax as the label).
+    target_counts maps class -> extra rows. Returns (rows, labels, pairs).
     """
+    if mode not in VARIANT_BY_MODE:
+        raise ValueError(f"unknown numeric mode: {mode}")
     labels = np.asarray(labels, dtype=np.int64)
-    if mode == "oversample":
-        totals = {}
-        for cls, extra in target_counts.items():
-            have = sum(1 for i in split.train_idx if labels[i] == cls)
-            totals[cls] = have + extra
-        rows, out_labels, sources = oversample(emb, labels, split, totals)
-        pairs = list(zip(sources, sources))
-        return rows, out_labels, pairs
-
-    variant = "S" if mode == "smote" else "M"
     pairs = find_vicinal_twins(
-        split, emb, labels, knn_k, target_counts=target_counts, variant=variant
+        split, emb, labels, knn_k, target_counts=target_counts,
+        variant=VARIANT_BY_MODE[mode],
     )
     rng = np.random.default_rng(seed)
     class_count = int(labels.max()) + 1
@@ -112,18 +68,19 @@ def numeric_augment(emb, labels, split, mode, knn_k, target_counts, seed, beta_a
     for pair in pairs:
         x_i = emb.vectors[pair.anchor]
         x_k = emb.vectors[pair.partner]
-        if mode == "smote":
+        if mode == "oversample":
+            rows.append(x_i)
+            out_labels.append(pair.label)
+        elif mode == "smote":
             rows.append(smote_interpolate(x_i, x_k, float(rng.uniform())))
             out_labels.append(pair.label)
-        elif mode == "mixup":
+        else:
             y_i = np.eye(class_count)[pair.label]
             y_j = np.eye(class_count)[pair.partner_label]
             x_new, _y_new, hard = mixup_interpolate(
-                x_i, x_k, y_i, y_j, InterpolationParams(beta_alpha=beta_alpha), rng=rng
+                x_i, x_k, y_i, y_j, float(rng.beta(1.0, 1.0))
             )
             rows.append(x_new)
             out_labels.append(hard)
-        else:
-            raise ValueError(f"unknown numeric mode: {mode}")
     rows = np.array(rows) if rows else np.zeros((0, emb.dim))
     return rows, np.array(out_labels, dtype=np.int64), [(p.anchor, p.partner) for p in pairs]

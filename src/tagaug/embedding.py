@@ -150,12 +150,39 @@ def encode_texts(texts, cfg):
     raise ValueError(f"unknown encoder kind: {cfg.kind}")
 
 
+# Below this computed norm the squares inside np.linalg.norm have underflowed
+# to subnormals or zero, so the norm is inexact or 0 for a nonzero vector.
+_TINY_NORM = np.sqrt(np.finfo(np.float64).tiny)
+
+
+def _norm(x):
+    """(x, ||x||), with a nonzero x whose computed norm is tiny divided by
+    max |x| first; cosine ignores the scale, and other x keep their bits."""
+    norm = np.linalg.norm(x)
+    if norm < _TINY_NORM and np.any(x):
+        x = x / np.abs(x).max()
+        norm = np.linalg.norm(x)
+    return x, norm
+
+
+def _row_norms(rows):
+    """_norm for each row of a matrix."""
+    norms = np.linalg.norm(rows, axis=1)
+    tiny = np.flatnonzero(norms < _TINY_NORM)
+    tiny = tiny[rows[tiny].any(axis=1)]
+    if len(tiny):
+        rows = rows.copy()
+        rows[tiny] /= np.abs(rows[tiny]).max(axis=1, keepdims=True)
+        norms[tiny] = np.linalg.norm(rows[tiny], axis=1)
+    return rows, norms
+
+
 def cosine_similarity(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    (a, na), (b, nb) = _norm(a), _norm(b)
     if na == 0 or nb == 0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
@@ -163,10 +190,8 @@ def cosine_similarity(a, b):
 
 def cosine_matrix(rows_a, rows_b):
     """Pairwise cosine similarities, zero rows mapping to zero similarity."""
-    a = np.asarray(rows_a, dtype=np.float64)
-    b = np.asarray(rows_b, dtype=np.float64)
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
+    a, na = _row_norms(np.asarray(rows_a, dtype=np.float64))
+    b, nb = _row_norms(np.asarray(rows_b, dtype=np.float64))
     na_safe = np.where(na == 0, 1.0, na)
     nb_safe = np.where(nb == 0, 1.0, nb)
     sims = (a / na_safe[:, None]) @ (b / nb_safe[:, None]).T
@@ -207,11 +232,9 @@ class Centroids:
         return self.by_class[cls]
 
 
-def class_centroids(emb, labels, subset_idx=None):
-    subset = range(len(labels)) if subset_idx is None else subset_idx
+def class_centroids(emb, labels):
     sums, counts = {}, {}
-    for i in subset:
-        cls = labels[i]
+    for i, cls in enumerate(labels):
         if cls not in sums:
             sums[cls] = np.zeros(emb.dim)
             counts[cls] = 0

@@ -96,15 +96,12 @@ class ManifoldIndex:
         return np.vstack(rows), np.array(labs, dtype=np.int64)
 
 
-def build_manifold_index(rows, labels, subset_idx=None):
+def build_manifold_index(rows, labels):
     rows = np.asarray(rows, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    subset = np.arange(len(labels)) if subset_idx is None else np.asarray(subset_idx)
-    by_class = {}
-    for cls in np.unique(labels[subset]):
-        members = subset[labels[subset] == cls]
-        by_class[int(cls)] = rows[members].copy()
-    return ManifoldIndex(by_class=by_class)
+    return ManifoldIndex(
+        by_class={int(cls): rows[labels == cls] for cls in np.unique(labels)}
+    )
 
 
 def dist_to_manifold(x, index, cls):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import verify
 from . import __version__
-from .baselines import numeric_augment
+from .baselines import VARIANT_BY_MODE, numeric_augment
 from .edges import EdgeAssignConfig, train_confidence, wire_nodes
 from .embedding import EmbeddingMatrix, EncoderConfig, encode_texts
 from .generation import (
@@ -48,7 +48,7 @@ from .neural import TrainConfig, confidence_train_defaults, predict, train_class
 
 GRID_CELLS = ("origin", "num", "num_C", "llm", "llm_C")
 
-NUM_MODE_BY_VARIANT = {"O": "oversample", "S": "smote", "M": "mixup"}
+NUM_MODE_BY_VARIANT = {variant: mode for mode, variant in VARIANT_BY_MODE.items()}
 
 
 @dataclass
@@ -260,7 +260,9 @@ def run_augment(cfg):
 
 
 def _load_artifacts(cfg):
-    """Reload everything run_augment persisted; no network access."""
+    """Reload what train-eval reads of run_augment's output; no network
+    access. The llm nodes come from provenance.jsonl and the synthetic
+    embedding rows; no cell reads their text."""
     graph = load_dataset(cfg.dataset_dir)
     split = _load_split(os.path.join(cfg.out_dir, "split.json"))
     with np.load(os.path.join(cfg.out_dir, "embeddings.npz")) as data:
@@ -269,10 +271,8 @@ def _load_artifacts(cfg):
         encoder_id = bytes(data["encoder_id"]).decode("utf-8")
     emb = EmbeddingMatrix(vectors=original, encoder_id=encoder_id)
 
-    augmented_dir = os.path.join(cfg.out_dir, "augmented")
-    augmented = load_dataset(augmented_dir)
     nodes = []
-    prov_path = os.path.join(augmented_dir, "provenance.jsonl")
+    prov_path = os.path.join(cfg.out_dir, "augmented", "provenance.jsonl")
     if os.path.exists(prov_path):
         with open(prov_path, encoding="utf-8") as fh:
             for line in fh:
@@ -280,7 +280,7 @@ def _load_artifacts(cfg):
                     rec = json.loads(line)
                     nodes.append(
                         SyntheticNode(
-                            text=augmented.texts[rec["node_id"]],
+                            text="",
                             label=rec["label"],
                             provenance=rec,
                             embedding=synthetic[rec["node_id"] - graph.node_count],

@@ -1,13 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tagaug.baselines import (
-    InterpolationParams,
-    mixup_interpolate,
-    numeric_augment,
-    oversample,
-    smote_interpolate,
-)
+from tagaug.baselines import mixup_interpolate, numeric_augment, smote_interpolate
 from tagaug.embedding import EmbeddingMatrix
 from tagaug.generation import find_vicinal_twins
 from tagaug.graph import LongTailSplit
@@ -28,34 +24,61 @@ def emb_of(rows):
     return EmbeddingMatrix(vectors=np.asarray(rows, dtype=np.float64), encoder_id="t")
 
 
+def oversample_mode(emb, labels, extra_counts):
+    """numeric_augment's oversample mode with every node in train; returns
+    (rows, labels, source ids)."""
+    split = split_for(labels, set(extra_counts))
+    rows, out_labels, pairs = numeric_augment(
+        emb, labels, split, "oversample", 3, extra_counts, seed=0
+    )
+    return rows, out_labels, [anchor for anchor, _ in pairs]
+
+
 class TestOversample:
     def test_single_member_class(self):
         emb = emb_of([[1.0, 2.0], [9.0, 9.0]])
-        labels = [0, 1]
-        rows, out_labels, sources = oversample(emb, labels, split_for(labels, {0}), {0: 3})
+        rows, out_labels, sources = oversample_mode(emb, [0, 1], {0: 2})
         np.testing.assert_array_equal(rows, [[1.0, 2.0], [1.0, 2.0]])
         assert list(out_labels) == [0, 0]
         assert sources == [0, 0]
 
     def test_target_equal_current_is_empty(self):
         emb = emb_of([[1.0], [2.0]])
-        labels = [0, 1]
-        rows, out_labels, _ = oversample(emb, labels, split_for(labels, {0}), {0: 1})
+        rows, out_labels, _ = oversample_mode(emb, [0, 1], {0: 0})
         assert rows.shape[0] == 0 and len(out_labels) == 0
 
     def test_round_robin_enumeration_oracle(self):
         emb = emb_of([[1.0], [2.0], [5.0]])
-        labels = [0, 0, 1]
-        rows, _, sources = oversample(emb, labels, split_for(labels, {0}), {0: 5})
+        rows, _, sources = oversample_mode(emb, [0, 0, 1], {0: 3})
         assert sources == [0, 1, 0]
         np.testing.assert_array_equal(rows.ravel(), [1.0, 2.0, 1.0])
 
     def test_copies_bit_identical(self, rng):
         vals = rng.normal(size=(4, 6))
-        labels = [0, 0, 1, 1]
-        rows, _, sources = oversample(emb_of(vals), labels, split_for(labels, {0}), {0: 6})
+        rows, _, sources = oversample_mode(emb_of(vals), [0, 0, 1, 1], {0: 4})
         for row, src in zip(rows, sources):
             np.testing.assert_array_equal(row, vals[src])
+
+    def test_equals_anchor_copies_on_variant_o_schedule(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(4, 14))
+            labels = [int(c) for c in rng.integers(3, size=n)]
+            labels[:3] = [0, 1, 2]
+            tails = {int(c) for c in rng.choice(3, size=int(rng.integers(1, 3)), replace=False)}
+            # the last node stays out of train; nodes 0-2 keep every class in it
+            split = replace(split_for(labels, tails), train_idx=tuple(range(n - 1)))
+            extra = {cls: int(rng.integers(0, 9)) for cls in tails}
+            emb = emb_of(rng.normal(size=(n, 3)))
+            rows, out_labels, pairs = numeric_augment(
+                emb, labels, split, "oversample", 2, extra, seed=int(rng.integers(99))
+            )
+            schedule = find_vicinal_twins(split, emb, labels, 2, extra, "O")
+            assert pairs == [(p.anchor, p.partner) for p in schedule]
+            assert all(p.is_self() for p in schedule)
+            assert list(out_labels) == [p.label for p in schedule]
+            assert rows.shape == (len(schedule), 3)
+            for row, p in zip(rows, schedule):
+                np.testing.assert_array_equal(row, emb.vectors[p.anchor])
 
 
 class TestSmote:
@@ -100,36 +123,30 @@ class TestSmote:
 
 class TestMixup:
     def test_lambda_one_returns_first(self):
-        x, y, hard = mixup_interpolate(
-            [1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0],
-            InterpolationParams(lam=1.0),
-        )
+        x, y, hard = mixup_interpolate([1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], 1.0)
         np.testing.assert_array_equal(x, [1.0, 0.0])
         np.testing.assert_array_equal(y, [1.0, 0.0])
         assert hard == 0
 
     def test_half_ties_to_anchor(self):
-        _, y, hard = mixup_interpolate(
-            [1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0],
-            InterpolationParams(lam=0.5),
-        )
+        _, y, hard = mixup_interpolate([1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], 0.5)
         np.testing.assert_array_equal(y, [0.5, 0.5])
         assert hard == 0
 
     def test_beta_one_is_uniform(self):
-        rng = np.random.default_rng(123)
-        params = InterpolationParams(beta_alpha=1.0)
-        lams = []
-        for _ in range(1000):
-            x, _, _ = mixup_interpolate(
-                [1.0], [0.0], [1.0, 0.0], [0.0, 1.0], params, rng=rng
-            )
-            lams.append(float(x[0]))  # x = lam * 1 + (1 - lam) * 0
+        # anchor e1 and its only partner e2: each row's first coordinate is its lambda
+        emb = emb_of([[1.0, 0.0], [0.0, 1.0]])
+        labels = [0, 1]
+        rows, _, pairs = numeric_augment(
+            emb, labels, split_for(labels, {0}), "mixup", 1, {0: 1000}, seed=123
+        )
+        assert set(pairs) == {(0, 1)}
+        lams = rows[:, 0]
+        np.testing.assert_array_equal(
+            lams, np.random.default_rng(123).beta(1.0, 1.0, size=1000)
+        )
         assert np.mean(lams) == pytest.approx(0.5, abs=0.05)
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            InterpolationParams(beta_alpha=0.0)
+        assert np.quantile(lams, [0.25, 0.75]) == pytest.approx([0.25, 0.75], abs=0.05)
 
 
 def convex_hull_2d(points):
@@ -234,5 +251,6 @@ class TestNumericAugment:
 
     def test_unknown_mode(self, rng):
         emb, labels, split = self.setup_case(rng)
-        with pytest.raises(ValueError, match="unknown numeric mode"):
-            numeric_augment(emb, labels, split, "jitter", 3, {0: 2}, seed=0)
+        for targets in ({0: 2}, {0: 0}):  # rejected before any pair is scheduled
+            with pytest.raises(ValueError, match="unknown numeric mode"):
+                numeric_augment(emb, labels, split, "jitter", 3, targets, seed=0)

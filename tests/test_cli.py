@@ -200,6 +200,20 @@ class TestTrainEval:
         report = run_train_eval(RunConfig.from_dict(data), grid=("origin", "llm"))
         assert "llm" in report["cells"]
 
+    def test_reads_no_augmented_dataset_file(self, tmp_path, toy_dataset_dir):
+        # augmented/{nodes,edges,meta} are outputs for the user; train-eval
+        # rebuilds the llm nodes from provenance.jsonl and embeddings.npz
+        cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
+        run_augment(cfg)
+        grid = ("origin", "llm", "llm_C")
+        before = run_train_eval(cfg, grid=grid)
+        for name in ("nodes.jsonl", "edges.jsonl", "meta.json"):
+            (tmp_path / "run" / "augmented" / name).unlink()
+        after = run_train_eval(cfg, grid=grid)
+        before.pop("timings")
+        after.pop("timings")
+        assert after == before
+
     def test_warm_cache_reports_equal_modulo_timings(self, tmp_path, toy_dataset_dir):
         cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
         run_augment(cfg)  # priming run (cold cache)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tagaug.embedding import (
     Centroids,
     class_centroids,
+    cosine_matrix,
     cosine_similarity,
     encode_hashing,
     knn_embedding,
@@ -77,12 +78,38 @@ class TestCosine:
         st.floats(0.01, 100),
         st.floats(0.01, 100),
     )
+    # squaring b's entries underflows: the norm came out 0 for b, subnormal for 4b
+    @example(a=[0.0, 1.0, 0.0], b=[0.0, 4.3e-163, 0.0], alpha=1.0, beta=4.0)
+    @example(a=[1.0, 0.0, 0.0], b=[1.1598279612055535e-158, 0.0, 0.0], alpha=1.0, beta=2.0)
     def test_symmetric_and_scale_invariant(self, a, b, alpha, beta):
         a, b = np.array(a), np.array(b)
         assert cosine_similarity(a, b) == pytest.approx(cosine_similarity(b, a))
         assert cosine_similarity(alpha * a, beta * b) == pytest.approx(
             cosine_similarity(a, b), abs=1e-9
         )
+
+    def test_ordinary_magnitudes_keep_plain_formula(self, rng):
+        # the twin schedule ranks by these scores, so their last bit matters
+        for scale in (1e-150, 1e-3, 1.0, 1e100):
+            a, b = rng.normal(size=(2, 8)) * scale
+            plain = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+            assert cosine_similarity(a, b) == float(plain)
+            rows = rng.normal(size=(5, 8)) * scale
+            unit = rows / np.linalg.norm(rows, axis=1)[:, None]
+            np.testing.assert_array_equal(cosine_matrix(rows, rows[:3]), unit @ unit[:3].T)
+
+    def test_tiny_rows_in_matrix(self):
+        rows = np.array(
+            [[0.0, 1.0, 0.0], [0.0, 4.3e-163, 0.0], [3e-160, -4e-160, 0.0], [0.0, 0.0, 0.0]]
+        )
+        sims = cosine_matrix(rows, rows)
+        for i in range(4):
+            for j in range(4):
+                assert sims[i, j] == pytest.approx(cosine_similarity(rows[i], rows[j]), abs=1e-12)
+        assert sims[0, 1] == pytest.approx(1.0)
+        assert sims[2, 2] == pytest.approx(1.0)
+        assert sims[1, 2] == pytest.approx(-0.8)
+        assert not sims[3].any() and not sims[:, 3].any()
 
 
 class FakeEmb:
@@ -176,10 +203,3 @@ class TestCentroids:
         with pytest.raises(KeyError, match="undefined"):
             cents.require(3)
         assert isinstance(cents, Centroids)
-
-    def test_subset_restriction(self, rng):
-        vectors = rng.normal(size=(6, 2))
-        labels = [0, 0, 0, 1, 1, 1]
-        cents = class_centroids(FakeEmb(vectors), labels, subset_idx=[0, 3])
-        np.testing.assert_array_equal(cents.require(0), vectors[0])
-        np.testing.assert_array_equal(cents.require(1), vectors[3])
