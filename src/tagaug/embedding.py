@@ -10,6 +10,9 @@ import hashlib
 import os
 import re
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +20,9 @@ import requests
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 _HASH_SALT = b"tagaug-hash-v1"
+
+# Requests each remote client call keeps in flight at once.
+MAX_IN_FLIGHT = 4
 
 
 class EncoderError(RuntimeError):
@@ -109,33 +115,68 @@ def _post_with_retries(url, payload, cfg, error_cls, prefix=""):
     raise last_error
 
 
+def _in_order(call, items):
+    """Yield call(item) for each item, in input order; a call that raised
+    yields its exception instead of a result.
+
+    The calls run on worker threads, at most MAX_IN_FLIGHT submitted at
+    once. Closing the generator cancels the calls not yet started and
+    waits for the running ones, so no request outlives the caller.
+    """
+    limit = MAX_IN_FLIGHT
+    pool = ThreadPoolExecutor(max_workers=limit)
+    window = deque()
+    try:
+        for item in items:
+            window.append(pool.submit(call, item))
+            if len(window) == limit:
+                yield _outcome(window.popleft())
+        while window:
+            yield _outcome(window.popleft())
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _outcome(future):
+    error = future.exception()
+    return future.result() if error is None else error
+
+
 def encode_remote(texts, cfg):
-    """Encode via the remote embeddings endpoint, batching and preserving order."""
+    """Encode via the remote embeddings endpoint, batching and preserving
+    order; the error raised is the one for the lowest failing batch."""
     url = cfg.endpoint.rstrip("/") + "/v1/embeddings"
+    batches = [
+        list(texts[start : start + cfg.batch_size])
+        for start in range(0, len(texts), cfg.batch_size)
+    ]
+
+    def post(batch_index):
+        payload = {"model": cfg.model, "input": batches[batch_index]}
+        return _post_with_retries(url, payload, cfg, EncoderError, f"batch {batch_index}: ")
 
     rows = []
     dim = None
-    for start in range(0, len(texts), cfg.batch_size):
-        batch_index = start // cfg.batch_size
-        batch = list(texts[start : start + cfg.batch_size])
-        payload = {"model": cfg.model, "input": batch}
-        body = _post_with_retries(url, payload, cfg, EncoderError, f"batch {batch_index}: ")
-        items = sorted(body["data"], key=lambda item: item["index"])
-        if len(items) != len(batch):
-            raise EncoderError(
-                f"batch {batch_index}: expected {len(batch)} rows, got {len(items)}"
-            )
-        for item in items:
-            vec = np.asarray(item["embedding"], dtype=np.float64)
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
+    with closing(_in_order(post, range(len(batches)))) as bodies:
+        for batch_index, (batch, body) in enumerate(zip(batches, bodies)):
+            if isinstance(body, Exception):
+                raise body
+            items = sorted(body["data"], key=lambda item: item["index"])
+            if len(items) != len(batch):
                 raise EncoderError(
-                    f"batch {batch_index}: dimension mismatch "
-                    f"({vec.shape[0]} != {dim})"
+                    f"batch {batch_index}: expected {len(batch)} rows, got {len(items)}"
                 )
-            norm = np.linalg.norm(vec)
-            rows.append(vec / norm if norm > 0 else vec)
+            for item in items:
+                vec = np.asarray(item["embedding"], dtype=np.float64)
+                if dim is None:
+                    dim = vec.shape[0]
+                elif vec.shape[0] != dim:
+                    raise EncoderError(
+                        f"batch {batch_index}: dimension mismatch "
+                        f"({vec.shape[0]} != {dim})"
+                    )
+                norm = np.linalg.norm(vec)
+                rows.append(vec / norm if norm > 0 else vec)
     return EmbeddingMatrix(
         vectors=np.array(rows).reshape(len(texts), -1) if rows else np.zeros((0, 1)),
         encoder_id=f"remote-{cfg.model}",
@@ -150,16 +191,19 @@ def encode_texts(texts, cfg):
     raise ValueError(f"unknown encoder kind: {cfg.kind}")
 
 
-# Below this computed norm the squares inside np.linalg.norm have underflowed
-# to subnormals or zero, so the norm is inexact or 0 for a nonzero vector.
+# Outside [_TINY_NORM, _HUGE_NORM] the squares inside np.linalg.norm have
+# underflowed (the norm is inexact or 0 for a nonzero vector) or overflowed
+# (the norm is inf).
 _TINY_NORM = np.sqrt(np.finfo(np.float64).tiny)
+_HUGE_NORM = np.sqrt(np.finfo(np.float64).max)
 
 
 def _norm(x):
-    """(x, ||x||), with a nonzero x whose computed norm is tiny divided by
-    max |x| first; cosine ignores the scale, and other x keep their bits."""
+    """(x, ||x||), with a nonzero x whose computed norm is tiny, huge or not
+    finite divided by max |x| first; cosine ignores the scale, and other x
+    keep their bits."""
     norm = np.linalg.norm(x)
-    if norm < _TINY_NORM and np.any(x):
+    if not _TINY_NORM <= norm <= _HUGE_NORM and np.any(x):
         x = x / np.abs(x).max()
         norm = np.linalg.norm(x)
     return x, norm
@@ -168,12 +212,12 @@ def _norm(x):
 def _row_norms(rows):
     """_norm for each row of a matrix."""
     norms = np.linalg.norm(rows, axis=1)
-    tiny = np.flatnonzero(norms < _TINY_NORM)
-    tiny = tiny[rows[tiny].any(axis=1)]
-    if len(tiny):
+    scaled = np.flatnonzero(~((norms >= _TINY_NORM) & (norms <= _HUGE_NORM)))
+    scaled = scaled[rows[scaled].any(axis=1)]
+    if len(scaled):
         rows = rows.copy()
-        rows[tiny] /= np.abs(rows[tiny]).max(axis=1, keepdims=True)
-        norms[tiny] = np.linalg.norm(rows[tiny], axis=1)
+        rows[scaled] /= np.abs(rows[scaled]).max(axis=1, keepdims=True)
+        norms[scaled] = np.linalg.norm(rows[scaled], axis=1)
     return rows, norms
 
 

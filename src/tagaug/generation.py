@@ -12,11 +12,12 @@ import hashlib
 import json
 import logging
 import os
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import _post_with_retries, knn_embedding, knn_same_class
+from .embedding import _in_order, _post_with_retries, knn_embedding, knn_same_class
 
 logger = logging.getLogger(__name__)
 
@@ -322,6 +323,11 @@ def mock_generate(t1, t2, class_name, seed):
     return " ".join([class_name, *merged]).strip()
 
 
+def _mock_seed(key):
+    """The mock generator's seed for a cache key."""
+    return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big") >> 1
+
+
 class RemoteChatGenerator:
     """Client for a chat-completions endpoint (POST {base}/v1/chat/completions)."""
 
@@ -437,11 +443,13 @@ def generate_interpolations(pairs, variant, gen, spec, texts, class_names, cache
 
     Returns (synthetic nodes in input-pair order, stats). Generator
     failures after retries skip the pair and are recorded, not raised.
+    The remote generator keeps up to MAX_IN_FLIGHT requests in flight;
+    replies are parsed and appended to the cache in schedule order.
     """
     cache = GenCache(cache_path)
-    client = RemoteChatGenerator(gen) if gen.kind == "remote" else None
     stats = GenerationStats(pairs_total=len(pairs))
-    nodes = []
+    schedule = []
+    misses = []
     attempts = {}
     for pair in pairs:
         t1 = texts[pair.anchor]
@@ -457,53 +465,57 @@ def generate_interpolations(pairs, variant, gen, spec, texts, class_names, cache
             variant, pair, t1, t2, class1, class2, gen, spec, attempt=occurrence
         )
         text = cache.get(key)
-        if text is not None:
-            stats.cache_hits += 1
-        else:
-            try:
-                if gen.kind == "mock":
-                    pair_seed = int.from_bytes(
-                        hashlib.sha256(key.encode("utf-8")).digest()[:8], "big"
-                    ) >> 1
-                    raw = (
-                        f"{START_MARKER}"
-                        f"{mock_generate(t1, t2 if use_partner else '', class1, pair_seed)}"
-                        f"{END_MARKER}"
-                    )
-                else:
-                    # a self-pair (singleton-class fallback) prompts like variant O
-                    prompt_variant = variant if use_partner else "O"
-                    messages = build_prompt(
-                        prompt_variant,
-                        t1,
-                        t2 if use_partner else None,
-                        class1,
-                        class2,
-                        spec,
-                    )
-                    raw = client.generate(messages)
-                text = parse_generation(raw, strict=gen.strict_parse)
-            except (GeneratorError, GenerationParseError) as exc:
-                logger.warning(
-                    "skipping pair (%d, %d): %s", pair.anchor, pair.partner, exc
-                )
-                stats.skipped.append(
-                    {"anchor": pair.anchor, "partner": pair.partner, "error": str(exc)}
-                )
-                continue
-            cache.append(key, text, gen.model, variant, pair.anchor, pair.partner)
-            stats.generated += 1
-        nodes.append(
-            SyntheticNode(
-                text=text,
-                label=pair.label,
-                provenance={
-                    "variant": variant,
-                    "anchor": pair.anchor,
-                    "partner": pair.partner,
-                    "generator": gen.model,
-                    "cache_key": key,
-                },
-            )
+        schedule.append((pair, key, text))
+        if text is None:
+            # a self-pair (singleton-class fallback) prompts like variant O
+            misses.append((key, variant if use_partner else "O", t1, t2, class1, class2))
+
+    if gen.kind == "mock":
+        replies = (
+            f"{START_MARKER}{mock_generate(t1, t2, class1, _mock_seed(key))}{END_MARKER}"
+            for key, _prompt_variant, t1, t2, class1, _class2 in misses
         )
+    elif gen.kind == "remote":
+        prompts = [
+            build_prompt(prompt_variant, t1, t2, class1, class2, spec)
+            for _key, prompt_variant, t1, t2, class1, class2 in misses
+        ]
+        replies = _in_order(RemoteChatGenerator(gen).generate, prompts)
+    else:
+        raise ValueError(f"unknown generator kind: {gen.kind}")
+
+    nodes = []
+    with closing(replies):
+        for pair, key, text in schedule:
+            if text is not None:
+                stats.cache_hits += 1
+            else:
+                raw = next(replies)
+                try:
+                    if isinstance(raw, Exception):
+                        raise raw
+                    text = parse_generation(raw, strict=gen.strict_parse)
+                except (GeneratorError, GenerationParseError) as exc:
+                    logger.warning(
+                        "skipping pair (%d, %d): %s", pair.anchor, pair.partner, exc
+                    )
+                    stats.skipped.append(
+                        {"anchor": pair.anchor, "partner": pair.partner, "error": str(exc)}
+                    )
+                    continue
+                cache.append(key, text, gen.model, variant, pair.anchor, pair.partner)
+                stats.generated += 1
+            nodes.append(
+                SyntheticNode(
+                    text=text,
+                    label=pair.label,
+                    provenance={
+                        "variant": variant,
+                        "anchor": pair.anchor,
+                        "partner": pair.partner,
+                        "generator": gen.model,
+                        "cache_key": key,
+                    },
+                )
+            )
     return nodes, stats

@@ -10,6 +10,7 @@ Dataset directory format (UTF-8, LF newlines):
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -188,40 +189,47 @@ def load_dataset(directory_path):
     )
 
 
+@contextmanager
+def _open_atomic(path, mode="w"):
+    """Open a temp file beside path for writing. A clean exit moves it over
+    path (os.replace), an error deletes it, so path holds either its old
+    content or the complete new one, never a partial write."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_dataset(graph, directory_path, tail_class_count=None, provenance=None):
     """Write a TextGraph in the dataset directory format.
 
     When provenance records are given (one dict per synthetic node),
-    they go to a provenance.jsonl sidecar.
+    they go to a provenance.jsonl sidecar. Each file is replaced
+    atomically.
     """
     directory_path = os.fspath(directory_path)
     os.makedirs(directory_path, exist_ok=True)
-    with open(
-        os.path.join(directory_path, "nodes.jsonl"), "w", encoding="utf-8", newline="\n"
-    ) as fh:
+    with _open_atomic(os.path.join(directory_path, "nodes.jsonl")) as fh:
         for nid in range(graph.node_count):
             rec = {"id": nid, "text": graph.texts[nid], "label": graph.labels[nid]}
             fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
-    with open(
-        os.path.join(directory_path, "edges.jsonl"), "w", encoding="utf-8", newline="\n"
-    ) as fh:
+    with _open_atomic(os.path.join(directory_path, "edges.jsonl")) as fh:
         for u, v in graph.edges:
             fh.write(json.dumps({"dst": v, "src": u}, sort_keys=True) + "\n")
     meta = {"class_names": list(graph.class_names)}
     if tail_class_count is not None:
         meta["tail_class_count"] = tail_class_count
-    with open(
-        os.path.join(directory_path, "meta.json"), "w", encoding="utf-8", newline="\n"
-    ) as fh:
+    with _open_atomic(os.path.join(directory_path, "meta.json")) as fh:
         json.dump(meta, fh, ensure_ascii=False, sort_keys=True, indent=2)
         fh.write("\n")
     if provenance is not None:
-        with open(
-            os.path.join(directory_path, "provenance.jsonl"),
-            "w",
-            encoding="utf-8",
-            newline="\n",
-        ) as fh:
+        with _open_atomic(os.path.join(directory_path, "provenance.jsonl")) as fh:
             for rec in provenance:
                 fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
 

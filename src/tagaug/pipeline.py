@@ -27,6 +27,7 @@ from .generation import (
 )
 from .graph import (
     LongTailSplit,
+    _open_atomic,
     graph_stats,
     load_dataset,
     make_longtail_split,
@@ -75,6 +76,11 @@ class RunConfig:
     def __post_init__(self):
         if self.variant not in ("O", "S", "M"):
             raise ValueError(f"variant must be O, S, or M, got {self.variant!r}")
+        if self.num_mode is not None and self.num_mode not in VARIANT_BY_MODE:
+            raise ValueError(
+                f"num_mode must be None or one of {sorted(VARIANT_BY_MODE)}, "
+                f"got {self.num_mode!r}"
+            )
         if self.edge_strategy not in ("confidence", "duplicate", "none"):
             raise ValueError(f"unknown edge strategy: {self.edge_strategy!r}")
 
@@ -112,7 +118,7 @@ class RunConfig:
 
 def write_report(report, path):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_atomic(path) as fh:
         json.dump(report, fh, sort_keys=True, indent=2, ensure_ascii=False)
         fh.write("\n")
 
@@ -234,12 +240,13 @@ def run_augment(cfg):
         )
         provenance.append(rec)
     write_dataset(augmented, augmented_dir, tail_class_count=tail_count, provenance=provenance)
-    np.savez(
-        os.path.join(cfg.out_dir, "embeddings.npz"),
-        original=emb.vectors,
-        synthetic=syn_emb.vectors if nodes else np.zeros((0, emb.dim)),
-        encoder_id=np.frombuffer(emb.encoder_id.encode("utf-8"), dtype=np.uint8),
-    )
+    with _open_atomic(os.path.join(cfg.out_dir, "embeddings.npz"), "wb") as fh:
+        np.savez(
+            fh,
+            original=emb.vectors,
+            synthetic=syn_emb.vectors if nodes else np.zeros((0, emb.dim)),
+            encoder_id=np.frombuffer(emb.encoder_id.encode("utf-8"), dtype=np.uint8),
+        )
     write_report(_split_block(split), os.path.join(cfg.out_dir, "split.json"))
 
     report = {

@@ -1,11 +1,13 @@
 import json
+import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from tagaug.cli import main
 from tagaug.graph import make_longtail_split, write_dataset
-from tagaug.pipeline import RunConfig, run_augment, run_train_eval
+from tagaug.pipeline import RunConfig, run_augment, run_train_eval, write_report
 from tagaug.embedding import EncoderConfig
 from tagaug.generation import GeneratorConfig
 from tagaug.neural import TrainConfig
@@ -50,6 +52,13 @@ class TestRunConfig:
         data["variant"] = "Q"
         with pytest.raises(ValueError, match="variant"):
             RunConfig.from_dict(data)
+
+    def test_num_mode_checked_when_built(self, tmp_path):
+        data = fast_config(tmp_path / "d", tmp_path / "o")
+        for mode in (None, "oversample", "smote", "mixup"):
+            assert RunConfig.from_dict({**data, "num_mode": mode}).num_mode == mode
+        with pytest.raises(ValueError, match="num_mode"):
+            RunConfig.from_dict({**data, "num_mode": "jitter"})
 
 
 class TestAugmentPipeline:
@@ -123,6 +132,56 @@ class TestAugmentPipeline:
         data["imbalance_ratio"] = 0.25  # 5 train nodes per tail class
         report = run_augment(RunConfig.from_dict(data))
         assert report["synthetic_count"] == 2 * (20 - 5)
+
+
+def all_files(root):
+    return sorted(
+        os.path.relpath(os.path.join(d, name), root)
+        for d, _dirs, names in os.walk(root)
+        for name in names
+    )
+
+
+class TestAtomicWrites:
+    """A write that raises partway leaves the previous file whole and no
+    temp file behind."""
+
+    def test_report(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_report({"a": 1}, path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_report({"a": 2, "b": object()}, path)  # fails after "a" is written
+        assert path.read_bytes() == before
+        assert all_files(tmp_path) == ["report.json"]
+
+    def test_dataset(self, tmp_path, toy_graph):
+        write_dataset(toy_graph, tmp_path, provenance=[{"node_id": 0}])
+        before = {name: (tmp_path / name).read_bytes() for name in all_files(tmp_path)}
+        with pytest.raises(TypeError):
+            write_dataset(toy_graph, tmp_path, provenance=[{"node_id": 1}, {"x": object()}])
+        assert {name: (tmp_path / name).read_bytes() for name in all_files(tmp_path)} == before
+
+    def test_embeddings(self, tmp_path, toy_dataset_dir, monkeypatch):
+        cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
+        run_augment(cfg)
+        path = tmp_path / "run" / "embeddings.npz"
+        before, files = path.read_bytes(), all_files(tmp_path / "run")
+
+        def torn_savez(file, **arrays):
+            # np.savez takes a path or an open file
+            if isinstance(file, (str, os.PathLike)):
+                with open(file, "wb") as fh:
+                    fh.write(b"PK partial")
+            else:
+                file.write(b"PK partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(OSError, match="disk full"):
+            run_augment(cfg)
+        assert path.read_bytes() == before
+        assert all_files(tmp_path / "run") == files
 
 
 class TestTrainEval:

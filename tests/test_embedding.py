@@ -71,6 +71,8 @@ class TestCosine:
         with pytest.raises(ValueError):
             cosine_similarity([1.0], [1.0, 2.0])
 
+    # the 1e200 example overflows inside np.linalg.norm before the rescale
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(st.floats(-10, 10), min_size=3, max_size=3),
@@ -81,6 +83,8 @@ class TestCosine:
     # squaring b's entries underflows: the norm came out 0 for b, subnormal for 4b
     @example(a=[0.0, 1.0, 0.0], b=[0.0, 4.3e-163, 0.0], alpha=1.0, beta=4.0)
     @example(a=[1.0, 0.0, 0.0], b=[1.1598279612055535e-158, 0.0, 0.0], alpha=1.0, beta=2.0)
+    # squaring overflows: the norm came out inf
+    @example(a=[1e200, 0.0, 0.0], b=[1e200, 0.0, 0.0], alpha=1.0, beta=1.0)
     def test_symmetric_and_scale_invariant(self, a, b, alpha, beta):
         a, b = np.array(a), np.array(b)
         assert cosine_similarity(a, b) == pytest.approx(cosine_similarity(b, a))
@@ -90,7 +94,7 @@ class TestCosine:
 
     def test_ordinary_magnitudes_keep_plain_formula(self, rng):
         # the twin schedule ranks by these scores, so their last bit matters
-        for scale in (1e-150, 1e-3, 1.0, 1e100):
+        for scale in (1e-150, 1e-3, 1.0, 1e100, 1e150):
             a, b = rng.normal(size=(2, 8)) * scale
             plain = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
             assert cosine_similarity(a, b) == float(plain)
@@ -110,6 +114,18 @@ class TestCosine:
         assert sims[2, 2] == pytest.approx(1.0)
         assert sims[1, 2] == pytest.approx(-0.8)
         assert not sims[3].any() and not sims[:, 3].any()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_rows(self):
+        assert cosine_similarity([1e200, 0.0], [1e200, 0.0]) == pytest.approx(1.0)
+        assert cosine_matrix([[1e200, 0.0]], [[1e200, 1.0]])[0, 0] == pytest.approx(1.0)
+        rows = np.array([[1e200, 0.0], [3e200, -4e200], [1e308, 1e308], [0.6, -0.8]])
+        sims = cosine_matrix(rows, rows)
+        for i in range(4):
+            for j in range(4):
+                assert sims[i, j] == pytest.approx(cosine_similarity(rows[i], rows[j]), abs=1e-12)
+        assert sims[1, 3] == pytest.approx(1.0)
+        assert sims[2, 2] == pytest.approx(1.0)
 
 
 class FakeEmb:
