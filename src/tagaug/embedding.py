@@ -9,7 +9,7 @@ platforms) and a client for a remote embeddings endpoint
 import hashlib
 import os
 import re
-import time
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -89,14 +89,16 @@ def encode_hashing(texts, dim=256):
     return EmbeddingMatrix(vectors=out, encoder_id=f"hashing-{dim}")
 
 
-def _post_with_retries(url, payload, cfg, error_cls, prefix=""):
+def _post_with_retries(url, payload, cfg, error_cls, prefix="", stop=None):
     """POST payload as JSON and return the decoded body of a 2xx reply.
 
     Shared by the embeddings and chat clients. Sends a bearer token when
     the environment variable named by cfg.api_key_env is set, makes
-    cfg.retry_count + 1 attempts with a retry_backoff * 2**attempt sleep
-    between them, then raises error_cls(prefix + the last failure).
+    cfg.retry_count + 1 attempts with a retry_backoff * 2**attempt wait
+    between them, then raises error_cls(prefix + the last failure). Once
+    the stop event is set, it makes no further attempt.
     """
+    stop = stop or threading.Event()
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(cfg.api_key_env, "")
     if api_key:
@@ -110,30 +112,33 @@ def _post_with_retries(url, payload, cfg, error_cls, prefix=""):
             last_error = error_cls(f"{prefix}HTTP {resp.status_code}: {resp.text[:200]}")
         except requests.RequestException as exc:
             last_error = error_cls(f"{prefix}transport failure: {exc}")
-        if attempt < cfg.retry_count:
-            time.sleep(cfg.retry_backoff * (2**attempt))
+        if attempt < cfg.retry_count and stop.wait(cfg.retry_backoff * (2**attempt)):
+            break
     raise last_error
 
 
 def _in_order(call, items):
-    """Yield call(item) for each item, in input order; a call that raised
-    yields its exception instead of a result.
+    """Yield call(item, stop) for each item, in input order; a call that
+    raised yields its exception instead of a result.
 
     The calls run on worker threads, at most MAX_IN_FLIGHT submitted at
-    once. Closing the generator cancels the calls not yet started and
+    once. Closing the generator sets the stop event, so the running calls
+    end after their current attempt, cancels the calls not yet started and
     waits for the running ones, so no request outlives the caller.
     """
     limit = MAX_IN_FLIGHT
     pool = ThreadPoolExecutor(max_workers=limit)
+    stop = threading.Event()
     window = deque()
     try:
         for item in items:
-            window.append(pool.submit(call, item))
+            window.append(pool.submit(call, item, stop))
             if len(window) == limit:
                 yield _outcome(window.popleft())
         while window:
             yield _outcome(window.popleft())
     finally:
+        stop.set()
         pool.shutdown(cancel_futures=True)
 
 
@@ -151,9 +156,9 @@ def encode_remote(texts, cfg):
         for start in range(0, len(texts), cfg.batch_size)
     ]
 
-    def post(batch_index):
+    def post(batch_index, stop):
         payload = {"model": cfg.model, "input": batches[batch_index]}
-        return _post_with_retries(url, payload, cfg, EncoderError, f"batch {batch_index}: ")
+        return _post_with_retries(url, payload, cfg, EncoderError, f"batch {batch_index}: ", stop)
 
     rows = []
     dim = None
@@ -161,13 +166,20 @@ def encode_remote(texts, cfg):
         for batch_index, (batch, body) in enumerate(zip(batches, bodies)):
             if isinstance(body, Exception):
                 raise body
-            items = sorted(body["data"], key=lambda item: item["index"])
-            if len(items) != len(batch):
+            try:
+                by_index = {item["index"]: item["embedding"] for item in body["data"]}
+            except (KeyError, TypeError) as exc:
                 raise EncoderError(
-                    f"batch {batch_index}: expected {len(batch)} rows, got {len(items)}"
+                    f"batch {batch_index}: reply lacks data[].index/embedding"
+                ) from exc
+            if len(body["data"]) != len(batch):
+                raise EncoderError(
+                    f"batch {batch_index}: expected {len(batch)} rows, got {len(body['data'])}"
                 )
-            for item in items:
-                vec = np.asarray(item["embedding"], dtype=np.float64)
+            if set(by_index) != set(range(len(batch))):
+                raise EncoderError(f"batch {batch_index}: indices are not 0..{len(batch) - 1}")
+            for index in range(len(batch)):
+                vec = np.asarray(by_index[index], dtype=np.float64)
                 if dim is None:
                     dim = vec.shape[0]
                 elif vec.shape[0] != dim:

@@ -13,7 +13,7 @@ import json
 import logging
 import os
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
@@ -96,9 +96,7 @@ class PromptSpec:
             )
 
     def digest(self):
-        blob = json.dumps(
-            [self.dataset_task, self.dataset_name, self.text_noun, self.format_template]
-        )
+        blob = json.dumps(astuple(self))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -203,66 +201,28 @@ def build_prompt(variant, t1, t2, class1, class2, spec):
         raise ValueError(f"unknown variant: {variant}")
     if variant == "S" and class1 != class2:
         raise ValueError("variant S requires both seeds to share a class")
-    if variant == "O":
-        noun = spec.dataset_task
-        system = (
-            f"You are a helpful AI assistant for generating {spec.dataset_task} "
-            f"from {spec.dataset_name}, where each {noun} follows the format "
-            f"{spec.format_template}."
-        )
-        return [
-            {"role": "system", "content": system},
-            {
-                "role": "user",
-                "content": (
-                    f"Give me the first {noun} from {spec.dataset_name} "
-                    f"with topic {class1}."
-                ),
-            },
-            {"role": "assistant", "content": f"{START_MARKER}{t1}{END_MARKER}"},
-            {
-                "role": "user",
-                "content": (
-                    f"Give me the second {noun} from {spec.dataset_name} "
-                    f"with topic {class1}. It should be more similar to the "
-                    f"first {noun}."
-                ),
-            },
-        ]
+    # O conditions on the first seed alone and names each item by the task;
+    # S and M show both seeds and name each item by the text noun
+    noun = spec.dataset_task if variant == "O" else spec.text_noun
+    seeds = [(t1, class1)] if variant == "O" else [(t1, class1), (t2, class2)]
+    ordinals = ("first", "second", "third")
 
-    noun = spec.text_noun
+    def ask(ordinal, topic):
+        return f"Give me the {ordinal} {noun} from {spec.dataset_name} with topic {topic}."
+
     system = (
         f"You are a helpful AI assistant for generating {spec.dataset_task} "
         f"from {spec.dataset_name}, where each {noun} follows the format "
         f"{spec.format_template}."
     )
-    return [
-        {"role": "system", "content": system},
-        {
-            "role": "user",
-            "content": (
-                f"Give me the first {noun} from {spec.dataset_name} "
-                f"with topic {class1}."
-            ),
-        },
-        {"role": "assistant", "content": f"{START_MARKER}{t1}{END_MARKER}"},
-        {
-            "role": "user",
-            "content": (
-                f"Give me the second {noun} from {spec.dataset_name} "
-                f"with topic {class2}."
-            ),
-        },
-        {"role": "assistant", "content": f"{START_MARKER}{t2}{END_MARKER}"},
-        {
-            "role": "user",
-            "content": (
-                f"Give me the third {noun} from {spec.dataset_name} "
-                f"with topic {class1}. It should be more similar to the first "
-                f"{noun} and less similar to the second {noun}."
-            ),
-        },
-    ]
+    messages = [{"role": "system", "content": system}]
+    for ordinal, (text, topic) in zip(ordinals, seeds):
+        messages.append({"role": "user", "content": ask(ordinal, topic)})
+        messages.append({"role": "assistant", "content": f"{START_MARKER}{text}{END_MARKER}"})
+    contrast = "" if variant == "O" else f" and less similar to the second {noun}"
+    request = f" It should be more similar to the first {noun}{contrast}."
+    messages.append({"role": "user", "content": ask(ordinals[len(seeds)], class1) + request})
+    return messages
 
 
 def parse_generation(raw, strict=False):
@@ -334,7 +294,8 @@ class RemoteChatGenerator:
     def __init__(self, cfg):
         self.cfg = cfg
 
-    def generate(self, messages):
+    def generate(self, messages, stop=None):
+        """The reply's text; a malformed 2xx reply raises GeneratorError."""
         cfg = self.cfg
         payload = {
             "model": cfg.model,
@@ -343,8 +304,16 @@ class RemoteChatGenerator:
             "max_tokens": cfg.max_tokens,
         }
         url = cfg.endpoint.rstrip("/") + "/v1/chat/completions"
-        body = _post_with_retries(url, payload, cfg, GeneratorError)
-        return body["choices"][0]["message"]["content"]
+        body = _post_with_retries(url, payload, cfg, GeneratorError, stop=stop)
+        try:
+            content = body["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError):
+            content = None
+        if not isinstance(content, str):
+            raise GeneratorError(
+                f"reply has no choices[0].message.content string: {json.dumps(body)[:200]}"
+            )
+        return content
 
 
 class GenCache:
@@ -430,12 +399,7 @@ class GenerationStats:
     skipped: list = field(default_factory=list)
 
     def as_dict(self):
-        return {
-            "pairs_total": self.pairs_total,
-            "cache_hits": self.cache_hits,
-            "generated": self.generated,
-            "skipped": self.skipped,
-        }
+        return asdict(self)
 
 
 def generate_interpolations(pairs, variant, gen, spec, texts, class_names, cache_path):

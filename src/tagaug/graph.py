@@ -11,7 +11,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -66,17 +66,20 @@ class TextGraph:
         """Sorted neighbour ids of node, from the per-graph adjacency index."""
         if not 0 <= node < self.node_count:
             raise IndexError(f"node {node} out of range [0, {self.node_count})")
-        return list(self._adjacency[node])
+        indptr, indices = self._adjacency
+        return indices[indptr[node] : indptr[node + 1]].tolist()
 
     @cached_property
     def _adjacency(self):
+        """Symmetric CSR (indptr, indices) of the edges, each row sorted."""
         # Built on first use; a frozen graph's edges never change, and every
         # derived graph (merge_augmented) is a new object with its own index.
-        lists = [[] for _ in range(self.node_count)]
-        for u, v in self.edges:
-            lists[u].append(v)
-            lists[v].append(u)
-        return [sorted(l) for l in lists]
+        pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        indptr = np.zeros(self.node_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.node_count), out=indptr[1:])
+        return indptr, cols[np.lexsort((cols, rows))]
 
 
 def _canonical_edges(pairs):
@@ -121,11 +124,8 @@ class NormalizedAdjacency:
         return csr_matmul(self.indptr, self.indices, self.data, dense)
 
     def todense(self):
-        n = self.shape[0]
         out = np.zeros(self.shape)
-        for row in range(n):
-            for j in range(self.indptr[row], self.indptr[row + 1]):
-                out[row, self.indices[j]] = self.data[j]
+        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
         return out
 
 
@@ -235,10 +235,8 @@ def write_dataset(graph, directory_path, tail_class_count=None, provenance=None)
 
 
 def class_frequencies(graph):
-    freq = [0] * graph.num_classes
-    for lab in graph.labels:
-        freq[lab] += 1
-    return freq
+    labels = np.asarray(graph.labels, dtype=np.int64)
+    return np.bincount(labels, minlength=graph.num_classes).tolist()
 
 
 def tail_classes_by_frequency(graph, tail_class_count):
@@ -314,32 +312,20 @@ def make_longtail_split(
 def normalized_adjacency(graph):
     """D^{-1/2} (A + I) D^{-1/2} with self-loop-inclusive degrees."""
     n = graph.node_count
-    deg = np.ones(n)  # self loop
-    for u, v in graph.edges:
-        deg[u] += 1
-        deg[v] += 1
-    inv_sqrt = 1.0 / np.sqrt(deg)
-
-    rows, cols, vals = [], [], []
-    for nid in range(n):
-        rows.append(nid)
-        cols.append(nid)
-        vals.append(inv_sqrt[nid] * inv_sqrt[nid])
-    for u, v in graph.edges:
-        w = inv_sqrt[u] * inv_sqrt[v]
-        rows.extend((u, v))
-        cols.extend((v, u))
-        vals.extend((w, w))
-
-    rows = np.array(rows, dtype=np.int64)
-    cols = np.array(cols, dtype=np.int64)
-    vals = np.array(vals, dtype=np.float64)
+    adj_ptr, adj_idx = graph._adjacency
+    degree = np.diff(adj_ptr)
+    inv_sqrt = 1.0 / np.sqrt(degree + 1.0)  # self loop
+    nodes = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([nodes, np.repeat(nodes, degree)])
+    cols = np.concatenate([nodes, adj_idx])
     order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    indptr = np.cumsum(indptr)
-    return NormalizedAdjacency(indptr=indptr, indices=cols, data=vals, shape=(n, n))
+    rows, cols = rows[order], cols[order]
+    return NormalizedAdjacency(
+        indptr=adj_ptr + np.arange(n + 1),
+        indices=cols,
+        data=inv_sqrt[rows] * inv_sqrt[cols],
+        shape=(n, n),
+    )
 
 
 def merge_augmented(graph, synthetic):
@@ -379,16 +365,7 @@ class Stats:
     mean_text_length: float
 
     def as_dict(self):
-        return {
-            "node_count": self.node_count,
-            "edge_count": self.edge_count,
-            "class_count": self.class_count,
-            "tail_class_count": self.tail_class_count,
-            "train_count": self.train_count,
-            "val_count": self.val_count,
-            "test_count": self.test_count,
-            "mean_text_length": round(self.mean_text_length, 4),
-        }
+        return {**asdict(self), "mean_text_length": round(self.mean_text_length, 4)}
 
 
 def graph_stats(graph, split=None):

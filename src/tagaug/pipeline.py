@@ -8,7 +8,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -85,13 +85,7 @@ class RunConfig:
             raise ValueError(f"unknown edge strategy: {self.edge_strategy!r}")
 
     def to_dict(self):
-        data = asdict(self)
-        data["eval_seeds"] = list(self.eval_seeds)
-        for key in ("encoder", "generator", "classifier", "confidence"):
-            nested = data[key]
-            if "hidden_dims" in nested:
-                nested["hidden_dims"] = list(nested["hidden_dims"])
-        return data
+        return json.loads(json.dumps(asdict(self)))
 
     def digest(self):
         blob = json.dumps(self.to_dict(), sort_keys=True)
@@ -99,21 +93,22 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data):
-        data = dict(data)
-        for key, sub_cls in (
-            ("encoder", EncoderConfig),
-            ("generator", GeneratorConfig),
-            ("classifier", TrainConfig),
-            ("confidence", TrainConfig),
-        ):
-            if key in data and isinstance(data[key], dict):
-                sub = dict(data[key])
-                if "hidden_dims" in sub:
-                    sub["hidden_dims"] = tuple(sub["hidden_dims"])
-                data[key] = sub_cls(**sub)
-        if "eval_seeds" in data:
-            data["eval_seeds"] = tuple(data["eval_seeds"])
-        return cls(**data)
+        return _from_json(cls, data)
+
+
+def _from_json(cls, data):
+    """cls built from its JSON form: a nested dict becomes the field's
+    dataclass, a list its tuple or frozenset. Unknown keys raise TypeError."""
+    types = {f.name: f.type for f in fields(cls)}
+    values = {}
+    for name, value in data.items():
+        kind = types.get(name)
+        if is_dataclass(kind) and isinstance(value, dict):
+            value = _from_json(kind, value)
+        elif kind in (tuple, frozenset) and isinstance(value, list):
+            value = kind(value)
+        values[name] = value
+    return cls(**values)
 
 
 def write_report(report, path):
@@ -138,14 +133,7 @@ def _resolve_tail_count(tail_class_count, meta, graph):
 
 
 def _split_block(split):
-    return {
-        "train_idx": list(split.train_idx),
-        "val_idx": list(split.val_idx),
-        "test_idx": list(split.test_idx),
-        "tail_classes": sorted(split.tail_classes),
-        "head_count": split.head_count,
-        "imbalance_ratio": split.imbalance_ratio,
-    }
+    return {**asdict(split), "tail_classes": sorted(split.tail_classes)}
 
 
 def _split_counts(split):
@@ -159,15 +147,7 @@ def _split_counts(split):
 
 def _load_split(path):
     with open(path, encoding="utf-8") as fh:
-        block = json.load(fh)
-    return LongTailSplit(
-        train_idx=tuple(block["train_idx"]),
-        val_idx=tuple(block["val_idx"]),
-        test_idx=tuple(block["test_idx"]),
-        tail_classes=frozenset(block["tail_classes"]),
-        head_count=block["head_count"],
-        imbalance_ratio=block["imbalance_ratio"],
-    )
+        return _from_json(LongTailSplit, json.load(fh))
 
 
 def run_augment(cfg):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tagaug.edges import (
     EdgeAssignConfig,
@@ -165,6 +167,48 @@ class TestSelectTopkGlobal:
             )
             assert previous <= set(isolated)
             previous = set(isolated)
+
+
+def brute_force_topk(rows, synthetic_count, cfg):
+    """Oracle: every candidate at or above tau_conf (NaN never is), ranked
+    by (-score, syn, orig) with a full sort; the first k win."""
+    keep = [r for r in rows if r[2] >= cfg.tau_conf]
+    keep.sort(key=lambda r: (-r[2], r[0], r[1]))
+    want = keep[: synthetic_count * cfg.factor]
+    connected = {int(r[0]) for r in want}
+    return want, [i for i in range(synthetic_count) if i not in connected]
+
+
+@st.composite
+def topk_cases(draw):
+    synthetic_count = draw(st.integers(1, 5))
+    # few distinct scores, so ties at the cut are common; NaN is dropped
+    scores = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.5, 0.75, 1.0, float("nan")])
+    rows = draw(
+        st.lists(
+            st.tuples(st.integers(0, synthetic_count - 1), st.integers(0, 6), scores),
+            max_size=40,
+        )
+    )
+    cfg = EdgeAssignConfig(
+        factor=draw(st.integers(1, 12)),  # k reaches past the candidate count
+        tau_conf=draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.9])),
+    )
+    return [list(map(float, r)) for r in rows], synthetic_count, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(topk_cases())
+@example(  # three candidates tie at the cut of k = 2
+    ([[1.0, 1.0, 0.5], [0.0, 2.0, 0.5], [0.0, 0.0, 0.5], [1.0, 0.0, float("nan")]],
+     2, EdgeAssignConfig(factor=1))
+)
+def test_select_topk_global_matches_brute_force(case):
+    rows, synthetic_count, cfg = case
+    selected, isolated = select_topk_global(cand(rows).reshape(-1, 3), synthetic_count, cfg)
+    want, want_isolated = brute_force_topk(rows, synthetic_count, cfg)
+    np.testing.assert_array_equal(selected, cand(want).reshape(-1, 3))
+    assert isolated == want_isolated
 
 
 class TestDuplicateEdges:

@@ -122,6 +122,70 @@ class TestFindVicinalTwins:
         assert all(p.label == 0 for p in pairs)
 
 
+# Exact chat turns for the Cora preset and for the fallback spec ("toy" has
+# no preset). Variant O names each item by the dataset task, S and M by the
+# text noun.
+GOLDEN_PROMPTS = {
+    ("Cora", "O"): [
+        "You are a helpful AI assistant for generating new academic articles from Cora, "
+        "where each new academic articles follows the format "
+        "<START>[New Title] : [New Abstract]<END>.",
+        "Give me the first new academic articles from Cora with topic Theory.",
+        "<START>seed one<END>",
+        "Give me the second new academic articles from Cora with topic Theory. "
+        "It should be more similar to the first new academic articles.",
+    ],
+    ("Cora", "S"): [
+        "You are a helpful AI assistant for generating new academic articles from Cora, "
+        "where each article follows the format <START>[New Title] : [New Abstract]<END>.",
+        "Give me the first article from Cora with topic Theory.",
+        "<START>seed one<END>",
+        "Give me the second article from Cora with topic Theory.",
+        "<START>seed two<END>",
+        "Give me the third article from Cora with topic Theory. It should be more "
+        "similar to the first article and less similar to the second article.",
+    ],
+    ("Cora", "M"): [
+        "You are a helpful AI assistant for generating new academic articles from Cora, "
+        "where each article follows the format <START>[New Title] : [New Abstract]<END>.",
+        "Give me the first article from Cora with topic Theory.",
+        "<START>seed one<END>",
+        "Give me the second article from Cora with topic Neural Networks.",
+        "<START>seed two<END>",
+        "Give me the third article from Cora with topic Theory. It should be more "
+        "similar to the first article and less similar to the second article.",
+    ],
+    ("toy", "O"): [
+        "You are a helpful AI assistant for generating new documents from toy, "
+        "where each new documents follows the format <START>[New Text]<END>.",
+        "Give me the first new documents from toy with topic Theory.",
+        "<START>seed one<END>",
+        "Give me the second new documents from toy with topic Theory. "
+        "It should be more similar to the first new documents.",
+    ],
+    ("toy", "S"): [
+        "You are a helpful AI assistant for generating new documents from toy, "
+        "where each document follows the format <START>[New Text]<END>.",
+        "Give me the first document from toy with topic Theory.",
+        "<START>seed one<END>",
+        "Give me the second document from toy with topic Theory.",
+        "<START>seed two<END>",
+        "Give me the third document from toy with topic Theory. It should be more "
+        "similar to the first document and less similar to the second document.",
+    ],
+    ("toy", "M"): [
+        "You are a helpful AI assistant for generating new documents from toy, "
+        "where each document follows the format <START>[New Text]<END>.",
+        "Give me the first document from toy with topic Theory.",
+        "<START>seed one<END>",
+        "Give me the second document from toy with topic Neural Networks.",
+        "<START>seed two<END>",
+        "Give me the third document from toy with topic Theory. It should be more "
+        "similar to the first document and less similar to the second document.",
+    ],
+}
+
+
 class TestBuildPrompt:
     def test_variant_s_shape_and_topics(self):
         msgs = build_prompt("S", "t one", "t two", "Theory", "Theory", cora_spec())
@@ -157,6 +221,17 @@ class TestBuildPrompt:
     def test_system_message_frames_format(self):
         msgs = build_prompt("S", "a", "b", "x", "x", cora_spec())
         assert "<START>" in msgs[0]["content"] and "<END>" in msgs[0]["content"]
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_PROMPTS))
+    def test_golden_messages(self, key):
+        dataset, variant = key
+        class2 = "Neural Networks" if variant == "M" else "Theory"
+        msgs = build_prompt(
+            variant, "seed one", "seed two", "Theory", class2, default_prompt_spec(dataset)
+        )
+        expected = GOLDEN_PROMPTS[key]
+        roles = ["system", *["user", "assistant"] * (len(expected) // 2 - 1), "user"]
+        assert msgs == [{"role": r, "content": c} for r, c in zip(roles, expected, strict=True)]
 
     def test_prompt_spec_requires_markers(self):
         with pytest.raises(ValueError, match="<START>"):

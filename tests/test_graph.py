@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tagaug.generation import SyntheticNode
@@ -198,6 +198,63 @@ class TestNormalizedAdjacency:
         np.testing.assert_allclose(adj.todense(), oracle, atol=1e-15)
         x = rng.normal(size=(n, 3))
         np.testing.assert_allclose(adj.matmul(x), oracle @ x, atol=1e-12)
+
+
+def edge_loop_normalized_adjacency(graph):
+    """Oracle: the normalized CSR built by loops over the nodes and edges."""
+    n = graph.node_count
+    deg = np.ones(n)
+    for u, v in graph.edges:
+        deg[u] += 1
+        deg[v] += 1
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    rows, cols = list(range(n)), list(range(n))
+    vals = [inv_sqrt[i] * inv_sqrt[i] for i in range(n)]
+    for u, v in graph.edges:
+        w = inv_sqrt[u] * inv_sqrt[v]
+        rows.extend((u, v))
+        cols.extend((v, u))
+        vals.extend((w, w))
+    rows = np.array(rows, dtype=np.int64)
+    cols = np.array(cols, dtype=np.int64)
+    vals = np.array(vals, dtype=np.float64)
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, rows + 1, 1)
+    return np.cumsum(indptr), cols[order], vals[order]
+
+
+def plain_graph(n, edges):
+    """n nodes of one class (no class when n is 0) joined by edges."""
+    return TextGraph(n, ("t",) * n, (0,) * n, ("a",) if n else (), edges)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 14))
+    pair_pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pair_pool), unique=True)) if pair_pool else []
+    return plain_graph(n, tuple(sorted(edges)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+@example(plain_graph(0, ()))  # no nodes
+@example(plain_graph(4, ((1, 2),)))  # nodes 0 and n - 1 isolated
+@example(plain_graph(5, ((0, 4), (1, 2))))  # 0 and n - 1 joined, node 3 isolated
+def test_normalized_adjacency_matches_edge_loop(graph):
+    n = graph.node_count
+    adj = normalized_adjacency(graph)
+    oracle = edge_loop_normalized_adjacency(graph)
+    for got, want in zip((adj.indptr, adj.indices, adj.data), oracle):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert adj.shape == (n, n)
+    dense = np.zeros((n, n))
+    for row in range(n):
+        for j in range(adj.indptr[row], adj.indptr[row + 1]):
+            dense[row, adj.indices[j]] = adj.data[j]
+    np.testing.assert_array_equal(adj.todense(), dense)
 
 
 def synth(label, edges=()):

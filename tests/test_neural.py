@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,38 @@ class TestTraining:
             np.testing.assert_array_equal(got.weight, want.weight)
             np.testing.assert_array_equal(got.bias, want.bias)
         assert np.all(np.isfinite(predict(model, x[:20])[1]))
+
+    def test_weight_decay_one_epoch_is_hand_computed_adam_step(self, rng):
+        # one linear layer, no dropout: logits = x @ W + b on every row
+        x = rng.normal(size=(12, 4))
+        labels = np.array([0, 1, 2] * 4)
+        lr, decay = 0.05, 5.0
+        cfg = TrainConfig(
+            epochs=1, learning_rate=lr, dropout=0.0, hidden_dims=(), weight_decay=decay, seed=3
+        )
+        w0 = init_model("mlp", 4, 3, cfg).layers[0].weight.copy()
+        logits = x @ w0
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        dlogits = (probs - np.eye(3)[labels]) / len(x)
+        grad_w = x.T @ dlogits + decay * w0  # decay on the weight, not the bias
+        grad_b = dlogits.sum(axis=0)
+
+        def adam_first_step(param, grad):
+            m_hat = (1 - 0.9) * grad / (1 - 0.9)
+            v_hat = (1 - 0.999) * grad**2 / (1 - 0.999)
+            return param - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+        model = train_classifier(x, labels, np.arange(len(x)), cfg, kind="mlp")
+        np.testing.assert_allclose(model.layers[0].weight, adam_first_step(w0, grad_w), rtol=1e-12)
+        np.testing.assert_allclose(
+            model.layers[0].bias, adam_first_step(np.zeros(3), grad_b), rtol=1e-12, atol=1e-15
+        )
+        # the decay flips some weight gradients, so the step differs without it
+        plain = train_classifier(
+            x, labels, np.arange(len(x)), replace(cfg, weight_decay=0.0), kind="mlp"
+        )
+        assert not np.allclose(plain.layers[0].weight, model.layers[0].weight)
 
     def test_empty_and_single_class_masks_rejected(self, rng):
         x, y = separable_toy(rng)

@@ -1,6 +1,6 @@
 """Protocol tests against a local stub server: request shapes, batch
-order, retry behavior and requests in flight for the embeddings and
-chat-completions clients."""
+order, retry behavior, malformed replies, requests in flight and their
+cancellation for the embeddings and chat-completions clients."""
 
 import json
 import logging
@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from tagaug import embedding
-from tagaug.embedding import EncoderConfig, EncoderError, encode_remote
+from tagaug.embedding import (
+    EncoderConfig,
+    EncoderError,
+    _in_order,
+    _post_with_retries,
+    encode_remote,
+)
 from tagaug.generation import (
     GeneratorConfig,
     GeneratorError,
@@ -42,12 +48,14 @@ class StubHandler(BaseHTTPRequestHandler):
         state["requests"].append({"path": self.path, "body": body})
 
         if self.should_fail(body):
-            self.send_response(500)
+            self.send_response(state.get("fail_status", 500))
             self.end_headers()
             self.wfile.write(b"transient")
             return
 
-        if self.path == "/v1/embeddings":
+        if "payload_fn" in state:  # a reply body sent as is, however malformed
+            payload = state["payload_fn"](body)
+        elif self.path == "/v1/embeddings":
             texts = body["input"]
             data = [
                 {"index": i, "embedding": state["embed_fn"](text, i)}
@@ -209,6 +217,57 @@ class TestChatClient:
             RemoteChatGenerator(cfg).generate([{"role": "user", "content": "x"}])
 
 
+CHAT = [{"role": "user", "content": "x"}]
+
+
+class TestMalformedReplies:
+    """A 2xx reply without the fields the client reads fails that request
+    with the client's own error."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"choices": [{"message": {"role": "assistant", "content": None}}]},
+            {"choices": []},
+            {"id": "no choices"},
+        ],
+    )
+    def test_chat_reply_skips_the_pair(self, stub_server, tmp_path, payload):
+        server, base = stub_server
+        server.state["payload_fn"] = lambda body: payload
+        cfg = GeneratorConfig(kind="remote", endpoint=base, model="m", retry_count=0)
+        with pytest.raises(GeneratorError, match=r"no choices\[0\]\.message\.content"):
+            RemoteChatGenerator(cfg).generate(CHAT)
+        texts = [f"t-{i}" for i in range(3)]
+        nodes, stats = run_generation(texts, pair_schedule(2), base, tmp_path / "c.jsonl")
+        assert nodes == [] and stats.generated == 0
+        assert [(s["anchor"], s["partner"]) for s in stats.skipped] == [(0, 1), (1, 2)]
+        assert all("choices[0].message.content" in s["error"] for s in stats.skipped)
+        assert not (tmp_path / "c.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            ({"object": "list"}, "batch 0: reply lacks data"),
+            ({"data": [{"embedding": [1.0, 0.0]}]}, "batch 0: reply lacks data"),
+            (
+                {"data": [{"index": 0, "embedding": [1.0, 0.0]}] * 2},
+                r"batch 0: indices are not 0\.\.1",
+            ),
+            (
+                {"data": [{"index": i, "embedding": [1.0, 0.0]} for i in (1, 2)]},
+                r"batch 0: indices are not 0\.\.1",
+            ),
+        ],
+    )
+    def test_embeddings_reply_names_the_batch(self, stub_server, payload, match):
+        server, base = stub_server
+        server.state["payload_fn"] = lambda body: payload
+        cfg = EncoderConfig(kind="remote", endpoint=base, model="m", batch_size=2, retry_count=0)
+        with pytest.raises(EncoderError, match=match):
+            encode_remote(["a", "b"], cfg)
+
+
 def test_transport_failure_after_retries():
     # Nothing listens on a port just released, so every attempt of both
     # clients fails to connect.
@@ -285,10 +344,10 @@ def anchor_id(body):
     return text_id(first[len("<START>") : -len("<END>")])
 
 
-def run_generation(texts, pairs, base, cache_path, retry_count=0):
+def run_generation(texts, pairs, base, cache_path, retry_count=0, strict_parse=False):
     gen = GeneratorConfig(
         kind="remote", endpoint=base, model="gen", retry_count=retry_count,
-        retry_backoff=0.01,
+        retry_backoff=0.01, strict_parse=strict_parse,
     )
     return generate_interpolations(
         pairs, "S", gen, SPEC, texts, ["a", "b"], cache_path
@@ -405,3 +464,89 @@ class TestRequestsInFlight:
         assert "HTTP 500" in stats["skipped"][0]["error"]
         assert len(warnings) == 2
         assert "skipping pair (2, 3)" in warnings[0] and "<END>" in warnings[1]
+
+
+def test_strict_parse_skips_reply_without_end(stub_server, tmp_path):
+    server, base = stub_server
+    server.state["chat_fn"] = lambda body: "<START>no end marker"
+    texts = [f"t-{i}" for i in range(3)]
+    strict_nodes, strict = run_generation(
+        texts, pair_schedule(2), base, tmp_path / "strict.jsonl", strict_parse=True
+    )
+    assert strict_nodes == [] and strict.generated == 0
+    assert strict.skipped == [
+        {"anchor": 0, "partner": 1, "error": "missing <END> marker"},
+        {"anchor": 1, "partner": 2, "error": "missing <END> marker"},
+    ]
+    lenient_nodes, lenient = run_generation(
+        texts, pair_schedule(2), base, tmp_path / "lenient.jsonl"
+    )
+    assert [node.text for node in lenient_nodes] == ["no end marker"] * 2
+    assert lenient.generated == 2 and lenient.skipped == []
+
+
+class TestCancellation:
+    """Closing the in-order window stops the retry waits of the calls in
+    flight: each ends after its current attempt."""
+
+    BACKOFF = 10.0  # a retry wait that would outlast every bound below
+
+    def failing_server(self, server, succeed):
+        state = server.state
+        state["fail_status"] = 503
+        state["fail_fn"] = lambda body: not succeed(body)
+        state["payload_fn"] = lambda body: {"ok": True}
+
+    def wait_for_requests(self, server, count):
+        deadline = time.monotonic() + 5
+        while len(server.state["requests"]) < count and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(server.state["requests"]) == count
+
+    def test_close_returns_promptly_and_sends_nothing_after(self, tracking_server):
+        server, base = tracking_server
+        self.failing_server(server, lambda body: body["item"] == 0)
+        cfg = EncoderConfig(kind="remote", retry_count=3, retry_backoff=self.BACKOFF)
+
+        def call(item, stop):
+            return _post_with_retries(base, {"item": item}, cfg, EncoderError, stop=stop)
+
+        replies = _in_order(call, range(4))
+        assert next(replies) == {"ok": True}
+        self.wait_for_requests(server, 4)  # items 1-3 got a 503 and now wait to retry
+        started = time.monotonic()
+        replies.close()
+        assert time.monotonic() - started < 2.0
+        time.sleep(0.3)
+        assert sorted(req["body"]["item"] for req in server.state["requests"]) == [0, 1, 2, 3]
+
+    def test_failed_batch_stops_retries_of_later_batches(self, tracking_server):
+        server, base = tracking_server
+        self.failing_server(server, lambda body: body["input"] == ["t-0"])
+        # batch 0's reply is malformed, batches 1-3 get 503s
+        server.state["payload_fn"] = lambda body: {"object": "list"}
+        cfg = EncoderConfig(
+            kind="remote", endpoint=base, model="m", batch_size=1, retry_count=3,
+            retry_backoff=self.BACKOFF,
+        )
+        started = time.monotonic()
+        with pytest.raises(EncoderError, match="^batch 0: reply lacks data"):
+            encode_remote([f"t-{i}" for i in range(4)], cfg)
+        assert time.monotonic() - started < 2.0
+        sent = len(server.state["requests"])
+        time.sleep(0.3)
+        assert len(server.state["requests"]) == sent <= 4
+
+    def test_chat_client_makes_no_attempt_after_stop(self, tracking_server):
+        server, base = tracking_server
+        self.failing_server(server, lambda body: False)
+        gen = GeneratorConfig(
+            kind="remote", endpoint=base, model="m", retry_count=3, retry_backoff=self.BACKOFF
+        )
+        stop = threading.Event()
+        stop.set()
+        started = time.monotonic()
+        with pytest.raises(GeneratorError, match="HTTP 503"):
+            RemoteChatGenerator(gen).generate(CHAT, stop)
+        assert time.monotonic() - started < 2.0
+        assert len(server.state["requests"]) == 1
