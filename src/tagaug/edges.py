@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .embedding import cosine_matrix
-from .neural import confidence_train_defaults, predict, train_classifier
+from .neural import predict, train_classifier
 
 
 @dataclass
@@ -40,9 +40,8 @@ class EdgeAssignConfig:
             raise ValueError("tau_conf must lie in [0, 1)")
 
 
-def train_confidence(emb, labels, train_idx, cfg=None):
+def train_confidence(emb, labels, train_idx, cfg):
     """Train the confidence net on (embedding, label) pairs of train_idx."""
-    cfg = cfg or confidence_train_defaults()
     labels = np.asarray(labels, dtype=np.int64)
     model = train_classifier(
         emb.vectors, labels, train_idx, cfg, kind="mlp", adjacency=None

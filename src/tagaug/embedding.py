@@ -179,7 +179,7 @@ def encode_remote(texts, cfg):
             if set(by_index) != set(range(len(batch))):
                 raise EncoderError(f"batch {batch_index}: indices are not 0..{len(batch) - 1}")
             for index in range(len(batch)):
-                vec = np.asarray(by_index[index], dtype=np.float64)
+                vec = _embedding_row(by_index[index], f"batch {batch_index}: row {index}: ")
                 if dim is None:
                     dim = vec.shape[0]
                 elif vec.shape[0] != dim:
@@ -193,6 +193,19 @@ def encode_remote(texts, cfg):
         vectors=np.array(rows).reshape(len(texts), -1) if rows else np.zeros((0, 1)),
         encoder_id=f"remote-{cfg.model}",
     )
+
+
+def _embedding_row(value, prefix):
+    """value as a float64 vector; EncoderError unless it is a non-empty 1-D
+    list of finite numbers."""
+    try:
+        vec = np.asarray(value) if isinstance(value, list) else None
+    except ValueError:  # ragged nesting
+        vec = None
+    if (vec is None or vec.ndim != 1 or not len(vec) or vec.dtype.kind not in "iuf"
+            or not np.isfinite(vec).all()):
+        raise EncoderError(f"{prefix}embedding is not a non-empty 1-D list of finite numbers")
+    return vec.astype(np.float64, copy=False)
 
 
 def encode_texts(texts, cfg):

@@ -13,52 +13,49 @@ import numpy as np
 from .graph import TextGraph, _canonical_edges
 
 
-def make_toy_tag(
-    class_sizes=(60, 60, 25, 25),
-    vocab_per_class=10,
-    tokens_per_text=30,
-    mix_prob=0.1,
-    tail_overlap=0.4,
-    parent_of=None,
-    intra_edge_prob=0.12,
-    parent_edge_prob=0.09,
-    inter_edge_prob=0.003,
-    seed=0,
-):
+# Two head classes of 60 nodes and two tail classes of 25; tail class t
+# borrows tokens from, and links to, head class PARENT_OF[t].
+CLASS_SIZES = (60, 60, 25, 25)
+PARENT_OF = {2: 0, 3: 1}
+VOCAB_PER_CLASS = 10
+TOKENS_PER_TEXT = 30
+MIX_PROB = 0.1  # chance a token comes from a uniformly drawn class
+TAIL_OVERLAP = 0.4  # chance a tail token comes from the parent class
+INTRA_EDGE_PROB = 0.12
+PARENT_EDGE_PROB = 0.09
+INTER_EDGE_PROB = 0.003
+
+
+def make_toy_tag(seed):
     rng = np.random.default_rng(seed)
-    class_count = len(class_sizes)
-    if parent_of is None:
-        order = sorted(range(class_count), key=lambda c: class_sizes[c])
-        half = class_count // 2
-        tails, heads = order[:half], order[half:]
-        parent_of = {t: heads[i % len(heads)] for i, t in enumerate(tails)}
+    class_count = len(CLASS_SIZES)
 
     labels = []
-    for cls, size in enumerate(class_sizes):
+    for cls, size in enumerate(CLASS_SIZES):
         labels.extend([cls] * size)
     n = len(labels)
 
     def token(cls):
-        return f"w{cls}t{int(rng.integers(vocab_per_class))}"
+        return f"w{cls}t{int(rng.integers(VOCAB_PER_CLASS))}"
 
     texts = []
     for lab in labels:
         tokens = []
-        for _ in range(tokens_per_text):
-            if rng.random() < mix_prob:
+        for _ in range(TOKENS_PER_TEXT):
+            if rng.random() < MIX_PROB:
                 tokens.append(token(int(rng.integers(class_count))))
-            elif lab in parent_of and rng.random() < tail_overlap:
-                tokens.append(token(parent_of[lab]))
+            elif lab in PARENT_OF and rng.random() < TAIL_OVERLAP:
+                tokens.append(token(PARENT_OF[lab]))
             else:
                 tokens.append(token(lab))
         texts.append(" ".join(tokens))
 
     def link_prob(a, b):
         if a == b:
-            return intra_edge_prob
-        if parent_of.get(a) == b or parent_of.get(b) == a:
-            return parent_edge_prob
-        return inter_edge_prob
+            return INTRA_EDGE_PROB
+        if PARENT_OF.get(a) == b or PARENT_OF.get(b) == a:
+            return PARENT_EDGE_PROB
+        return INTER_EDGE_PROB
 
     edges = []
     for u in range(n):

@@ -107,9 +107,6 @@ class LongTailSplit:
         if a & b or a & c or b & c:
             raise ValueError("train/val/test must be pairwise disjoint")
 
-    def train_count(self, labels, cls):
-        return sum(1 for i in self.train_idx if labels[i] == cls)
-
 
 @dataclass(frozen=True)
 class NormalizedAdjacency:

@@ -1,5 +1,5 @@
-"""Classification, boundary, and margin metrics, plus the margin-bound and
-vicinal-risk evaluators used by the theory-verification command.
+"""Classification and boundary metrics for train-eval, and the margin-bound
+evaluator the theory-verification command checks.
 """
 
 from dataclasses import dataclass, field
@@ -7,6 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .neural import predict
+
+# bps score of a sample that sits on another class's centroid (d_out = 0).
+BPS_CAP = 1e6
 
 
 def confusion_matrix(true_labels, pred_labels, class_count):
@@ -133,8 +136,8 @@ def bcr(sample_rows, sample_labels, index, k):
     return boundary / len(sample_rows)
 
 
-def bps(sample_rows, sample_labels, centroids, cap=1e6):
-    """Mean of d_in / d_out per sample; d_out = 0 clamps to cap.
+def bps(sample_rows, sample_labels, centroids):
+    """Mean of d_in / d_out per sample; d_out = 0 clamps to BPS_CAP.
 
     d_in is the distance to the own-class centroid, d_out to the nearest
     other-class centroid. Higher means nearer the boundary.
@@ -153,7 +156,7 @@ def bps(sample_rows, sample_labels, centroids, cap=1e6):
         if not others:
             raise ValueError("bps needs at least two defined centroids")
         d_out = min(others)
-        scores.append(d_in / d_out if d_out > 0 else (0.0 if d_in == 0 else cap))
+        scores.append(d_in / d_out if d_out > 0 else (0.0 if d_in == 0 else BPS_CAP))
     return float(np.mean(scores))
 
 
@@ -163,28 +166,6 @@ def icr(sample_rows, intended_labels, probe_model):
     intended_labels = np.asarray(intended_labels, dtype=np.int64)
     pred, _, _ = predict(probe_model, sample_rows)
     return float(np.mean(pred == intended_labels))
-
-
-@dataclass
-class MarginStats:
-    margins: np.ndarray
-    gamma_min: float
-    tie_count: int
-
-
-def margins(logits, true_labels):
-    """Per-sample logit margin (true logit minus best other logit) and its
-    minimum; exact ties give margin 0 and are counted."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    true_labels = np.asarray(true_labels, dtype=np.int64)
-    out = np.empty(len(logits))
-    ties = 0
-    for i, (row, y) in enumerate(zip(logits, true_labels)):
-        others = np.delete(row, y)
-        out[i] = row[y] - others.max()
-        if out[i] == 0.0:
-            ties += 1
-    return MarginStats(margins=out, gamma_min=float(out.min()), tie_count=ties)
 
 
 def check_margin_bound(gamma0, delta, bcr_value, gamma_min_aug):
@@ -201,40 +182,3 @@ def check_margin_bound(gamma0, delta, bcr_value, gamma_min_aug):
     slack = gamma_min_aug - bound
     return {"holds": bool(gamma_min_aug >= bound), "slack": float(slack), "bound": float(bound)}
 
-
-def cross_entropy_of_probs(probs, label):
-    return float(-np.log(np.clip(probs[label], 1e-300, None)))
-
-
-def vicinal_risk(model, groups):
-    """Mean over anchors of the mean cross-entropy over each anchor's
-    vicinal samples (uniform weights within an anchor).
-
-    groups: list of (rows, label) per anchor; every anchor needs at least
-    one sample. The model must score plain feature rows (MLP-style).
-    """
-    if not groups:
-        raise ValueError("vicinal risk needs at least one anchor")
-    per_anchor = []
-    for rows, label in groups:
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        if len(rows) == 0:
-            raise ValueError("anchor with no vicinal samples")
-        _, probs, _ = predict(model, rows)
-        losses = [cross_entropy_of_probs(p, label) for p in probs]
-        per_anchor.append(float(np.mean(losses)))
-    return float(np.mean(per_anchor))
-
-
-def vicinal_risk_reduction_bound(risk_orig, lipschitz, gamma0, bcr_value, delta):
-    """Upper bound on the post-augmentation vicinal risk implied by the
-    boundary-coverage argument: risk_orig - L*gamma0*BCR + L*delta*(1-BCR).
-
-    Evaluated for a user-supplied Lipschitz constant; informational only,
-    since it rests on the non-decreasing-margin assumption.
-    """
-    if gamma0 <= 0:
-        raise ValueError("gamma0 must be positive")
-    eta = delta / gamma0
-    bound = risk_orig - lipschitz * gamma0 * bcr_value + lipschitz * delta * (1 - bcr_value)
-    return {"bound": float(bound), "eta": float(eta)}

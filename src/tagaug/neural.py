@@ -24,6 +24,9 @@ ADAM_EPS = 1e-8
 
 CHECKPOINT_VERSION = 1
 
+# Entries of each weight and bias array that gradient_check perturbs.
+GRAD_CHECK_SAMPLES = 6
+
 
 class TrainingDivergedError(RuntimeError):
     def __init__(self, epoch, loss):
@@ -76,11 +79,9 @@ class TrainConfig:
             raise ValueError("learning_rate must be non-negative")
 
 
-def confidence_train_defaults(seed=0):
+def confidence_train_defaults():
     """Confidence-MLP defaults: one 256-unit hidden layer, dropout 0, lr 0.001."""
-    return TrainConfig(
-        epochs=1000, learning_rate=0.001, dropout=0.0, hidden_dims=(256,), seed=seed
-    )
+    return TrainConfig(epochs=1000, learning_rate=0.001, dropout=0.0, hidden_dims=(256,))
 
 
 def init_model(kind, in_dim, class_count, cfg):
@@ -196,19 +197,6 @@ def masked_cross_entropy(logits, labels, idx):
     return loss, dlogits
 
 
-def squared_loss(logits, labels, idx):
-    """0.5 * mean row squared error against one-hot targets (for checks)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    onehot = np.zeros((len(idx), logits.shape[1]))
-    onehot[np.arange(len(idx)), labels[idx]] = 1.0
-    diff = logits[idx] - onehot
-    loss = float(0.5 * (diff**2).sum() / len(idx))
-    dlogits = np.zeros_like(logits)
-    dlogits[idx] = diff / len(idx)
-    return loss, dlogits
-
-
 def train_classifier(
     features,
     labels,
@@ -285,22 +273,20 @@ def gradient_check(
     targets,
     epsilon=1e-5,
     adjacency=None,
-    loss="xent",
-    samples_per_array=6,
     seed=0,
 ):
-    """Max relative error between analytic gradients and central differences.
+    """Max relative error between analytic gradients and central differences
+    of the cross-entropy, at GRAD_CHECK_SAMPLES entries of each parameter.
 
     Dropout is bypassed (eval-mode forward); the loss covers every row.
     """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
     idx = np.arange(features.shape[0])
-    loss_fn = masked_cross_entropy if loss == "xent" else squared_loss
 
     def loss_at():
         logits, caches = forward(model, features, adjacency=adjacency, train_mode=False)
-        value, dlogits = loss_fn(logits, targets, idx)
+        value, dlogits = masked_cross_entropy(logits, targets, idx)
         return value, dlogits, caches
 
     _, dlogits, caches = loss_at()
@@ -312,7 +298,7 @@ def gradient_check(
         for param, grad in ((layer.weight, dw), (layer.bias, db)):
             flat = param.reshape(-1)
             gflat = grad.reshape(-1)
-            count = min(samples_per_array, flat.size)
+            count = min(GRAD_CHECK_SAMPLES, flat.size)
             picks = rng.choice(flat.size, size=count, replace=False)
             for j in picks:
                 orig = flat[j]

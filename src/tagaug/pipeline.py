@@ -83,6 +83,15 @@ class RunConfig:
             )
         if self.edge_strategy not in ("confidence", "duplicate", "none"):
             raise ValueError(f"unknown edge strategy: {self.edge_strategy!r}")
+        if self.knn_k < 1:
+            raise ValueError("knn_k must be >= 1")
+        if not self.eval_seeds:
+            raise ValueError("eval_seeds must not be empty")
+        self.edge_config()  # checks edge_factor and tau_conf
+
+    def edge_config(self):
+        """The edge budget and threshold as wire_nodes takes them."""
+        return EdgeAssignConfig(factor=self.edge_factor, tau_conf=self.tau_conf)
 
     def to_dict(self):
         return json.loads(json.dumps(asdict(self)))
@@ -200,8 +209,7 @@ def run_augment(cfg):
     if cfg.edge_strategy == "confidence" and nodes:
         conf = train_confidence(emb, labels, split.train_idx, cfg.confidence)
     nodes, edge_summary = wire_nodes(
-        nodes, graph, cfg.edge_strategy, emb, conf,
-        EdgeAssignConfig(factor=cfg.edge_factor, tau_conf=cfg.tau_conf),
+        nodes, graph, cfg.edge_strategy, emb, conf, cfg.edge_config()
     )
     timings["edges_s"] = time.perf_counter() - t4
 
@@ -397,8 +405,7 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
 
             strategy = "confidence" if cell.endswith("_C") else "duplicate"
             cell_nodes, _summary = wire_nodes(
-                cell_nodes, graph, strategy, emb, conf_net,
-                EdgeAssignConfig(factor=cfg.edge_factor, tau_conf=cfg.tau_conf),
+                cell_nodes, graph, strategy, emb, conf_net, cfg.edge_config()
             )
             cell_graph = merge_augmented(graph, cell_nodes)
             features = np.vstack([emb.vectors, rows])

@@ -60,6 +60,20 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="num_mode"):
             RunConfig.from_dict({**data, "num_mode": "jitter"})
 
+    @pytest.mark.parametrize(
+        "override, match",
+        [
+            ({"knn_k": 0}, "knn_k"),
+            ({"edge_factor": 0}, "factor"),
+            ({"tau_conf": 1.5}, "tau_conf"),
+            ({"eval_seeds": []}, "eval_seeds"),
+        ],
+    )
+    def test_ranges_checked_when_built(self, tmp_path, override, match):
+        data = fast_config(tmp_path / "d", tmp_path / "o")
+        with pytest.raises(ValueError, match=match):
+            RunConfig.from_dict({**data, **override})
+
 
 class TestAugmentPipeline:
     def test_augment_writes_artifacts(self, tmp_path, toy_dataset_dir):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tagaug.fixtures import make_toy_tag
 from tagaug.generation import SyntheticNode
 from tagaug.graph import (
     DatasetError,
@@ -121,6 +123,21 @@ def test_write_load_round_trip(tmp_path_factory, data):
     assert load_dataset(out) == graph
 
 
+def test_toy_fixture_files_are_pinned(tmp_path):
+    # make_toy_tag(seed=2) is the acceptance run's input; these digests fix
+    # every byte of it, so a change to the generator cannot pass unseen.
+    write_dataset(make_toy_tag(seed=2), tmp_path, tail_class_count=2)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+    }
+    assert digests == {
+        "edges.jsonl": "1eabf6dc22eff15ab57e905f4f24b868615fad68d4a85fe3587981a90c242b0d",
+        "meta.json": "ee6ff93211905d7ef259ffdea703eae960bd63f88af89b72919301cf2752eeea",
+        "nodes.jsonl": "88c1a900d883b0060de1e40b1bb9778f3a8eeab79402f07e6c524c1e9768e548",
+    }
+
+
 class TestLongtailSplit:
     def test_tail_counts_follow_ratio(self, toy_graph):
         for ratio, expect in ((0.5, 10), (0.1, 2), (1.0, 20)):
@@ -128,7 +145,7 @@ class TestLongtailSplit:
                 toy_graph, head_count=20, imbalance_ratio=ratio, tail_class_count=2, seed=0
             )
             for cls in range(toy_graph.num_classes):
-                count = split.train_count(toy_graph.labels, cls)
+                count = sum(1 for i in split.train_idx if toy_graph.labels[i] == cls)
                 assert count == (expect if cls in split.tail_classes else 20)
 
     def test_tail_classes_are_lowest_frequency(self, toy_graph):

@@ -14,9 +14,6 @@ from tagaug.metrics import (
     dist_to_manifold,
     head_tail_gap,
     icr,
-    margins,
-    vicinal_risk,
-    vicinal_risk_reduction_bound,
 )
 from tagaug.neural import ClassifierModel, DenseLayer, TrainConfig, train_classifier
 
@@ -175,11 +172,11 @@ class TestBps:
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
-def perfect_model(class_count, scale=1e3):
+def perfect_model(class_count):
     """Linear map whose logits hugely favor the index of the hot feature."""
     return ClassifierModel(
         "mlp",
-        [DenseLayer(np.eye(class_count) * scale, np.zeros(class_count))],
+        [DenseLayer(np.eye(class_count) * 1e3, np.zeros(class_count))],
         0.0,
         class_count,
     )
@@ -213,43 +210,6 @@ class TestIcr:
         assert icr(dup, dup_labels, probe) == 1.0
 
 
-class TestMargins:
-    def test_simple_margin(self):
-        stats = margins(np.array([[2.0, 0.5, -1.0]]), [0])
-        assert stats.margins[0] == pytest.approx(1.5)
-        assert stats.gamma_min == pytest.approx(1.5)
-
-    def test_misclassified_negative(self):
-        stats = margins(np.array([[0.2, 1.0]]), [0])
-        assert stats.margins[0] < 0
-
-    def test_batch_min_matches_scan(self, rng):
-        logits = rng.normal(size=(40, 5))
-        labels = rng.integers(5, size=40)
-        stats = margins(logits, labels)
-        scan = min(
-            logits[i, labels[i]] - max(np.delete(logits[i], labels[i]))
-            for i in range(40)
-        )
-        assert stats.gamma_min == pytest.approx(scan)
-
-    def test_sign_agrees_with_correctness(self, rng):
-        logits = rng.normal(size=(50, 4))
-        labels = rng.integers(4, size=50)
-        stats = margins(logits, labels)
-        pred = logits.argmax(axis=1)
-        for margin, p, y in zip(stats.margins, pred, labels):
-            if margin > 0:
-                assert p == y
-            elif margin < 0:
-                assert p != y
-
-    def test_tie_flagged(self):
-        stats = margins(np.array([[1.0, 1.0]]), [0])
-        assert stats.margins[0] == 0.0
-        assert stats.tie_count == 1
-
-
 class TestMarginBound:
     def test_bcr_zero_corner(self):
         out = check_margin_bound(1.0, 1.5, 0.0, 0.2)
@@ -274,64 +234,6 @@ class TestMarginBound:
             check_margin_bound(1.0, 0.5, 0.5, 1.0)
         with pytest.raises(ValueError, match="bcr"):
             check_margin_bound(1.0, 1.5, 1.5, 1.0)
-
-    def test_risk_reduction_bound_eta(self):
-        out = vicinal_risk_reduction_bound(1.0, lipschitz=2.0, gamma0=0.5,
-                                           bcr_value=0.5, delta=0.1)
-        assert out["eta"] == pytest.approx(0.2)
-        assert out["bound"] == pytest.approx(1.0 - 2.0 * 0.5 * 0.5 + 2.0 * 0.1 * 0.5)
-
-
-class TestVicinalRisk:
-    def test_single_anchor_single_sample(self):
-        model = perfect_model(2, scale=1.0)
-        x = np.array([[1.0, 0.0]])
-        risk = vicinal_risk(model, [(x, 0)])
-        p = np.exp(1.0) / (np.exp(1.0) + np.exp(0.0))
-        assert risk == pytest.approx(-np.log(p))
-
-    def test_zero_loss_oracle_model(self):
-        model = perfect_model(3)
-        groups = [(np.eye(3)[[c, c]], c) for c in range(3)]
-        assert vicinal_risk(model, groups) == 0.0
-
-    def test_nested_mean_oracle(self):
-        model = perfect_model(2, scale=1.0)
-        groups = [
-            (np.array([[1.0, 0.0], [0.0, 1.0]]), 0),
-            (np.array([[1.0, 0.0], [1.0, 0.0]]), 0),
-            (np.array([[0.0, 1.0], [0.0, 1.0]]), 1),
-        ]
-        risk = vicinal_risk(model, groups)
-
-        def loss(hot, label):
-            logits = np.array(hot)
-            p = np.exp(logits[label]) / np.exp(logits).sum()
-            return -np.log(p)
-
-        oracle = np.mean(
-            [
-                np.mean([loss([1.0, 0.0], 0), loss([0.0, 1.0], 0)]),
-                np.mean([loss([1.0, 0.0], 0), loss([1.0, 0.0], 0)]),
-                np.mean([loss([0.0, 1.0], 1), loss([0.0, 1.0], 1)]),
-            ]
-        )
-        assert risk == pytest.approx(oracle)
-
-    def test_erm_degenerate_case(self, rng):
-        model = perfect_model(2, scale=1.0)
-        anchors = rng.normal(size=(6, 2))
-        labels = rng.integers(2, size=6)
-        vrm = vicinal_risk(model, [(a[None, :], int(l)) for a, l in zip(anchors, labels)])
-        from tagaug.neural import predict
-
-        _, probs, _ = predict(model, anchors)
-        erm = float(np.mean([-np.log(probs[i, labels[i]]) for i in range(6)]))
-        assert vrm == pytest.approx(erm)
-
-    def test_empty_anchor_rejected(self):
-        with pytest.raises(ValueError, match="no vicinal samples"):
-            vicinal_risk(perfect_model(2), [(np.zeros((0, 2)), 0)])
 
 
 class TestManifoldDistance:

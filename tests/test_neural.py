@@ -269,14 +269,6 @@ class TestPredict:
 
 
 class TestGradientCheck:
-    def test_linear_model_squared_loss_exact(self, rng):
-        model = init_model("mlp", 4, 3, TrainConfig(hidden_dims=(), seed=0))
-        err = gradient_check(
-            model, rng.normal(size=(6, 4)), rng.integers(3, size=6),
-            epsilon=1e-5, loss="squared",
-        )
-        assert err <= 1e-9
-
     def test_mlp_cross_entropy(self, rng):
         model = init_model("mlp", 4, 3, TrainConfig(hidden_dims=(7,), seed=1))
         err = gradient_check(

@@ -220,6 +220,14 @@ class TestChatClient:
 CHAT = [{"role": "user", "content": "x"}]
 
 
+ROW_1_MALFORMED = "batch 0: row 1: embedding is not a non-empty 1-D list of finite numbers"
+
+
+def second_row(embedding):
+    """An embeddings reply whose row 1 carries the given embedding value."""
+    return {"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 1, "embedding": embedding}]}
+
+
 class TestMalformedReplies:
     """A 2xx reply without the fields the client reads fails that request
     with the client's own error."""
@@ -258,6 +266,11 @@ class TestMalformedReplies:
                 {"data": [{"index": i, "embedding": [1.0, 0.0]} for i in (1, 2)]},
                 r"batch 0: indices are not 0\.\.1",
             ),
+            (second_row(5), ROW_1_MALFORMED),
+            (second_row(["a"]), ROW_1_MALFORMED),
+            (second_row([]), ROW_1_MALFORMED),
+            (second_row([[1.0, 2.0]]), ROW_1_MALFORMED),
+            (second_row([float("nan"), 1.0]), ROW_1_MALFORMED),
         ],
     )
     def test_embeddings_reply_names_the_batch(self, stub_server, payload, match):
