@@ -11,9 +11,8 @@ import logging
 import sys
 
 from .graph import graph_stats, load_dataset, make_longtail_split
-from .pipeline import RunConfig, _read_meta, _resolve_tail_count
+from .pipeline import RunConfig, _read_meta, _resolve_tail_count, check_grid
 from .pipeline import run_augment, run_train_eval, run_verify
-
 
 
 def _load_config(args):
@@ -88,15 +87,24 @@ def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
 
+    if args.command in ("augment", "train-eval"):
+        # A bad config or grid is a usage error: one line and exit 2, as
+        # argparse does for a bad flag, before any stage runs.
+        try:
+            cfg = _load_config(args)
+            if args.command == "train-eval":
+                grid = tuple(cell.strip() for cell in args.grid.split(",") if cell.strip())
+                check_grid(grid)
+        except (OSError, TypeError, ValueError) as exc:
+            print(f"tagaug {args.command}: error: {exc}", file=sys.stderr)
+            return 2
+
     if args.command == "augment":
-        cfg = _load_config(args)
         report = run_augment(cfg)
         print(json.dumps({k: report[k] for k in ("synthetic_count", "edge_assignment")}))
         return 0
 
     if args.command == "train-eval":
-        cfg = _load_config(args)
-        grid = tuple(cell.strip() for cell in args.grid.split(",") if cell.strip())
         report = run_train_eval(cfg, grid=grid)
         for cell in grid:
             metrics = report["cells"][cell]["metrics"]

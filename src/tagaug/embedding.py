@@ -58,6 +58,8 @@ class EncoderConfig:
     retry_backoff: float = 0.5
 
     def __post_init__(self):
+        if self.kind not in ("hashing", "remote"):
+            raise ValueError(f"unknown encoder kind: {self.kind!r}")
         if self.kind == "hashing" and self.dim < 8:
             raise ValueError("hashing dim must be >= 8")
 
@@ -302,11 +304,7 @@ class Centroids:
 
 
 def class_centroids(emb, labels):
-    sums, counts = {}, {}
-    for i, cls in enumerate(labels):
-        if cls not in sums:
-            sums[cls] = np.zeros(emb.dim)
-            counts[cls] = 0
-        sums[cls] += emb.vectors[i]
-        counts[cls] += 1
-    return Centroids(by_class={cls: sums[cls] / counts[cls] for cls in sums})
+    labels = np.asarray(labels, dtype=np.int64)
+    return Centroids(
+        by_class={int(c): emb.vectors[labels == c].mean(axis=0) for c in np.unique(labels)}
+    )

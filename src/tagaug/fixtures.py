@@ -10,7 +10,7 @@ Everything is deterministic per seed.
 
 import numpy as np
 
-from .graph import TextGraph, _canonical_edges
+from .graph import TextGraph
 
 
 # Two head classes of 60 nodes and two tail classes of 25; tail class t
@@ -68,5 +68,5 @@ def make_toy_tag(seed):
         texts=tuple(texts),
         labels=tuple(labels),
         class_names=tuple(f"topic{c}" for c in range(class_count)),
-        edges=_canonical_edges(edges),
+        edges=edges,
     )

@@ -64,6 +64,8 @@ class GeneratorConfig:
     strict_parse: bool = False
 
     def __post_init__(self):
+        if self.kind not in ("mock", "remote"):
+            raise ValueError(f"unknown generator kind: {self.kind!r}")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
 

@@ -27,8 +27,10 @@ class DatasetError(ValueError):
 class TextGraph:
     """Undirected simple graph whose nodes carry raw documents.
 
-    Edges are stored canonically as (u, v) with u < v, deduplicated,
-    no self-loops.
+    edges may hold (u, v) pairs in any order and orientation; a mirrored or
+    repeated pair is one edge. They are stored canonically: sorted, unique,
+    each with u < v. A self-loop or an endpoint outside [0, node_count)
+    raises DatasetError.
     """
 
     node_count: int
@@ -48,15 +50,19 @@ class TextGraph:
         for lab in self.labels:
             if not 0 <= lab < c:
                 raise DatasetError(f"label {lab} out of range [0, {c})")
-        seen = set()
-        for u, v in self.edges:
-            if u == v:
-                raise DatasetError(f"self-loop on node {u}")
-            if not (0 <= u < v < self.node_count):
-                raise DatasetError(f"edge ({u}, {v}) malformed or out of range")
-            if (u, v) in seen:
-                raise DatasetError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
+        n = self.node_count
+        pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        loops = pairs[pairs[:, 0] == pairs[:, 1]]
+        if len(loops):
+            raise DatasetError(f"self-loop on node {loops[0, 0]}")
+        outside = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)]
+        if len(outside):
+            u, v = outside[0]
+            raise DatasetError(f"edge ({u}, {v}) malformed or out of range")
+        # One integer code per undirected pair; np.unique sorts and dedups them.
+        codes = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+        canonical = tuple(zip((codes // n).tolist(), (codes % n).tolist()))
+        object.__setattr__(self, "edges", canonical)
 
     @property
     def num_classes(self):
@@ -80,15 +86,6 @@ class TextGraph:
         indptr = np.zeros(self.node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=self.node_count), out=indptr[1:])
         return indptr, cols[np.lexsort((cols, rows))]
-
-
-def _canonical_edges(pairs):
-    out = set()
-    for u, v in pairs:
-        if u == v:
-            continue
-        out.add((u, v) if u < v else (v, u))
-    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -182,7 +179,7 @@ def load_dataset(directory_path):
         texts=tuple(texts),
         labels=tuple(labels),
         class_names=class_names,
-        edges=_canonical_edges(pairs),
+        edges=pairs,
     )
 
 
@@ -255,10 +252,13 @@ def make_longtail_split(
 ):
     """Long-tail training split: head classes get head_count training nodes,
     tail classes get round(head_count * imbalance_ratio), remaining nodes are
-    shuffled into val/test by val_fraction. Deterministic per seed.
+    shuffled into val/test by val_fraction, which must leave test at least
+    one node. Deterministic per seed.
     """
     if not 0 < imbalance_ratio <= 1:
         raise ValueError("imbalance_ratio must lie in (0, 1]")
+    if not 0 <= val_fraction < 1:
+        raise ValueError(f"val_fraction must lie in [0, 1), got {val_fraction}")
     if tail_class_count is None:
         raise ValueError("tail_class_count is required")
     tail = tail_classes_by_frequency(graph, tail_class_count)
@@ -276,6 +276,9 @@ def make_longtail_split(
                 f"class {cls} ({graph.class_names[cls]}) has {freq[cls]} nodes, "
                 f"needs {want} training + 1 val + 1 test"
             )
+    rest_count = graph.node_count - sum(per_class.values())
+    if int(round(val_fraction * rest_count)) >= rest_count:
+        raise ValueError(f"val_fraction {val_fraction} leaves no test node of {rest_count}")
 
     rng = np.random.default_rng(seed)
     members = [[] for _ in range(graph.num_classes)]
@@ -346,7 +349,7 @@ def merge_augmented(graph, synthetic):
         texts=tuple(texts),
         labels=tuple(labels),
         class_names=graph.class_names,
-        edges=_canonical_edges(new_edges),
+        edges=new_edges,
     )
 
 

@@ -16,8 +16,7 @@ def confusion_matrix(true_labels, pred_labels, class_count):
     true_labels = np.asarray(true_labels, dtype=np.int64)
     pred_labels = np.asarray(pred_labels, dtype=np.int64)
     out = np.zeros((class_count, class_count), dtype=np.int64)
-    for t, p in zip(true_labels, pred_labels):
-        out[t, p] += 1
+    np.add.at(out, (true_labels, pred_labels), 1)
     return out
 
 
@@ -31,37 +30,22 @@ def classification_metrics(confusion):
     total = confusion.sum()
     if total <= 0:
         raise ValueError("confusion matrix is empty")
-    class_count = confusion.shape[0]
-    support = confusion.sum(axis=1)
+    recall = per_class_recall(confusion)
+    supported = ~np.isnan(recall)
     predicted = confusion.sum(axis=0)
     diag = np.diag(confusion)
-
-    recalls = []
-    f1s = []
-    zero_support = []
-    for c in range(class_count):
-        if support[c] == 0:
-            zero_support.append(c)
-            f1s.append(0.0)
-            continue
-        recall = diag[c] / support[c]
-        precision = diag[c] / predicted[c] if predicted[c] > 0 else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall > 0
-            else 0.0
-        )
-        recalls.append(recall)
-        f1s.append(f1)
-
-    recalls = np.array(recalls)
+    zeros = np.zeros_like(diag)
+    precision = np.divide(diag, predicted, out=zeros.copy(), where=predicted > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=zeros, where=supported & (both > 0))
+    recalls = recall[supported]
     gmean = float(np.prod(recalls) ** (1.0 / len(recalls))) if len(recalls) else 0.0
     return {
         "acc": float(diag.sum() / total),
         "bacc": float(recalls.mean()) if len(recalls) else 0.0,
-        "macro_f1": float(np.mean(f1s)),
+        "macro_f1": float(np.mean(f1)),
         "gmean": gmean,
-        "zero_support_classes": zero_support,
+        "zero_support_classes": np.flatnonzero(~supported).tolist(),
     }
 
 

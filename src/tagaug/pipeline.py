@@ -85,6 +85,8 @@ class RunConfig:
             raise ValueError(f"unknown edge strategy: {self.edge_strategy!r}")
         if self.knn_k < 1:
             raise ValueError("knn_k must be >= 1")
+        if not 0 <= self.val_fraction < 1:
+            raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
         if not self.eval_seeds:
             raise ValueError("eval_seeds must not be empty")
         self.edge_config()  # checks edge_factor and tau_conf
@@ -256,8 +258,11 @@ def run_augment(cfg):
 
 def _load_artifacts(cfg):
     """Reload what train-eval reads of run_augment's output; no network
-    access. The llm nodes come from provenance.jsonl and the synthetic
-    embedding rows; no cell reads their text."""
+    access. Returns the graph, the split, the original embeddings, and the
+    llm cells' synthetic (rows, labels, anchors): the labels and anchor ids
+    come from provenance.jsonl, the rows from embeddings.npz (row i belongs
+    to record i). It is None when augment recorded no synthetic node. No
+    cell reads the synthetic texts."""
     graph = load_dataset(cfg.dataset_dir)
     split = _load_split(os.path.join(cfg.out_dir, "split.json"))
     with np.load(os.path.join(cfg.out_dir, "embeddings.npz")) as data:
@@ -266,27 +271,22 @@ def _load_artifacts(cfg):
         encoder_id = bytes(data["encoder_id"]).decode("utf-8")
     emb = EmbeddingMatrix(vectors=original, encoder_id=encoder_id)
 
-    nodes = []
+    records = []
     prov_path = os.path.join(cfg.out_dir, "augmented", "provenance.jsonl")
     if os.path.exists(prov_path):
         with open(prov_path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    rec = json.loads(line)
-                    nodes.append(
-                        SyntheticNode(
-                            text="",
-                            label=rec["label"],
-                            provenance=rec,
-                            embedding=synthetic[rec["node_id"] - graph.node_count],
-                        )
-                    )
-    return graph, split, emb, synthetic, nodes
+            records = [json.loads(line) for line in fh if line.strip()]
+    llm = None
+    if records:
+        row_labels = np.array([rec["label"] for rec in records], dtype=np.int64)
+        llm = (synthetic, row_labels, [rec["anchor"] for rec in records])
+    return graph, split, emb, llm
 
 
-def _train_eval_cell(graph, features, labels, train_ids, split, cfg, class_count):
+def _train_eval_cell(graph, features, train_ids, split, cfg):
     """Train the classifier over the eval seeds; per-seed test metrics."""
     adjacency = normalized_adjacency(graph)
+    labels = graph.labels
     runs = []
     for seed in cfg.eval_seeds:
         train_cfg = replace(cfg.classifier, seed=seed)
@@ -296,7 +296,7 @@ def _train_eval_cell(graph, features, labels, train_ids, split, cfg, class_count
         pred, _, _ = predict(model, features, adjacency=adjacency)
         test_idx = np.asarray(split.test_idx)
         conf = confusion_matrix(
-            np.asarray(labels)[test_idx], pred[test_idx], class_count
+            np.asarray(labels)[test_idx], pred[test_idx], graph.num_classes
         )
         block = classification_metrics(conf)
         block["head_tail_gap"] = head_tail_gap(conf, split.tail_classes)
@@ -317,20 +317,10 @@ def _mean_std_block(runs):
     return out
 
 
-def _boundary_block(rows, row_labels, emb, labels, probe):
-    if len(rows) == 0:
-        return None
-    index = build_manifold_index(emb.vectors, labels)
-    centroids = class_centroids(emb, labels)
-    return {
-        "bcr": round(bcr(rows, row_labels, index, k=5), 4),
-        "bps": round(bps(rows, row_labels, centroids), 4),
-        "icr": round(icr(rows, row_labels, probe), 4),
-    }
-
-
-def _balanced_probe(emb, labels, cfg):
-    """MLP probe trained on a class-balanced sample of the original nodes."""
+def _boundary_references(emb, labels, cfg):
+    """What the boundary block measures synthetic rows against: the manifold
+    index, the class centroids, and an MLP probe trained on a class-balanced
+    sample. All three read only the original rows and labels."""
     labels = np.asarray(labels, dtype=np.int64)
     counts = np.bincount(labels)
     per_class = counts[counts > 0].min()
@@ -338,89 +328,85 @@ def _balanced_probe(emb, labels, cfg):
     for cls in range(len(counts)):
         members = np.flatnonzero(labels == cls)[:per_class]
         chosen.extend(int(i) for i in members)
-    return train_classifier(
-        emb.vectors, labels, np.array(chosen), cfg.confidence, kind="mlp"
-    )
+    probe = train_classifier(emb.vectors, labels, np.array(chosen), cfg.confidence, kind="mlp")
+    return build_manifold_index(emb.vectors, labels), class_centroids(emb, labels), probe
+
+
+def _cell_synthetic(cell, cfg, emb, labels, split, llm):
+    """(rows, labels, anchors) of the synthetic nodes a non-origin cell adds:
+    num cells synthesize them on the shared pair schedule, llm cells read
+    augment's."""
+    if cell.startswith("num"):
+        mode = cfg.num_mode or NUM_MODE_BY_VARIANT[cfg.variant]
+        targets = rebalance_targets(labels, split)
+        rows, row_labels, pairs = numeric_augment(
+            emb, labels, split, mode, cfg.knn_k, targets, seed=cfg.seed
+        )
+        return rows, row_labels, [anchor for anchor, _partner in pairs]
+    if llm is None:
+        raise FileNotFoundError(f"cell {cell}: no augmented artifacts under {cfg.out_dir}")
+    return llm
+
+
+def check_grid(grid):
+    for cell in grid:
+        if cell not in GRID_CELLS:
+            raise ValueError(f"unknown grid cell: {cell}")
 
 
 def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
     """Train/evaluate the requested ablation cells on the shared test mask.
 
-    llm cells read the persisted augmented artifacts; num cells synthesize
+    Each non-origin cell adds synthetic nodes to the origin graph: llm
+    cells read the persisted augmented artifacts, num cells synthesize
     embedding rows on the shared pair schedule. Cells ending in _C use
     confidence-assigned edges, the others duplicate the anchor's edges.
     """
-    for cell in grid:
-        if cell not in GRID_CELLS:
-            raise ValueError(f"unknown grid cell: {cell}")
+    check_grid(grid)
     timings = {}
     t0 = time.perf_counter()
-    graph, split, emb, syn_rows, nodes = _load_artifacts(cfg)
+    graph, split, emb, llm = _load_artifacts(cfg)
     labels = list(graph.labels)
-    class_count = graph.num_classes
-    # Only the boundary block of a non-origin cell reads the probe.
-    probe = _balanced_probe(emb, labels, cfg) if set(grid) - {"origin"} else None
+    # Only the boundary block of a non-origin cell reads these.
+    references = _boundary_references(emb, labels, cfg) if set(grid) - {"origin"} else None
     timings["load_s"] = time.perf_counter() - t0
 
-    needs_conf = any(cell.endswith("_C") for cell in grid)
     conf_net = None
-    if needs_conf:
+    if any(cell.endswith("_C") for cell in grid):
         conf_net = train_confidence(emb, labels, split.train_idx, cfg.confidence)
 
     cells_report = {}
     for cell in grid:
         t_cell = time.perf_counter()
-        if cell == "origin":
-            cell_graph = graph
-            features = emb.vectors
-            cell_labels = labels
-            train_ids = np.asarray(split.train_idx)
-            boundary = None
-        else:
-            if cell.startswith("num"):
-                mode = cfg.num_mode or NUM_MODE_BY_VARIANT[cfg.variant]
-                targets = rebalance_targets(labels, split)
-                rows, row_labels, pairs = numeric_augment(
-                    emb, labels, split, mode, cfg.knn_k, targets, seed=cfg.seed
+        cell_graph, features, boundary = graph, emb.vectors, None
+        train_ids = np.asarray(split.train_idx)
+        if cell != "origin":
+            rows, row_labels, anchors = _cell_synthetic(cell, cfg, emb, labels, split, llm)
+            nodes = [
+                SyntheticNode(
+                    text="", label=int(lab), provenance={"anchor": anchor}, embedding=row
                 )
-                cell_nodes = [
-                    SyntheticNode(
-                        text="",
-                        label=int(lab),
-                        provenance={"anchor": int(anchor), "partner": int(partner)},
-                        embedding=row,
-                    )
-                    for row, lab, (anchor, partner) in zip(rows, row_labels, pairs)
-                ]
-            else:
-                if not nodes:
-                    raise FileNotFoundError(
-                        f"cell {cell}: no augmented artifacts under {cfg.out_dir}"
-                    )
-                rows = syn_rows
-                row_labels = np.array([n.label for n in nodes], dtype=np.int64)
-                cell_nodes = nodes
-            if not cell_nodes:
+                for row, lab, anchor in zip(rows, row_labels, anchors)
+            ]
+            if not nodes:
                 raise ValueError(f"cell {cell}: nothing to augment with")
-
             strategy = "confidence" if cell.endswith("_C") else "duplicate"
-            cell_nodes, _summary = wire_nodes(
-                cell_nodes, graph, strategy, emb, conf_net, cfg.edge_config()
+            nodes, _summary = wire_nodes(
+                nodes, graph, strategy, emb, conf_net, cfg.edge_config()
             )
-            cell_graph = merge_augmented(graph, cell_nodes)
+            cell_graph = merge_augmented(graph, nodes)
             features = np.vstack([emb.vectors, rows])
-            cell_labels = list(cell_graph.labels)
             train_ids = np.concatenate(
-                [
-                    np.asarray(split.train_idx),
-                    np.arange(graph.node_count, cell_graph.node_count),
-                ]
+                [train_ids, np.arange(graph.node_count, cell_graph.node_count)]
             )
-            boundary = _boundary_block(rows, row_labels, emb, labels, probe)
+            index, centroids, probe = references
+            boundary = {
+                "bcr": round(bcr(rows, row_labels, index, k=5), 4),
+                "bps": round(bps(rows, row_labels, centroids), 4),
+                "icr": round(icr(rows, row_labels, probe), 4),
+            }
 
-        runs = _train_eval_cell(
-            cell_graph, features, cell_labels, train_ids, split, cfg, class_count
-        )
+        runs = _train_eval_cell(cell_graph, features, train_ids, split, cfg)
         cells_report[cell] = {
             "metrics": _mean_std_block(runs),
             "per_seed": [

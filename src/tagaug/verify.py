@@ -19,21 +19,17 @@ from .neural import (
     gradient_check,
     init_model,
 )
-from .graph import TextGraph, normalized_adjacency, _canonical_edges
+from .graph import TextGraph, normalized_adjacency
 
 
 def _random_graph_instance(rng, n=6):
-    pairs = set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.4:
-                pairs.add((u, v))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
     graph = TextGraph(
         node_count=n,
         texts=tuple("" for _ in range(n)),
         labels=tuple(int(rng.integers(2)) for _ in range(n)),
         class_names=("a", "b"),
-        edges=_canonical_edges(pairs),
+        edges=pairs,
     )
     return normalized_adjacency(graph)
 

@@ -74,6 +74,20 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=match):
             RunConfig.from_dict({**data, **override})
 
+    def test_val_fraction_checked_when_built(self, tmp_path):
+        data = fast_config(tmp_path / "d", tmp_path / "o")
+        for fraction in (0.0, 0.25, 0.99):
+            assert RunConfig.from_dict({**data, "val_fraction": fraction}).val_fraction == fraction
+        for fraction in (-0.5, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="val_fraction"):
+                RunConfig.from_dict({**data, "val_fraction": fraction})
+
+    @pytest.mark.parametrize("part", ["generator", "encoder"])
+    def test_component_kind_checked_when_built(self, tmp_path, part):
+        data = fast_config(tmp_path / "d", tmp_path / "o")
+        with pytest.raises(ValueError, match=f"unknown {part} kind: 'mocl'"):
+            RunConfig.from_dict({**data, part: {"kind": "mocl"}})
+
 
 class TestAugmentPipeline:
     def test_augment_writes_artifacts(self, tmp_path, toy_dataset_dir):
@@ -342,6 +356,26 @@ class TestCliCommands:
         assert report["config"]["seed"] == 9
         assert report["config"]["variant"] == "O"
         assert report["config"]["edge_strategy"] == "none"
+
+    @pytest.mark.parametrize(
+        "command, override, extra, message",
+        [
+            ("augment", {"knn_k": 0}, [], "knn_k must be >= 1"),
+            ("augment", {"knn": 3}, [], "unexpected keyword argument 'knn'"),
+            ("train-eval", {}, ["--grid", "origin,blah"], "unknown grid cell: blah"),
+        ],
+    )
+    def test_bad_config_exits_2_before_any_stage(
+        self, tmp_path, toy_dataset_dir, capsys, command, override, extra, message
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        data = {**fast_config(toy_dataset_dir, tmp_path / "run"), **override}
+        cfg_path.write_text(json.dumps(data))
+        assert main([command, "--config", str(cfg_path), *extra]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"tagaug {command}: error: ")
+        assert message in lines[0]
+        assert not (tmp_path / "run").exists()
 
     def test_missing_seed_rejected(self, tmp_path, toy_dataset_dir):
         cfg = fast_config(toy_dataset_dir, tmp_path / "run")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,33 @@ def test_write_load_round_trip(tmp_path_factory, data):
     assert load_dataset(out) == graph
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_text_graph_canonicalises_its_edges(tmp_path_factory, data):
+    n = data.draw(st.integers(2, 10))
+    node = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=20))
+    # mirrored and repeated copies, all in a drawn order
+    copies = data.draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    raw = data.draw(st.permutations(pairs + [(v, u) for u, v in copies] + copies))
+    graph = plain_graph(n, tuple(raw))
+    assert graph.edges == tuple(sorted({(min(u, v), max(u, v)) for u, v in pairs}))
+    assert all(type(end) is int for edge in graph.edges for end in edge)
+    out = tmp_path_factory.mktemp("canonical")
+    write_dataset(graph, out)
+    assert load_dataset(out) == graph
+
+    k = data.draw(node)
+    outside = data.draw(st.one_of(st.integers(-5, -1), st.integers(n, n + 5)))
+    bad, named = data.draw(
+        st.sampled_from([((k, k), f"self-loop on node {k}"), ((k, outside), str(outside)),
+                         ((outside, k), str(outside))])
+    )
+    at = data.draw(st.integers(0, len(raw)))
+    with pytest.raises(DatasetError, match=re.escape(named)):
+        plain_graph(n, tuple(raw[:at]) + (bad,) + tuple(raw[at:]))
+
+
 def test_toy_fixture_files_are_pinned(tmp_path):
     # make_toy_tag(seed=2) is the acceptance run's input; these digests fix
     # every byte of it, so a change to the generator cannot pass unseen.
@@ -183,6 +211,18 @@ class TestLongtailSplit:
     def test_ratio_validation(self, toy_graph):
         with pytest.raises(ValueError):
             make_longtail_split(toy_graph, 20, 0.0, tail_class_count=2, seed=0)
+
+    def test_val_fraction_must_leave_a_test_node(self, toy_graph):
+        # 126 nodes are left after training: 0.999 of them rounds to all
+        for fraction in (-0.5, 1.0, 0.999):
+            with pytest.raises(ValueError, match="val_fraction"):
+                make_longtail_split(
+                    toy_graph, 20, 0.1, tail_class_count=2, val_fraction=fraction, seed=0
+                )
+        split = make_longtail_split(
+            toy_graph, 20, 0.1, tail_class_count=2, val_fraction=0.0, seed=0
+        )
+        assert not split.val_idx and len(split.test_idx) == 126
 
 
 class TestNormalizedAdjacency:

@@ -18,6 +18,33 @@ from tagaug.metrics import (
 from tagaug.neural import ClassifierModel, DenseLayer, TrainConfig, train_classifier
 
 
+def per_class_loop_metrics(confusion):
+    """Oracle: the metrics by one loop over the classes, scalar by scalar."""
+    confusion = np.asarray(confusion, dtype=np.float64)
+    support = confusion.sum(axis=1)
+    predicted = confusion.sum(axis=0)
+    diag = np.diag(confusion)
+    recalls, f1s, zero_support = [], [], []
+    for c in range(confusion.shape[0]):
+        if support[c] == 0:
+            zero_support.append(c)
+            f1s.append(0.0)
+            continue
+        recall = diag[c] / support[c]
+        precision = diag[c] / predicted[c] if predicted[c] > 0 else 0.0
+        both = precision + recall
+        f1s.append(2 * precision * recall / both if both > 0 else 0.0)
+        recalls.append(recall)
+    recalls = np.array(recalls)
+    return {
+        "acc": float(diag.sum() / confusion.sum()),
+        "bacc": float(recalls.mean()) if len(recalls) else 0.0,
+        "macro_f1": float(np.mean(f1s)),
+        "gmean": float(np.prod(recalls) ** (1.0 / len(recalls))) if len(recalls) else 0.0,
+        "zero_support_classes": zero_support,
+    }
+
+
 class TestClassificationMetrics:
     def test_perfect_diagonal(self):
         out = classification_metrics(np.diag([5, 3, 2]))
@@ -49,6 +76,14 @@ class TestClassificationMetrics:
             assert got["bacc"] == pytest.approx(np.mean(recalls))
             assert got["macro_f1"] == pytest.approx(np.mean(f1s))
             assert got["gmean"] == pytest.approx(np.prod(recalls) ** (1 / 3))
+        # zero-support rows and zero-prediction columns, bit for bit
+        for _ in range(300):
+            c = int(rng.integers(2, 6))
+            conf = rng.integers(0, 9, size=(c, c))
+            conf[rng.random(c) < 0.3] = 0
+            conf[:, rng.random(c) < 0.3] = 0
+            conf[0, 0] += 1  # never empty
+            assert classification_metrics(conf) == per_class_loop_metrics(conf)
 
     def test_zero_support_flagged(self):
         conf = np.array([[3, 0], [0, 0]])
