@@ -59,26 +59,36 @@ def score_edges(synthetic_rows, emb, conf):
         )
     kappa = conf.kappa(emb.vectors)
     sims = cosine_matrix(synthetic_rows, emb.vectors)
-    scores = sims * kappa[None, :]
-    n_syn, n_orig = scores.shape
-    syn_idx = np.repeat(np.arange(n_syn), n_orig)
-    orig_id = np.tile(np.arange(n_orig), n_syn)
-    return np.column_stack([syn_idx, orig_id, scores.reshape(-1)])
+    sims *= kappa[None, :]
+    n_syn, n_orig = sims.shape
+    table = np.empty((n_syn, n_orig, 3))
+    table[:, :, 0] = np.arange(n_syn)[:, None]
+    table[:, :, 1] = np.arange(n_orig)[None, :]
+    table[:, :, 2] = sims
+    return table.reshape(-1, 3)
 
 
 def select_topk_global(candidates, synthetic_count, cfg):
     """Pick the k = synthetic_count x factor best-scoring candidates.
 
     Candidates under tau_conf are dropped first; ties break toward
-    (lower synthetic idx, lower original id). Returns the selected
-    (syn, orig, score) rows and the synthetic indices left edgeless.
+    (lower synthetic idx, lower original id). A partition finds the k-th
+    best score, so only the candidates at or above it (ties included)
+    are sorted. Returns the selected (syn, orig, score) rows and the
+    synthetic indices left edgeless.
     """
     if synthetic_count < 1:
         raise ValueError("synthetic_count must be >= 1")
     candidates = np.asarray(candidates, dtype=np.float64).reshape(-1, 3)
-    keep = candidates[candidates[:, 2] >= cfg.tau_conf]
-    order = np.lexsort((keep[:, 1], keep[:, 0], -keep[:, 2]))
-    selected = keep[order[: synthetic_count * cfg.factor]]
+    k = synthetic_count * cfg.factor
+    keep = np.flatnonzero(candidates[:, 2] >= cfg.tau_conf)
+    if len(keep) > k:
+        neg = -candidates[keep, 2]
+        cut = np.partition(neg, k - 1)[k - 1]
+        keep = keep[neg <= cut]
+    top = candidates[keep]
+    order = np.lexsort((top[:, 1], top[:, 0], -top[:, 2]))
+    selected = top[order[:k]]
     connected = {int(s) for s in selected[:, 0]}
     isolated = [i for i in range(synthetic_count) if i not in connected]
     return selected, isolated

@@ -80,14 +80,22 @@ def encode_hashing(texts, dim=256):
     if dim < 8:
         raise ValueError("hashing dim must be >= 8")
     out = np.zeros((len(texts), dim), dtype=np.float64)
+    buckets = {}  # token -> (column, sign), so each distinct token hashes once
     for i, text in enumerate(texts):
+        hits = []
         for token in _TOKEN_RE.findall(text.lower()):
-            h = _token_hash(token)
-            sign = -1.0 if (h >> 63) & 1 else 1.0
-            out[i, h % dim] += sign
-        norm = np.linalg.norm(out[i])
-        if norm > 0:
-            out[i] /= norm
+            hit = buckets.get(token)
+            if hit is None:
+                h = _token_hash(token)
+                hit = buckets[token] = (h % dim, -1.0 if (h >> 63) & 1 else 1.0)
+            hits.append(hit)
+        if hits:
+            cols, signs = zip(*hits)
+            np.add.at(out[i], list(cols), signs)
+    # rows hold integer counts here, so each norm is exact however it is summed
+    norms = np.linalg.norm(out, axis=1)
+    nonzero = norms > 0
+    out[nonzero] /= norms[nonzero, None]
     return EmbeddingMatrix(vectors=out, encoder_id=f"hashing-{dim}")
 
 

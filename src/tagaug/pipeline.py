@@ -332,20 +332,15 @@ def _boundary_references(emb, labels, cfg):
     return build_manifold_index(emb.vectors, labels), class_centroids(emb, labels), probe
 
 
-def _cell_synthetic(cell, cfg, emb, labels, split, llm):
-    """(rows, labels, anchors) of the synthetic nodes a non-origin cell adds:
-    num cells synthesize them on the shared pair schedule, llm cells read
-    augment's."""
-    if cell.startswith("num"):
-        mode = cfg.num_mode or NUM_MODE_BY_VARIANT[cfg.variant]
-        targets = rebalance_targets(labels, split)
-        rows, row_labels, pairs = numeric_augment(
-            emb, labels, split, mode, cfg.knn_k, targets, seed=cfg.seed
-        )
-        return rows, row_labels, [anchor for anchor, _partner in pairs]
-    if llm is None:
-        raise FileNotFoundError(f"cell {cell}: no augmented artifacts under {cfg.out_dir}")
-    return llm
+def _num_synthetic(cfg, emb, labels, split):
+    """(rows, labels, anchors) of the synthetic nodes every num cell adds,
+    synthesized on the shared pair schedule."""
+    mode = cfg.num_mode or NUM_MODE_BY_VARIANT[cfg.variant]
+    targets = rebalance_targets(labels, split)
+    rows, row_labels, pairs = numeric_augment(
+        emb, labels, split, mode, cfg.knn_k, targets, seed=cfg.seed
+    )
+    return rows, row_labels, [anchor for anchor, _partner in pairs]
 
 
 def check_grid(grid):
@@ -369,6 +364,8 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
     labels = list(graph.labels)
     # Only the boundary block of a non-origin cell reads these.
     references = _boundary_references(emb, labels, cfg) if set(grid) - {"origin"} else None
+    # num and num_C add the same rows, so they are synthesized once.
+    num = _num_synthetic(cfg, emb, labels, split) if {"num", "num_C"} & set(grid) else None
     timings["load_s"] = time.perf_counter() - t0
 
     conf_net = None
@@ -381,7 +378,9 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
         cell_graph, features, boundary = graph, emb.vectors, None
         train_ids = np.asarray(split.train_idx)
         if cell != "origin":
-            rows, row_labels, anchors = _cell_synthetic(cell, cfg, emb, labels, split, llm)
+            if cell.startswith("llm") and llm is None:
+                raise FileNotFoundError(f"cell {cell}: no augmented artifacts under {cfg.out_dir}")
+            rows, row_labels, anchors = num if cell.startswith("num") else llm
             nodes = [
                 SyntheticNode(
                     text="", label=int(lab), provenance={"anchor": anchor}, embedding=row

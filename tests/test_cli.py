@@ -277,6 +277,27 @@ class TestTrainEval:
             assert "icr" in block["boundary"]
             assert "head_tail_gap" in block["metrics"]
 
+    def test_num_rows_synthesized_once(self, tmp_path, toy_dataset_dir, monkeypatch):
+        from tagaug import pipeline
+
+        calls = []
+        original = pipeline.numeric_augment
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "numeric_augment", counting)
+        cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
+        run_augment(cfg)
+        both = run_train_eval(cfg, grid=("num", "num_C"))
+        assert len(calls) == 1
+        # a grid of one num cell synthesizes its rows for itself
+        for cell in ("num", "num_C"):
+            alone = run_train_eval(cfg, grid=(cell,))
+            assert alone["cells"][cell] == both["cells"][cell]
+        assert len(calls) == 3
+
     def test_offline_once_artifacts_exist(self, tmp_path, toy_dataset_dir):
         # evaluation must not touch encoder/generator endpoints when the
         # augment artifacts are on disk

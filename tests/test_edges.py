@@ -211,6 +211,31 @@ def test_select_topk_global_matches_brute_force(case):
     assert isolated == want_isolated
 
 
+@pytest.mark.parametrize("tau_conf", [0.0, 0.5])
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_select_topk_global_partition_matches_full_sort(tau_conf, shuffled):
+    # 60 x 500 candidates on a 0.01 grid: k = 180 of up to 30,000, with
+    # many candidates tied at the cut
+    rng = np.random.default_rng(11)
+    n_syn, n_orig = 60, 500
+    syn, orig = np.divmod(np.arange(n_syn * n_orig), n_orig)
+    scores = np.round(rng.uniform(0.0, 1.0, n_syn * n_orig), 2)
+    cands = np.column_stack([syn, orig, scores]).astype(np.float64)
+    if shuffled:
+        doubled = cands[rng.choice(len(cands), size=2000, replace=False)]
+        cands = rng.permutation(np.vstack([cands, doubled]))
+    cfg = EdgeAssignConfig(factor=3, tau_conf=tau_conf)
+    selected, isolated = select_topk_global(cands, n_syn, cfg)
+
+    keep = cands[cands[:, 2] >= tau_conf]
+    assert len(keep) > 50 * n_syn * cfg.factor
+    want = keep[np.lexsort((keep[:, 1], keep[:, 0], -keep[:, 2]))][: n_syn * cfg.factor]
+    assert np.sum(keep[:, 2] == want[-1, 2]) > 1  # the cut falls inside a tie
+    assert np.array_equal(selected, want)
+    connected = set(want[:, 0].astype(int))
+    assert isolated == [i for i in range(n_syn) if i not in connected]
+
+
 class TestDuplicateEdges:
     def test_copies_anchor_neighbors(self):
         graph = TextGraph(

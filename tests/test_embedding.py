@@ -4,13 +4,39 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tagaug.embedding import (
+    _TOKEN_RE,
     Centroids,
+    _token_hash,
     class_centroids,
     cosine_matrix,
     cosine_similarity,
     encode_hashing,
     knn_embedding,
     knn_same_class,
+)
+
+
+def per_token_hashing(texts, dim):
+    """Oracle: hash every token occurrence and normalize row by row."""
+    out = np.zeros((len(texts), dim), dtype=np.float64)
+    for i, text in enumerate(texts):
+        for token in _TOKEN_RE.findall(text.lower()):
+            h = _token_hash(token)
+            out[i, h % dim] += -1.0 if (h >> 63) & 1 else 1.0
+        norm = np.linalg.norm(out[i])
+        if norm > 0:
+            out[i] /= norm
+    return out
+
+
+# repeated, mixed-case and non-ASCII word tokens, blanks and punctuation
+hashing_texts = st.lists(
+    st.lists(
+        st.sampled_from(["graph", "Graph", "GRAPH", "node", "Über", "über", "東京", "x1", "_"])
+        | st.text(alphabet="abcÄßé東 .,-", max_size=6),
+        max_size=12,
+    ).map(" ".join),
+    max_size=8,
 )
 
 
@@ -39,6 +65,13 @@ class TestHashingEncoder:
         emb = encode_hashing(["x", "y z", "", "a a a"], 16)
         norms = np.linalg.norm(emb.vectors, axis=1)
         assert np.all((np.abs(norms - 1) < 1e-12) | (norms == 0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hashing_texts, st.sampled_from([8, 13, 256]))
+    @example(["", "a a a A", "", "Ää ää"], 13)
+    def test_bits_match_per_token_loop(self, texts, dim):
+        got = encode_hashing(texts, dim).vectors
+        assert got.tobytes() == per_token_hashing(texts, dim).tobytes()
 
     def test_dim_floor(self):
         with pytest.raises(ValueError):

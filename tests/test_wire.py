@@ -426,7 +426,15 @@ class TestRequestsInFlight:
         server, base = tracking_server
         self.bind(server, lambda i: 0.02)
         # batches 5 and 6 fail on every attempt; the error names the first
-        server.state["fail_fn"] = lambda body: body.get("input") in (["t-5"], ["t-6"])
+
+        def fail_fn(body):
+            if body.get("input") == ["t-5"]:
+                # batch 6 makes both its attempts before batch 5's error stops the rest
+                time.sleep(0.2)
+                return True
+            return body.get("input") == ["t-6"]
+
+        server.state["fail_fn"] = fail_fn
         texts = [f"t-{i}" for i in range(40)]
         cfg = EncoderConfig(
             kind="remote", endpoint=base, model="m", batch_size=1, retry_count=1,
