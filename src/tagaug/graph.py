@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import csr_matmul
+from .kernels import csr_matmul, csr_plan
 
 
 class DatasetError(ValueError):
@@ -114,8 +114,12 @@ class NormalizedAdjacency:
     data: np.ndarray
     shape: tuple
 
+    @cached_property
+    def plan(self):
+        return csr_plan(self.indptr, self.indices, self.data)
+
     def matmul(self, dense):
-        return csr_matmul(self.indptr, self.indices, self.data, dense)
+        return csr_matmul(self.indptr, self.indices, self.data, dense, plan=self.plan)
 
     def todense(self):
         out = np.zeros(self.shape)

@@ -7,6 +7,13 @@ a seeded PCG64 stream, dropout masks come from a counter-based Philox
 stream keyed by (seed, epoch, layer), and the sparse product accumulates
 each row in index order (see kernels.py).
 
+A dropout mask reads the Philox stream's raw 64-bit words. numpy's
+``Generator.random`` turns a word into the double ``(raw >> 11) * 2**-53``,
+and that double is below ``keep`` exactly when the integer ``raw >> 11`` is
+below ``ceil(keep * 2**53)`` (scaling by a power of two is exact). So the
+mask keeps the same entries as ``Generator(Philox(key)).random(shape) < keep``
+without building the doubles.
+
 Training is full-batch. A GCN runs over every row, because neighbours feed
 the rows the loss reads. An MLP's rows are independent, so it trains on the
 train_idx rows alone and its dropout masks have that shape; prediction
@@ -14,6 +21,7 @@ still scores every row. backward returns parameter gradients only.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +85,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 
 
 def confidence_train_defaults():
@@ -108,9 +118,11 @@ def dropout_mask(shape, rate, seed, epoch, layer):
         [int(seed) & 0xFFFFFFFFFFFFFFFF, (int(epoch) << 8) | int(layer)],
         dtype=np.uint64,
     )
-    rng = np.random.Generator(np.random.Philox(key=key))
     keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(np.float64) / keep
+    bits = np.random.Philox(key=key).random_raw(math.prod(shape))
+    bits >>= 11
+    kept = bits < math.ceil(keep * 2.0**53)  # Generator.random(shape) < keep
+    return kept.reshape(shape) * (1.0 / keep)  # 1.0 / keep or 0.0, as in kept / keep
 
 
 @dataclass
@@ -220,11 +232,10 @@ def train_classifier(
         train_idx = np.arange(len(train_idx))
     model = init_model(kind, features.shape[1], class_count, cfg)
 
-    m_state = [
-        (np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.layers
-    ]
-    v_state = [
-        (np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.layers
+    # Adam state per parameter: [param, m, v, scratch, scratch], updated in place.
+    adam = [
+        [[p, *(np.zeros_like(p) for _ in range(4))] for p in (l.weight, l.bias)]
+        for l in model.layers
     ]
 
     for epoch in range(cfg.epochs):
@@ -245,18 +256,31 @@ def train_classifier(
         t = epoch + 1
         corr1 = 1.0 - ADAM_BETA1**t
         corr2 = 1.0 - ADAM_BETA2**t
-        for layer, (dw, db), mom, vel in zip(model.layers, grads, m_state, v_state):
+        # The operations, in the order of
+        #   dw = dw + wd * weight
+        #   m = b1 * m + (1 - b1) * grad;  v = b2 * v + (1 - b2) * grad**2
+        #   param -= lr * (m / corr1) / (sqrt(v / corr2) + eps)
+        # with every temporary written into the scratch arrays a and b.
+        for (w_state, b_state), (dw, db) in zip(adam, grads):
             if cfg.weight_decay:
-                dw = dw + cfg.weight_decay * layer.weight
-            for param, grad, m, v in (
-                (layer.weight, dw, mom[0], vel[0]),
-                (layer.bias, db, mom[1], vel[1]),
-            ):
+                weight, a = w_state[0], w_state[3]
+                np.multiply(weight, cfg.weight_decay, out=a)
+                dw += a
+            for (param, m, v, a, b), grad in ((w_state, dw), (b_state, db)):
                 m *= ADAM_BETA1
-                m += (1 - ADAM_BETA1) * grad
+                np.multiply(grad, 1 - ADAM_BETA1, out=a)
+                m += a
                 v *= ADAM_BETA2
-                v += (1 - ADAM_BETA2) * grad**2
-                param -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+                np.square(grad, out=a)
+                a *= 1 - ADAM_BETA2
+                v += a
+                np.divide(m, corr1, out=a)
+                a *= cfg.learning_rate
+                np.divide(v, corr2, out=b)
+                np.sqrt(b, out=b)
+                b += ADAM_EPS
+                a /= b
+                param -= a
     return model
 
 

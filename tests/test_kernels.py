@@ -3,6 +3,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tagaug import kernels
+from tagaug.fixtures import make_toy_tag
+from tagaug.graph import normalized_adjacency
 
 
 def sequential_oracle(indptr, indices, data, dense):
@@ -59,3 +61,49 @@ def test_csr_matmul_matches_dense_oracle(operands):
     want = to_dense(indptr, indices, data, dense.shape[0]) @ dense
     np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
 
+
+@settings(max_examples=100, deadline=None)
+@given(csr_operands())
+def test_one_plan_serves_every_dense_width(operands):
+    indptr, indices, data, dense = operands
+    plan = kernels.csr_plan(indptr, indices, data)
+    rng = np.random.default_rng(len(indices))
+    for width in (0, 1, 4, 64):
+        dense = rng.normal(size=(dense.shape[0], width))
+        out = kernels.csr_matmul(indptr, indices, data, dense, plan=plan)
+        assert out.shape == (len(indptr) - 1, width)
+        assert np.array_equal(out, sequential_oracle(indptr, indices, data, dense))
+
+
+def check_plan_chunks(indptr, plan):
+    """Every entry appears once; no chunk exceeds max(n_rows, widest step)."""
+    n_rows = len(indptr) - 1
+    degree = np.diff(indptr)
+    order, chunks = plan
+    assert sorted(order.tolist()) == list(range(n_rows))
+    assert np.all(np.diff(degree[order]) <= 0)
+    widths = [w for _cols, _vals, ws in chunks for w in ws]
+    cap = max([n_rows, *widths])
+    for cols, vals, ws in chunks:
+        assert len(cols) == len(vals) == sum(ws) <= cap
+    assert sum(widths) == indptr[-1]
+    # step j covers the rows that have a j-th entry
+    assert widths == [int(np.sum(degree > j)) for j in range(len(widths))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(csr_operands())
+def test_plan_chunks_are_capped(operands):
+    indptr, indices, data, _dense = operands
+    check_plan_chunks(indptr, kernels.csr_plan(indptr, indices, data))
+
+
+def test_toy_adjacency_plan_is_cached_and_capped():
+    adj = normalized_adjacency(make_toy_tag(seed=2))
+    assert adj.plan is adj.plan
+    check_plan_chunks(adj.indptr, adj.plan)
+    assert len(adj.plan[1]) > 1  # 1,836 entries over 170 rows need several chunks
+    dense = np.random.default_rng(1).normal(size=(adj.shape[0], 8))
+    assert np.array_equal(
+        adj.matmul(dense), sequential_oracle(adj.indptr, adj.indices, adj.data, dense)
+    )

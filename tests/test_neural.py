@@ -1,8 +1,10 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tagaug.fixtures import make_toy_tag
 from tagaug.graph import TextGraph, normalized_adjacency
 from tagaug.neural import (
     ClassifierModel,
@@ -239,6 +241,12 @@ class TestTraining:
         )
         assert not np.allclose(plain.layers[0].weight, model.layers[0].weight)
 
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.2])
+    def test_dropout_outside_unit_interval_rejected(self, rate):
+        # 1.0 would divide 0/0 in the mask; 1.5 and -0.2 would flip or rescale it
+        with pytest.raises(ValueError, match="dropout"):
+            TrainConfig(dropout=rate)
+
     def test_empty_and_single_class_masks_rejected(self, rng):
         x, y = separable_toy(rng)
         cfg = TrainConfig(epochs=2, hidden_dims=(4,), seed=0)
@@ -297,6 +305,18 @@ class TestDropout:
         c = dropout_mask((5, 5), 0.5, seed=1, epoch=4, layer=0)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("rate", [0.1, 0.25, 0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (7, 5), (170, 64)])
+    def test_mask_is_generator_random_below_keep(self, rate, shape):
+        seed, epoch, layer = 3, 41, 1
+        key = np.array([seed, (epoch << 8) | layer], dtype=np.uint64)
+        keep = 1.0 - rate
+        rng = np.random.Generator(np.random.Philox(key=key))
+        want = (rng.random(shape) < keep).astype(np.float64) / keep
+        got = dropout_mask(shape, rate, seed, epoch, layer)
+        assert got.dtype == np.float64 and got.shape == shape
+        assert np.array_equal(got, want)
+
     def test_eval_mode_has_no_dropout(self, rng):
         model = init_model("mlp", 3, 2, TrainConfig(hidden_dims=(4,), dropout=0.9, seed=0))
         x = rng.normal(size=(4, 3))
@@ -316,3 +336,82 @@ class TestCheckpoint:
         for la, lb in zip(model.layers, loaded.layers):
             np.testing.assert_array_equal(la.weight, lb.weight)
             np.testing.assert_array_equal(la.bias, lb.bias)
+
+
+def numerics_fingerprint():
+    """What fixes the bits of float64 training here: numpy, its BLAS and
+    the SIMD extensions numpy dispatches to (exp, log and the BLAS kernels
+    differ between them)."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 only prints its config
+        return (np.__version__,)
+    blas = config["Build Dependencies"]["blas"]
+    return (
+        np.__version__,
+        blas["name"],
+        blas["version"],
+        tuple(config["SIMD Extensions"]["found"]),
+    )
+
+
+# sha256 of the trained weights and loss_history, taken before the training
+# hot path was rewritten (kernel plan, raw-bit dropout masks, in-place Adam).
+GOLDEN_FINGERPRINT = (
+    "2.4.6", "scipy-openblas", "0.3.31.188.0", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+)
+GOLDEN_GCN = {
+    0: "44cfa35f22221007c822272564f2f0df0440e1ae0790f76c899c29ba8ec5b9e9",
+    1: "ff8f5e44ee3638b01ac773eb65dafa47a3d609a0350c327119c244dd55d02d99",
+}
+GOLDEN_MLP = "30946b11ba31f664bab0ae66dd61f79d49a2d5c15e5d0a63d71a6179bf90e818"
+
+
+class TestGoldenBits:
+    """Training gives the same bits as before on the same numerics.
+
+    Another numpy, BLAS or CPU may round differently; there the hashes
+    say nothing, so the tests skip and name both fingerprints.
+    """
+
+    @pytest.fixture(autouse=True)
+    def same_numerics(self):
+        here = numerics_fingerprint()
+        if here != GOLDEN_FINGERPRINT:
+            pytest.skip(f"golden hashes taken on {GOLDEN_FINGERPRINT}, running on {here}")
+
+    @pytest.fixture(scope="class")
+    def toy_problem(self):
+        graph = make_toy_tag(seed=11)
+        x = np.random.default_rng(0).normal(size=(graph.node_count, 24))
+        train_idx = np.arange(0, graph.node_count, 3)
+        return graph, x, np.asarray(graph.labels), train_idx
+
+    @staticmethod
+    def digest(model):
+        h = hashlib.sha256()
+        for layer in model.layers:
+            h.update(layer.weight.tobytes())
+            h.update(layer.bias.tobytes())
+        h.update(np.asarray(model.loss_history, dtype=np.float64).tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gcn_with_dropout(self, toy_problem, seed):
+        graph, x, y, train_idx = toy_problem
+        cfg = TrainConfig(
+            epochs=30, learning_rate=0.01, dropout=0.5, hidden_dims=(16, 16), seed=seed
+        )
+        model = train_classifier(
+            x, y, train_idx, cfg, kind="gcn", adjacency=normalized_adjacency(graph)
+        )
+        assert self.digest(model) == GOLDEN_GCN[seed]
+
+    def test_wide_mlp_with_weight_decay(self, toy_problem):
+        _graph, x, y, train_idx = toy_problem
+        cfg = TrainConfig(
+            epochs=30, learning_rate=0.01, dropout=0.0, hidden_dims=(256,),
+            weight_decay=5e-4, seed=0,
+        )
+        model = train_classifier(x, y, train_idx, cfg, kind="mlp")
+        assert self.digest(model) == GOLDEN_MLP
