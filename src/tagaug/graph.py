@@ -10,6 +10,7 @@ Dataset directory format (UTF-8, LF newlines):
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -42,14 +43,17 @@ class TextGraph:
     def __post_init__(self):
         if len(self.texts) != self.node_count or len(self.labels) != self.node_count:
             raise DatasetError("texts/labels length must equal node_count")
+        if not _all_int(self.labels):
+            lab = next(lab for lab in self.labels if type(lab) is not int)
+            raise DatasetError(f"label {lab!r} is not an int")
         c = len(self.class_names)
         if self.node_count and c != 1 + max(self.labels):
             raise DatasetError(
                 f"class_names has {c} entries but max label is {max(self.labels)}"
             )
-        for lab in self.labels:
-            if not 0 <= lab < c:
-                raise DatasetError(f"label {lab} out of range [0, {c})")
+        if self.node_count and min(self.labels) < 0:
+            lab = next(lab for lab in self.labels if lab < 0)
+            raise DatasetError(f"label {lab} out of range [0, {c})")
         n = self.node_count
         pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
         loops = pairs[pairs[:, 0] == pairs[:, 1]]
@@ -59,10 +63,14 @@ class TextGraph:
         if len(outside):
             u, v = outside[0]
             raise DatasetError(f"edge ({u}, {v}) malformed or out of range")
-        # One integer code per undirected pair; np.unique sorts and dedups them.
-        codes = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
-        canonical = tuple(zip((codes // n).tolist(), (codes % n).tolist()))
-        object.__setattr__(self, "edges", canonical)
+        # One integer code per undirected pair, sorted, repeats dropped.
+        codes = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
+        first = np.ones(len(codes), dtype=bool)
+        np.not_equal(codes[1:], codes[:-1], out=first[1:])
+        pairs = np.column_stack((codes[first] // n, codes[first] % n))
+        # _pairs holds the canonical edges as an (E, 2) int64 array.
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "edges", tuple(zip(*pairs.T.tolist())))
 
     @property
     def num_classes(self):
@@ -80,7 +88,7 @@ class TextGraph:
         """Symmetric CSR (indptr, indices) of the edges, each row sorted."""
         # Built on first use; a frozen graph's edges never change, and every
         # derived graph (merge_augmented) is a new object with its own index.
-        pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        pairs = self._pairs
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
         indptr = np.zeros(self.node_count + 1, dtype=np.int64)
@@ -127,8 +135,135 @@ class NormalizedAdjacency:
         return out
 
 
+# Only a line holding "}", a comma and "{" in a row can hold two objects.
+_TWO_OBJECTS = re.compile(r"\}[ \t]*,[ \t]*\{")
+
+
+def _all_int(values):
+    """True when every value is an int; bool, float and numpy ints are not."""
+    return set(map(type, values)) <= {int}
+
+
+def _parse_jsonl(text):
+    """The JSON object on each non-blank line of text, from one json.loads
+    over all of them; None when that parse fails or a line may hold other
+    than exactly one object.
+
+    Lines split on "\n" only: ensure_ascii=False writes U+2028 and U+0085
+    raw, and str.splitlines breaks on them. The joined parse gives each
+    line's own object when it yields one dict per line and no line holds
+    "}", a comma and "{" in a row: only such a line can hold two objects,
+    and only two objects on one line can make up the count for one object
+    spread over two lines.
+    """
+    if _TWO_OBJECTS.search(text):
+        return None
+    body = list(filter(str.strip, text.split("\n")))
+    try:
+        records = json.loads("[" + ",".join(body) + "]")
+    except json.JSONDecodeError:
+        return None
+    if len(records) != len(body) or not set(map(type, records)) <= {dict}:
+        return None
+    return records
+
+
+def _read_jsonl(path, name, keys=(), columns=list, fault=None):
+    """columns(records) of the JSON objects on path's non-blank lines.
+
+    The file is parsed in one pass, and columns checks all records at once,
+    returning None if one is invalid. Only then is it read line by line: the
+    first line that is not one JSON object, lacks one of keys, or has a
+    fault(record, index) names, raises DatasetError naming the file and the
+    line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    records = _parse_jsonl(text)
+    found = None if records is None else columns(records)
+    if found is not None:
+        return found
+    records = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{name} line {lineno}: malformed JSON: {exc}") from None
+        if type(rec) is not dict:
+            why = "not a JSON object"
+        else:
+            missing = [key for key in keys if key not in rec]
+            why = f"missing key {missing[0]!r}" if missing else None
+            if why is None and fault is not None:
+                why = fault(rec, len(records))
+        if why:
+            raise DatasetError(f"{name} line {lineno}: {why}")
+        records.append(rec)
+    return columns(records)
+
+
+def _node_columns(records, class_count):
+    """(labels, texts) when every node record is valid, else None."""
+    try:
+        ids = [rec["id"] for rec in records]
+        labels = [rec["label"] for rec in records]
+        texts = [rec["text"] for rec in records]
+    except KeyError:
+        return None
+    if not (_all_int(ids) and ids == list(range(len(ids))) and _all_int(labels)):
+        return None
+    if labels and not (min(labels) >= 0 and max(labels) < class_count):
+        return None
+    return labels, texts
+
+
+def _node_fault(rec, index, class_count):
+    nid, label = rec["id"], rec["label"]
+    if type(nid) is not int:
+        return f"node id {json.dumps(nid)} is not an integer"
+    if 0 <= nid < index:
+        return f"duplicate node id {nid}"
+    if nid != index:
+        return f"node ids must be 0-based contiguous ascending, got {nid}"
+    if type(label) is not int:
+        return f"label {json.dumps(label)} is not an integer"
+    if not 0 <= label < class_count:
+        return f"label out of range ({label} >= {class_count})"
+    return None
+
+
+def _edge_pairs(records, n):
+    """The (src, dst) pairs as an (E, 2) array when every edge record is
+    valid, else None."""
+    try:
+        src = [rec["src"] for rec in records]
+        dst = [rec["dst"] for rec in records]
+    except KeyError:
+        return None
+    if not (_all_int(src) and _all_int(dst)):
+        return None
+    if records and not (min(min(src), min(dst)) >= 0 and max(max(src), max(dst)) < n):
+        return None
+    pairs = np.array([src, dst], dtype=np.int64).T
+    return None if (pairs[:, 0] == pairs[:, 1]).any() else pairs
+
+
+def _edge_fault(rec, n):
+    u, v = rec["src"], rec["dst"]
+    if type(u) is not int or type(v) is not int:
+        return f"edge endpoints ({json.dumps(u)}, {json.dumps(v)}) are not integers"
+    if not (0 <= u < n and 0 <= v < n):
+        return f"edge endpoint out of range ({u}, {v})"
+    if u == v:
+        return f"self-loop on node {u}"
+    return None
+
+
 def load_dataset(directory_path):
-    """Load and validate a dataset directory into a TextGraph."""
+    """Load and validate a dataset directory into a TextGraph. An invalid
+    line raises DatasetError naming its file and line number."""
     directory_path = os.fspath(directory_path)
     for name in ("nodes.jsonl", "edges.jsonl", "meta.json"):
         if not os.path.exists(os.path.join(directory_path, name)):
@@ -139,45 +274,21 @@ def load_dataset(directory_path):
     class_names = tuple(meta["class_names"])
     c = len(class_names)
 
-    texts, labels = [], []
-    seen_ids = set()
-    with open(os.path.join(directory_path, "nodes.jsonl"), encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            nid, text, label = rec["id"], rec["text"], rec["label"]
-            if nid in seen_ids:
-                raise DatasetError(f"nodes.jsonl line {lineno}: duplicate node id {nid}")
-            if nid != len(texts):
-                raise DatasetError(
-                    f"nodes.jsonl line {lineno}: node ids must be 0-based contiguous "
-                    f"ascending, got {nid}"
-                )
-            if not 0 <= label < c:
-                raise DatasetError(
-                    f"nodes.jsonl line {lineno}: label out of range ({label} >= {c})"
-                )
-            seen_ids.add(nid)
-            texts.append(text)
-            labels.append(label)
-
+    labels, texts = _read_jsonl(
+        os.path.join(directory_path, "nodes.jsonl"),
+        "nodes.jsonl",
+        ("id", "text", "label"),
+        lambda records: _node_columns(records, c),
+        lambda rec, index: _node_fault(rec, index, c),
+    )
     n = len(texts)
-    pairs = []
-    with open(os.path.join(directory_path, "edges.jsonl"), encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            u, v = rec["src"], rec["dst"]
-            if not (0 <= u < n and 0 <= v < n):
-                raise DatasetError(
-                    f"edges.jsonl line {lineno}: edge endpoint out of range ({u}, {v})"
-                )
-            if u == v:
-                raise DatasetError(f"edges.jsonl line {lineno}: self-loop on node {u}")
-            pairs.append((u, v))
-
+    pairs = _read_jsonl(
+        os.path.join(directory_path, "edges.jsonl"),
+        "edges.jsonl",
+        ("src", "dst"),
+        lambda records: _edge_pairs(records, n),
+        lambda rec, _index: _edge_fault(rec, n),
+    )
     return TextGraph(
         node_count=n,
         texts=tuple(texts),
@@ -204,32 +315,37 @@ def _open_atomic(path, mode="w"):
         raise
 
 
+_encode_text = json.JSONEncoder(ensure_ascii=False).encode
+_encode_record = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
+
 def write_dataset(graph, directory_path, tail_class_count=None, provenance=None):
     """Write a TextGraph in the dataset directory format.
 
     When provenance records are given (one dict per synthetic node),
-    they go to a provenance.jsonl sidecar. Each file is replaced
-    atomically.
+    they go to a provenance.jsonl sidecar. Each file is built as one
+    string, with the bytes json.dumps(record, ensure_ascii=False,
+    sort_keys=True) gives per line, and replaced atomically.
     """
     directory_path = os.fspath(directory_path)
-    os.makedirs(directory_path, exist_ok=True)
-    with _open_atomic(os.path.join(directory_path, "nodes.jsonl")) as fh:
-        for nid in range(graph.node_count):
-            rec = {"id": nid, "text": graph.texts[nid], "label": graph.labels[nid]}
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
-    with _open_atomic(os.path.join(directory_path, "edges.jsonl")) as fh:
-        for u, v in graph.edges:
-            fh.write(json.dumps({"dst": v, "src": u}, sort_keys=True) + "\n")
     meta = {"class_names": list(graph.class_names)}
     if tail_class_count is not None:
         meta["tail_class_count"] = tail_class_count
-    with _open_atomic(os.path.join(directory_path, "meta.json")) as fh:
-        json.dump(meta, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
+    # TextGraph holds int labels only, so no label prints as True here.
+    files = {
+        "nodes.jsonl": "".join(
+            f'{{"id": {nid}, "label": {label}, "text": {_encode_text(text)}}}\n'
+            for nid, (text, label) in enumerate(zip(graph.texts, graph.labels))
+        ),
+        "edges.jsonl": "".join(f'{{"dst": {v}, "src": {u}}}\n' for u, v in graph.edges),
+        "meta.json": json.dumps(meta, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
+    }
     if provenance is not None:
-        with _open_atomic(os.path.join(directory_path, "provenance.jsonl")) as fh:
-            for rec in provenance:
-                fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+        files["provenance.jsonl"] = "".join(_encode_record(rec) + "\n" for rec in provenance)
+    os.makedirs(directory_path, exist_ok=True)
+    for name, content in files.items():
+        with _open_atomic(os.path.join(directory_path, name)) as fh:
+            fh.write(content)
 
 
 def class_frequencies(graph):
@@ -335,25 +451,22 @@ def normalized_adjacency(graph):
 def merge_augmented(graph, synthetic):
     """Append synthetic nodes (ids node_count + i) and their edges."""
     n = graph.node_count
-    texts = list(graph.texts)
-    labels = list(graph.labels)
-    new_edges = list(graph.edges)
-    for i, node in enumerate(synthetic):
-        new_id = n + i
-        texts.append(node.text)
-        labels.append(node.label)
-        for target, _score in node.edges:
-            if not 0 <= target < new_id:
-                raise ValueError(
-                    f"synthetic node {i} references unknown id {target}"
-                )
-            new_edges.append((target, new_id))
+    new_ids = np.repeat(
+        np.arange(n, n + len(synthetic)), [len(node.edges) for node in synthetic]
+    )
+    targets = np.array(
+        [target for node in synthetic for target, _score in node.edges], dtype=np.int64
+    )
+    bad = np.flatnonzero((targets < 0) | (targets >= new_ids))
+    if len(bad):
+        i, target = new_ids[bad[0]] - n, targets[bad[0]]
+        raise ValueError(f"synthetic node {i} references unknown id {target}")
     return TextGraph(
         node_count=n + len(synthetic),
-        texts=tuple(texts),
-        labels=tuple(labels),
+        texts=tuple(graph.texts) + tuple(node.text for node in synthetic),
+        labels=tuple(graph.labels) + tuple(node.label for node in synthetic),
         class_names=graph.class_names,
-        edges=new_edges,
+        edges=np.concatenate([graph._pairs, np.column_stack((targets, new_ids))]),
     )
 
 

@@ -28,6 +28,7 @@ from .generation import (
 from .graph import (
     LongTailSplit,
     _open_atomic,
+    _read_jsonl,
     graph_stats,
     load_dataset,
     make_longtail_split,
@@ -124,9 +125,9 @@ def _from_json(cls, data):
 
 def write_report(report, path):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     with _open_atomic(path) as fh:
-        json.dump(report, fh, sort_keys=True, indent=2, ensure_ascii=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _read_meta(dataset_dir):
@@ -144,7 +145,8 @@ def _resolve_tail_count(tail_class_count, meta, graph):
 
 
 def _split_block(split):
-    return {**asdict(split), "tail_classes": sorted(split.tail_classes)}
+    # vars, not asdict: asdict would deep-copy the 10k-entry index tuples
+    return {**vars(split), "tail_classes": sorted(split.tail_classes)}
 
 
 def _split_counts(split):
@@ -215,29 +217,7 @@ def run_augment(cfg):
     )
     timings["edges_s"] = time.perf_counter() - t4
 
-    augmented = merge_augmented(graph, nodes)
-    augmented_dir = os.path.join(cfg.out_dir, "augmented")
-    provenance = []
-    for i, node in enumerate(nodes):
-        rec = dict(node.provenance)
-        rec.update(
-            {
-                "node_id": graph.node_count + i,
-                "label": node.label,
-                "isolated": node.isolated,
-                "edges": [[t, round(s, 6)] for t, s in node.edges],
-            }
-        )
-        provenance.append(rec)
-    write_dataset(augmented, augmented_dir, tail_class_count=tail_count, provenance=provenance)
-    with _open_atomic(os.path.join(cfg.out_dir, "embeddings.npz"), "wb") as fh:
-        np.savez(
-            fh,
-            original=emb.vectors,
-            synthetic=syn_emb.vectors if nodes else np.zeros((0, emb.dim)),
-            encoder_id=np.frombuffer(emb.encoder_id.encode("utf-8"), dtype=np.uint8),
-        )
-    write_report(_split_block(split), os.path.join(cfg.out_dir, "split.json"))
+    write_artifacts(cfg.out_dir, graph, split, tail_count, nodes, emb, syn_emb)
 
     report = {
         "tool": "tagaug",
@@ -256,7 +236,37 @@ def run_augment(cfg):
     return report
 
 
-def _load_artifacts(cfg):
+def write_artifacts(out_dir, graph, split, tail_count, nodes, emb, syn_emb):
+    """Persist what augment made: the augmented graph with its provenance
+    sidecar under out_dir/augmented, embeddings.npz and split.json."""
+    augmented = merge_augmented(graph, nodes)
+    provenance = []
+    for i, node in enumerate(nodes):
+        rec = dict(node.provenance)
+        rec.update(
+            {
+                "node_id": graph.node_count + i,
+                "label": node.label,
+                "isolated": node.isolated,
+                "edges": [[t, round(s, 6)] for t, s in node.edges],
+            }
+        )
+        provenance.append(rec)
+    write_dataset(
+        augmented, os.path.join(out_dir, "augmented"),
+        tail_class_count=tail_count, provenance=provenance,
+    )
+    with _open_atomic(os.path.join(out_dir, "embeddings.npz"), "wb") as fh:
+        np.savez(
+            fh,
+            original=emb.vectors,
+            synthetic=syn_emb.vectors if nodes else np.zeros((0, emb.dim)),
+            encoder_id=np.frombuffer(emb.encoder_id.encode("utf-8"), dtype=np.uint8),
+        )
+    write_report(_split_block(split), os.path.join(out_dir, "split.json"))
+
+
+def load_artifacts(cfg):
     """Reload what train-eval reads of run_augment's output; no network
     access. Returns the graph, the split, the original embeddings, and the
     llm cells' synthetic (rows, labels, anchors): the labels and anchor ids
@@ -274,8 +284,7 @@ def _load_artifacts(cfg):
     records = []
     prov_path = os.path.join(cfg.out_dir, "augmented", "provenance.jsonl")
     if os.path.exists(prov_path):
-        with open(prov_path, encoding="utf-8") as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
+        records = _read_jsonl(prov_path, "provenance.jsonl")
     llm = None
     if records:
         row_labels = np.array([rec["label"] for rec in records], dtype=np.int64)
@@ -360,7 +369,7 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
     check_grid(grid)
     timings = {}
     t0 = time.perf_counter()
-    graph, split, emb, llm = _load_artifacts(cfg)
+    graph, split, emb, llm = load_artifacts(cfg)
     labels = list(graph.labels)
     # Only the boundary block of a non-origin cell reads these.
     references = _boundary_references(emb, labels, cfg) if set(grid) - {"origin"} else None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tagaug.cli import main
-from tagaug.graph import make_longtail_split, write_dataset
+from tagaug.graph import DatasetError, make_longtail_split, write_dataset
 from tagaug.pipeline import RunConfig, run_augment, run_train_eval, write_report
 from tagaug.embedding import EncoderConfig
 from tagaug.generation import GeneratorConfig
@@ -321,6 +321,16 @@ class TestTrainEval:
         before.pop("timings")
         after.pop("timings")
         assert after == before
+
+    def test_malformed_provenance_line_is_named(self, tmp_path, toy_dataset_dir):
+        cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
+        run_augment(cfg)
+        path = tmp_path / "run" / "augmented" / "provenance.jsonl"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[1] = lines[1][:-1]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"^provenance\.jsonl line 2: malformed JSON"):
+            run_train_eval(cfg, grid=("origin", "llm"))
 
     def test_warm_cache_reports_equal_modulo_timings(self, tmp_path, toy_dataset_dir):
         cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))

@@ -450,3 +450,303 @@ def test_neighbors_match_edge_scan(data):
     merged = merge_augmented(graph, [synth(0, [(t, 1.0) for t in ts]) for ts in targets])
     for v in range(merged.node_count):
         assert merged.neighbors(v) == edge_scan_neighbors(merged, v)
+
+
+class TestLoaderNamesFileAndLine:
+    def test_malformed_json_line(self, tmp_path):
+        write_raw(tmp_path, small_nodes([0, 0]), [], {"class_names": ["a"]})
+        with open(tmp_path / "nodes.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"id": 2, "label": 0, "text": \n')
+        with pytest.raises(DatasetError, match=r"^nodes\.jsonl line 3: malformed JSON"):
+            load_dataset(tmp_path)
+
+    def test_missing_label(self, tmp_path):
+        write_raw(tmp_path, [{"id": 0, "text": "x"}], [], {"class_names": ["a"]})
+        with pytest.raises(DatasetError, match=r"^nodes\.jsonl line 1: missing key 'label'"):
+            load_dataset(tmp_path)
+
+    def test_missing_src(self, tmp_path):
+        write_raw(
+            tmp_path, small_nodes([0, 0, 0]), [{"src": 0, "dst": 1}, {"dst": 2}],
+            {"class_names": ["a"]},
+        )
+        with pytest.raises(DatasetError, match=r"^edges\.jsonl line 2: missing key 'src'"):
+            load_dataset(tmp_path)
+
+    def test_fractional_label_below_the_largest(self, tmp_path):
+        write_raw(tmp_path, small_nodes([2, 1.5, 0]), [], {"class_names": ["a", "b", "c"]})
+        with pytest.raises(DatasetError, match=r"^nodes\.jsonl line 2: label 1\.5 is not an integer"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "node, edge, named",
+        [
+            ({"id": True}, None, r"^nodes\.jsonl line 2: node id true is not an integer"),
+            ({"id": 1.0}, None, r"^nodes\.jsonl line 2: node id 1\.0 is not an integer"),
+            ({"label": True}, None, r"^nodes\.jsonl line 2: label true is not an integer"),
+            (None, {"src": True}, r"^edges\.jsonl line 1: edge endpoints \(true, 2\)"),
+            (None, {"dst": 2.0}, r"^edges\.jsonl line 1: edge endpoints \(0, 2\.0\)"),
+            (None, {"dst": "2"}, r'^edges\.jsonl line 1: edge endpoints \(0, "2"\)'),
+        ],
+    )
+    def test_value_that_is_not_a_json_integer(self, tmp_path, node, edge, named):
+        nodes = small_nodes([0, 0, 0])
+        edges = [{"src": 0, "dst": 2}]
+        nodes[1].update(node or {})
+        edges[0].update(edge or {})
+        write_raw(tmp_path, nodes, edges, {"class_names": ["a"]})
+        with pytest.raises(DatasetError, match=named):
+            load_dataset(tmp_path)
+
+    def test_two_objects_on_one_line(self, tmp_path):
+        write_raw(tmp_path, [], [], {"class_names": ["a"]})
+        (tmp_path / "nodes.jsonl").write_text(
+            '{"id": 0, "label": 0, "text": "x"}, {"id": 1, "label": 0, "text": "y"}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetError, match=r"^nodes\.jsonl line 1: malformed JSON"):
+            load_dataset(tmp_path)
+
+    def test_one_object_spread_over_two_lines(self, tmp_path):
+        # Joined with a comma, the two lines parse as one node with text "a,".
+        write_raw(tmp_path, [], [], {"class_names": ["a"]})
+        (tmp_path / "nodes.jsonl").write_text(
+            '{"id": 0, "label": 0, "text": "a\n"}\n', encoding="utf-8"
+        )
+        with pytest.raises(DatasetError, match=r"^nodes\.jsonl line 1: malformed JSON"):
+            load_dataset(tmp_path)
+
+    def test_two_objects_on_one_line_cannot_make_up_for_a_split_one(self, tmp_path):
+        # Joined with commas, these three lines parse as three valid nodes
+        # (the first with text "a,b"); line by line, line 1 is malformed.
+        write_raw(tmp_path, [], [], {"class_names": ["a"]})
+        (tmp_path / "nodes.jsonl").write_text(
+            '{"id": 0, "label": 0, "text": "a\n'
+            'b"}\n'
+            '{"id": 1, "label": 0, "text": "c"}, {"id": 2, "label": 0, "text": "d"}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetError, match=r"^nodes\.jsonl line 1: malformed JSON"):
+            load_dataset(tmp_path)
+
+    def test_self_loop(self, tmp_path):
+        write_raw(
+            tmp_path, small_nodes([0, 0, 0]), [{"src": 0, "dst": 1}, {"src": 2, "dst": 2}],
+            {"class_names": ["a"]},
+        )
+        with pytest.raises(DatasetError, match=r"^edges\.jsonl line 2: self-loop on node 2"):
+            load_dataset(tmp_path)
+
+    def test_not_an_object(self, tmp_path):
+        write_raw(tmp_path, small_nodes([0]), [[0, 1]], {"class_names": ["a"]})
+        with pytest.raises(DatasetError, match=r"^edges\.jsonl line 1: not a JSON object"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("first_bad", ["label", "json"])
+    def test_first_of_two_bad_lines_deep_in_a_file(self, tmp_path, first_bad):
+        write_raw(tmp_path, small_nodes([0, 1] * 300), [], {"class_names": ["a", "b"]})
+        lines = (tmp_path / "nodes.jsonl").read_text(encoding="utf-8").split("\n")
+        bad_label = json.dumps({"id": 0, "label": 0.5, "text": "x"})
+        label_at, json_at = (400, 500) if first_bad == "label" else (500, 400)
+        lines[label_at - 1] = bad_label.replace('"id": 0', f'"id": {label_at - 1}')
+        lines[json_at - 1] = lines[json_at - 1][:-1]
+        (tmp_path / "nodes.jsonl").write_text("\n".join(lines), encoding="utf-8")
+        first = min(label_at, json_at)
+        with pytest.raises(DatasetError, match=rf"^nodes\.jsonl line {first}: "):
+            load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("label", [True, 1.5, np.int64(0)])
+def test_text_graph_rejects_a_label_that_is_not_an_int(label):
+    with pytest.raises(DatasetError, match="is not an int"):
+        TextGraph(2, ("x", "y"), (label, 1), ("a", "b"), ())
+
+
+# Texts the fast writer and loader must carry unchanged: JSON escapes,
+# control characters, non-ASCII, and U+0085 / U+2028, which ensure_ascii=False
+# writes raw and str.splitlines would split on.
+SPECIAL_TEXTS = ['"', "\\", "\x00", "\x1f", "\t", "\r", "\n", "\x85", " ", " ",
+                 "é", "日本", "}, {", "},{", ""]
+texts = st.lists(
+    st.one_of(st.sampled_from(SPECIAL_TEXTS), st.characters(blacklist_categories=("Cs",))),
+    max_size=8,
+).map("".join)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | texts,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(texts, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def text_graphs(draw, max_nodes=8):
+    n = draw(st.integers(0, max_nodes))
+    class_count = draw(st.integers(1, 3))
+    labels = [draw(st.integers(0, class_count - 1)) for _ in range(n)]
+    if n:
+        labels[0] = class_count - 1  # class_names length must be 1 + max label
+    pair_pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pair_pool), unique=True)) if pair_pool else []
+    return TextGraph(
+        node_count=n,
+        texts=tuple(draw(st.lists(texts, min_size=n, max_size=n))),
+        labels=tuple(labels),
+        class_names=tuple(f"c{i}" for i in range(class_count)) if n else (),
+        edges=tuple(edges),
+    )
+
+
+def oracle_write(graph, directory, provenance):
+    """Writer oracle: one json.dumps per record."""
+    def dump(name, records):
+        with open(directory / name, "w", encoding="utf-8", newline="\n") as fh:
+            for rec in records:
+                fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+
+    dump("nodes.jsonl", (
+        {"id": nid, "text": graph.texts[nid], "label": graph.labels[nid]}
+        for nid in range(graph.node_count)
+    ))
+    dump("edges.jsonl", ({"src": u, "dst": v} for u, v in graph.edges))
+    dump("provenance.jsonl", provenance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text_graphs(), st.lists(st.dictionaries(texts, json_values, max_size=4), max_size=4))
+def test_write_dataset_bytes_match_per_record_dumps(tmp_path_factory, graph, provenance):
+    fast, oracle = tmp_path_factory.mktemp("fast"), tmp_path_factory.mktemp("oracle")
+    write_dataset(graph, fast, provenance=provenance)
+    oracle_write(graph, oracle, provenance)
+    for name in ("nodes.jsonl", "edges.jsonl", "provenance.jsonl"):
+        assert (fast / name).read_bytes() == (oracle / name).read_bytes()
+
+
+def oracle_load(directory):
+    """Loader oracle: each non-blank line parsed and checked on its own. It
+    raises DatasetError naming the first bad line, not the loader's text."""
+    meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
+    class_count = len(meta["class_names"])
+
+    def records(name, keys):
+        with open(directory / name, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except ValueError:
+                    rec = None
+                if not isinstance(rec, dict) or not set(keys) <= rec.keys():
+                    raise DatasetError(f"{name} line {lineno}: bad record")
+                yield f"{name} line {lineno}: bad value", [rec[key] for key in keys]
+
+    texts, labels = [], []
+    for bad, (nid, text, label) in records("nodes.jsonl", ("id", "text", "label")):
+        if type(nid) is not int or nid != len(texts):
+            raise DatasetError(bad)
+        if type(label) is not int or not 0 <= label < class_count:
+            raise DatasetError(bad)
+        texts.append(text)
+        labels.append(label)
+    n, pairs = len(texts), []
+    for bad, (u, v) in records("edges.jsonl", ("src", "dst")):
+        if type(u) is not int or type(v) is not int:
+            raise DatasetError(bad)
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise DatasetError(bad)
+        pairs.append((u, v))
+    return TextGraph(n, tuple(texts), tuple(labels), tuple(meta["class_names"]), pairs)
+
+
+def outcome(load, directory):
+    """The graph, or the part of the DatasetError before the first colon."""
+    try:
+        return load(directory)
+    except DatasetError as exc:
+        return str(exc).split(":")[0]
+
+
+NODE_FAULTS = {
+    "truncated": lambda rec, line: line[:-1],
+    "split": lambda rec, line: line[: len(line) // 2] + "\n" + line[len(line) // 2 :],
+    # joined with a comma, the two halves parse as one node whose text ends in ","
+    "split text": lambda rec, line: line[:-2] + "\n" + line[-2:],
+    "two objects": lambda rec, line: line + ", " + line,
+    "array": lambda rec, line: "[0, 1]",
+    "no label": lambda rec, line: json.dumps({"id": rec["id"], "text": "x"}),
+    "bool id": lambda rec, line: json.dumps({**rec, "id": True}),
+    "float id": lambda rec, line: json.dumps({**rec, "id": float(rec["id"])}),
+    "repeated id": lambda rec, line: json.dumps({**rec, "id": max(rec["id"] - 1, 0)}),
+    "float label": lambda rec, line: json.dumps({**rec, "label": rec["label"] + 0.5}),
+    "bool label": lambda rec, line: json.dumps({**rec, "label": False}),
+    "negative label": lambda rec, line: json.dumps({**rec, "label": -1}),
+    "huge label": lambda rec, line: json.dumps({**rec, "label": 2**70}),
+}
+EDGE_FAULTS = {
+    "truncated": lambda rec, line: line[:-1],
+    "two objects": lambda rec, line: line + "," + line,
+    "no src": lambda rec, line: json.dumps({"dst": rec["dst"]}),
+    "bool src": lambda rec, line: json.dumps({**rec, "src": True}),
+    "float dst": lambda rec, line: json.dumps({**rec, "dst": float(rec["dst"])}),
+    "self-loop": lambda rec, line: json.dumps({**rec, "dst": rec["src"]}),
+    "outside": lambda rec, line: json.dumps({**rec, "dst": -1}),
+    "huge": lambda rec, line: json.dumps({**rec, "src": 2**70}),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(text_graphs(max_nodes=12), st.data())
+def test_load_dataset_matches_per_line_loader(tmp_path_factory, graph, data):
+    directory = tmp_path_factory.mktemp("load")
+    write_dataset(graph, directory, tail_class_count=1)
+    for name, faults in (("nodes.jsonl", NODE_FAULTS), ("edges.jsonl", EDGE_FAULTS)):
+        lines = (directory / name).read_text(encoding="utf-8").split("\n")[:-1]
+        # up to two faulty lines anywhere, then blank lines between any two
+        spots = st.lists(st.integers(0, len(lines) - 1), max_size=2, unique=True)
+        for at in data.draw(spots) if lines else []:
+            fault = faults[data.draw(st.sampled_from(sorted(faults)))]
+            lines[at] = fault(json.loads(lines[at]), lines[at])
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(0, len(lines)))
+            lines.insert(at, data.draw(st.sampled_from(["", " ", "\t", "\x85 "])))
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        body = "".join(line.replace("\n", newline) + newline for line in lines)
+        (directory / name).write_bytes(body.encode("utf-8"))
+    expected = outcome(oracle_load, directory)
+    assert outcome(load_dataset, directory) == expected
+    if isinstance(expected, TextGraph):
+        assert expected == graph
+
+
+def naive_merge(graph, synthetic):
+    """merge_augmented oracle: one node and one edge at a time."""
+    texts, labels, edges = list(graph.texts), list(graph.labels), list(graph.edges)
+    for i, node in enumerate(synthetic):
+        new_id = graph.node_count + i
+        texts.append(node.text)
+        labels.append(node.label)
+        for target, _score in node.edges:
+            if not 0 <= target < new_id:
+                raise ValueError(f"synthetic node {i} references unknown id {target}")
+            edges.append((target, new_id))
+    return TextGraph(len(texts), tuple(texts), tuple(labels), graph.class_names, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text_graphs(max_nodes=6), st.data())
+def test_merge_augmented_matches_node_loop(graph, data):
+    if not graph.node_count:
+        return
+    top = graph.node_count + 3
+    synthetic = [
+        synth(data.draw(st.integers(0, graph.num_classes - 1)),
+              [(t, 1.0) for t in data.draw(st.lists(st.integers(-1, top), max_size=4))])
+        for _ in range(data.draw(st.integers(0, 3)))
+    ]
+    try:
+        expected = naive_merge(graph, synthetic)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            merge_augmented(graph, synthetic)
+    else:
+        assert merge_augmented(graph, synthetic) == expected
