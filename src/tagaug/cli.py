@@ -10,8 +10,8 @@ import json
 import logging
 import sys
 
-from .graph import graph_stats, load_dataset, make_longtail_split
-from .pipeline import RunConfig, _read_meta, _resolve_tail_count, check_grid
+from .graph import _read_meta, graph_stats, load_dataset, make_longtail_split
+from .pipeline import RunConfig, _resolve_tail_count, check_grid
 from .pipeline import run_augment, run_train_eval, run_verify
 
 

@@ -18,6 +18,7 @@ from dataclasses import asdict, astuple, dataclass, field
 import numpy as np
 
 from .embedding import _in_order, _post_with_retries, knn_embedding, knn_same_class
+from .graph import _encode_record, _jsonl_records
 
 logger = logging.getLogger(__name__)
 
@@ -324,23 +325,23 @@ class GenCache:
     A crash mid-append can leave a torn final line: one with no trailing
     newline that does not parse. Loading drops it (with a warning) and the
     next append first truncates the file back to the last newline, so the
-    cache stays a valid resume point. A malformed line anywhere else raises.
+    cache stays a valid resume point. A malformed line anywhere else, or a
+    record without "key" or "text", raises DatasetError naming the line.
     """
 
     def __init__(self, path):
         self.path = os.fspath(path)
-        self.entries = {}
         self._truncate_to = None  # byte offset of a torn final line
         self._unterminated = False  # the final record lacks its newline
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as fh:
-            blob = fh.read()
+        blob = b""
+        if os.path.exists(self.path):
+            with open(self.path, "rb") as fh:
+                blob = fh.read()
         body, _, tail = blob.rpartition(b"\n")
-        records = [json.loads(line) for line in body.split(b"\n") if line.strip()]
         if tail.strip():
             try:
-                records.append(json.loads(tail))
+                json.loads(tail)
+                body = blob
                 self._unterminated = True
             except ValueError:
                 logger.warning(
@@ -348,6 +349,7 @@ class GenCache:
                     self.path, len(tail), tail[:200],
                 )
                 self._truncate_to = len(blob) - len(tail)
+        records = _jsonl_records(body.decode("utf-8"), "gen_cache.jsonl", ("key", "text"))
         self.entries = {rec["key"]: rec for rec in records}
 
     def get(self, key):
@@ -371,7 +373,7 @@ class GenCache:
         lead = "\n" if self._unterminated else ""
         self._unterminated = False
         with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-            fh.write(lead + json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(lead + _encode_record(rec) + "\n")
 
 
 def cache_key(variant, pair, t1, t2, class1, class2, gen, spec, attempt=0):

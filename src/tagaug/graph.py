@@ -13,7 +13,7 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .kernels import csr_matmul, csr_plan
 
 
 class DatasetError(ValueError):
-    """Raised when a dataset directory fails validation."""
+    """Raised when a dataset directory or an artifact file fails validation."""
 
 
 @dataclass(frozen=True)
@@ -168,17 +168,26 @@ def _parse_jsonl(text):
     return records
 
 
-def _read_jsonl(path, name, keys=(), columns=list, fault=None):
-    """columns(records) of the JSON objects on path's non-blank lines.
+def _valid(keys, fault, records):
+    """records when each holds every key and has no fault, else None."""
+    if not all(key in rec for rec in records for key in keys):
+        return None
+    if fault is not None and any(fault(rec, i) for i, rec in enumerate(records)):
+        return None
+    return records
 
-    The file is parsed in one pass, and columns checks all records at once,
+
+def _jsonl_records(text, name, keys=(), columns=None, fault=None):
+    """columns(records) of the JSON objects on text's non-blank lines; by
+    default the records themselves, when none is invalid.
+
+    The text is parsed in one pass, and columns checks all records at once,
     returning None if one is invalid. Only then is it read line by line: the
     first line that is not one JSON object, lacks one of keys, or has a
     fault(record, index) names, raises DatasetError naming the file and the
     line.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    columns = columns or partial(_valid, keys, fault)
     records = _parse_jsonl(text)
     found = None if records is None else columns(records)
     if found is not None:
@@ -204,6 +213,12 @@ def _read_jsonl(path, name, keys=(), columns=list, fault=None):
     return columns(records)
 
 
+def _read_jsonl(directory_path, name, keys=(), columns=None, fault=None):
+    """_jsonl_records of the file name in directory_path."""
+    with open(os.path.join(directory_path, name), encoding="utf-8") as fh:
+        return _jsonl_records(fh.read(), name, keys, columns, fault)
+
+
 def _node_columns(records, class_count):
     """(labels, texts) when every node record is valid, else None."""
     try:
@@ -219,19 +234,27 @@ def _node_columns(records, class_count):
     return labels, texts
 
 
+def _range_fault(rec, bounds):
+    """Why rec's value at the first bad key of bounds is not an int in
+    [0, bound), or None."""
+    for key, bound in bounds.items():
+        value = rec[key]
+        if type(value) is not int:
+            return f"{key} {json.dumps(value)} is not an integer"
+        if not 0 <= value < bound:
+            return f"{key} out of range ({value} not in [0, {bound}))"
+    return None
+
+
 def _node_fault(rec, index, class_count):
-    nid, label = rec["id"], rec["label"]
+    nid = rec["id"]
     if type(nid) is not int:
         return f"node id {json.dumps(nid)} is not an integer"
     if 0 <= nid < index:
         return f"duplicate node id {nid}"
     if nid != index:
         return f"node ids must be 0-based contiguous ascending, got {nid}"
-    if type(label) is not int:
-        return f"label {json.dumps(label)} is not an integer"
-    if not 0 <= label < class_count:
-        return f"label out of range ({label} >= {class_count})"
-    return None
+    return _range_fault(rec, {"label": class_count})
 
 
 def _edge_pairs(records, n):
@@ -261,6 +284,21 @@ def _edge_fault(rec, n):
     return None
 
 
+def _read_meta(directory_path):
+    """meta.json of a dataset directory; DatasetError unless it is an object
+    whose class_names is a list and whose tail_class_count, if any, an int."""
+    try:
+        with open(os.path.join(directory_path, "meta.json"), encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"meta.json: malformed JSON: {exc}") from None
+    if type(meta) is not dict or type(meta.get("class_names")) is not list:
+        raise DatasetError("meta.json: class_names must be a list")
+    if type(meta.get("tail_class_count", 0)) is not int:
+        raise DatasetError("meta.json: tail_class_count must be an integer")
+    return meta
+
+
 def load_dataset(directory_path):
     """Load and validate a dataset directory into a TextGraph. An invalid
     line raises DatasetError naming its file and line number."""
@@ -269,23 +307,17 @@ def load_dataset(directory_path):
         if not os.path.exists(os.path.join(directory_path, name)):
             raise DatasetError(f"missing file: {name} in {directory_path}")
 
-    with open(os.path.join(directory_path, "meta.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
-    class_names = tuple(meta["class_names"])
+    class_names = tuple(_read_meta(directory_path)["class_names"])
     c = len(class_names)
 
     labels, texts = _read_jsonl(
-        os.path.join(directory_path, "nodes.jsonl"),
-        "nodes.jsonl",
-        ("id", "text", "label"),
+        directory_path, "nodes.jsonl", ("id", "text", "label"),
         lambda records: _node_columns(records, c),
         lambda rec, index: _node_fault(rec, index, c),
     )
     n = len(texts)
     pairs = _read_jsonl(
-        os.path.join(directory_path, "edges.jsonl"),
-        "edges.jsonl",
-        ("src", "dst"),
+        directory_path, "edges.jsonl", ("src", "dst"),
         lambda records: _edge_pairs(records, n),
         lambda rec, _index: _edge_fault(rec, n),
     )

@@ -20,7 +20,6 @@ train_idx rows alone and its dropout masks have that shape; prediction
 still scores every row. backward returns parameter gradients only.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -29,8 +28,6 @@ import numpy as np
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-CHECKPOINT_VERSION = 1
 
 # Entries of each weight and bias array that gradient_check perturbs.
 GRAD_CHECK_SAMPLES = 6
@@ -363,38 +360,3 @@ def aggregate_layer(h, neighbor_lists, beta_lists, alpha, weight):
         agg = betas @ wh[np.asarray(nbrs, dtype=np.int64)]
         out[v] = alpha * wh[v] + (1.0 - alpha) * agg
     return out
-
-
-def save_model(model, path, encoder_id="", config_digest=""):
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "kind": model.kind,
-        "dropout_rate": model.dropout_rate,
-        "class_count": model.class_count,
-        "layer_count": len(model.layers),
-        "encoder_id": encoder_id,
-        "config_digest": config_digest,
-    }
-    arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
-    for i, layer in enumerate(model.layers):
-        arrays[f"w{i}"] = layer.weight
-        arrays[f"b{i}"] = layer.bias
-    np.savez(path, **arrays)
-
-
-def load_model(path):
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        layers = [
-            DenseLayer(weight=data[f"w{i}"].copy(), bias=data[f"b{i}"].copy())
-            for i in range(meta["layer_count"])
-        ]
-    model = ClassifierModel(
-        kind=meta["kind"],
-        layers=layers,
-        dropout_rate=meta["dropout_rate"],
-        class_count=meta["class_count"],
-    )
-    return model, meta

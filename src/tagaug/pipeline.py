@@ -26,9 +26,12 @@ from .generation import (
     rebalance_targets,
 )
 from .graph import (
+    DatasetError,
     LongTailSplit,
     _open_atomic,
+    _range_fault,
     _read_jsonl,
+    _read_meta,
     graph_stats,
     load_dataset,
     make_longtail_split,
@@ -130,18 +133,11 @@ def write_report(report, path):
         fh.write(text)
 
 
-def _read_meta(dataset_dir):
-    with open(os.path.join(dataset_dir, "meta.json"), encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _resolve_tail_count(tail_class_count, meta, graph):
     """The tail-class count: the given value, else meta.json's, else C // 2."""
-    if tail_class_count is not None:
-        return tail_class_count
-    if "tail_class_count" in meta:
-        return meta["tail_class_count"]
-    return max(1, graph.num_classes // 2)
+    if tail_class_count is None:
+        return meta.get("tail_class_count", max(1, graph.num_classes // 2))
+    return tail_class_count
 
 
 def _split_block(split):
@@ -217,7 +213,9 @@ def run_augment(cfg):
     )
     timings["edges_s"] = time.perf_counter() - t4
 
+    t5 = time.perf_counter()
     write_artifacts(cfg.out_dir, graph, split, tail_count, nodes, emb, syn_emb)
+    timings["write_s"] = time.perf_counter() - t5
 
     report = {
         "tool": "tagaug",
@@ -271,8 +269,7 @@ def load_artifacts(cfg):
     access. Returns the graph, the split, the original embeddings, and the
     llm cells' synthetic (rows, labels, anchors): the labels and anchor ids
     come from provenance.jsonl, the rows from embeddings.npz (row i belongs
-    to record i). It is None when augment recorded no synthetic node. No
-    cell reads the synthetic texts."""
+    to record i). No cell reads the synthetic texts."""
     graph = load_dataset(cfg.dataset_dir)
     split = _load_split(os.path.join(cfg.out_dir, "split.json"))
     with np.load(os.path.join(cfg.out_dir, "embeddings.npz")) as data:
@@ -281,15 +278,18 @@ def load_artifacts(cfg):
         encoder_id = bytes(data["encoder_id"]).decode("utf-8")
     emb = EmbeddingMatrix(vectors=original, encoder_id=encoder_id)
 
-    records = []
-    prov_path = os.path.join(cfg.out_dir, "augmented", "provenance.jsonl")
-    if os.path.exists(prov_path):
-        records = _read_jsonl(prov_path, "provenance.jsonl")
-    llm = None
-    if records:
-        row_labels = np.array([rec["label"] for rec in records], dtype=np.int64)
-        llm = (synthetic, row_labels, [rec["anchor"] for rec in records])
-    return graph, split, emb, llm
+    bounds = {"label": graph.num_classes, "anchor": graph.node_count}
+    records = _read_jsonl(
+        os.path.join(cfg.out_dir, "augmented"), "provenance.jsonl", tuple(bounds),
+        fault=lambda rec, _index: _range_fault(rec, bounds),
+    )
+    if len(records) != len(synthetic):
+        raise DatasetError(
+            f"embeddings.npz has {len(synthetic)} synthetic rows but "
+            f"provenance.jsonl has {len(records)} records"
+        )
+    row_labels = np.array([rec["label"] for rec in records], dtype=np.int64)
+    return graph, split, emb, (synthetic, row_labels, [rec["anchor"] for rec in records])
 
 
 def _train_eval_cell(graph, features, train_ids, split, cfg):
@@ -387,8 +387,6 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
         cell_graph, features, boundary = graph, emb.vectors, None
         train_ids = np.asarray(split.train_idx)
         if cell != "origin":
-            if cell.startswith("llm") and llm is None:
-                raise FileNotFoundError(f"cell {cell}: no augmented artifacts under {cfg.out_dir}")
             rows, row_labels, anchors = num if cell.startswith("num") else llm
             nodes = [
                 SyntheticNode(

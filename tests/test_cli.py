@@ -7,7 +7,13 @@ import pytest
 
 from tagaug.cli import main
 from tagaug.graph import DatasetError, make_longtail_split, write_dataset
-from tagaug.pipeline import RunConfig, run_augment, run_train_eval, write_report
+from tagaug.pipeline import (
+    RunConfig,
+    load_artifacts,
+    run_augment,
+    run_train_eval,
+    write_report,
+)
 from tagaug.embedding import EncoderConfig
 from tagaug.generation import GeneratorConfig
 from tagaug.neural import TrainConfig
@@ -105,6 +111,9 @@ class TestAugmentPipeline:
             assert (out / "augmented" / name).exists()
         assert report["synthetic_count"] == 36
         assert report["generation"]["pairs_total"] == 36
+        assert set(report["timings"]) == {
+            "load_split_s", "encode_s", "generate_s", "encode_synthetic_s", "edges_s", "write_s"
+        }
 
     def test_edge_strategy_none_isolates_everything(self, tmp_path, toy_dataset_dir):
         data = fast_config(toy_dataset_dir, tmp_path / "run")
@@ -332,6 +341,53 @@ class TestTrainEval:
         with pytest.raises(DatasetError, match=r"^provenance\.jsonl line 2: malformed JSON"):
             run_train_eval(cfg, grid=("origin", "llm"))
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda rec, g: rec.pop("anchor"), r"missing key 'anchor'"),
+            (lambda rec, g: rec.update(label=g.num_classes), r"label out of range \(4 not in \[0, 4\)\)"),
+            (lambda rec, g: rec.update(label=-1), r"label out of range \(-1 not in"),
+            (lambda rec, g: rec.update(anchor=g.node_count), r"anchor out of range \(170 not in"),
+            (lambda rec, g: rec.update(anchor=1.0), r"anchor 1\.0 is not an integer"),
+            (lambda rec, g: rec.update(anchor=True), r"anchor true is not an integer"),
+        ],
+        ids=["no anchor", "label C", "label -1", "anchor N", "float anchor", "bool anchor"],
+    )
+    def test_bad_provenance_record_is_named(
+        self, tmp_path, toy_dataset_dir, toy_graph, edit, named
+    ):
+        cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
+        run_augment(cfg)
+        path = tmp_path / "run" / "augmented" / "provenance.jsonl"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        rec = json.loads(lines[1])
+        edit(rec, toy_graph)
+        lines[1] = json.dumps(rec)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"^provenance\.jsonl line 2: " + named):
+            load_artifacts(cfg)
+
+    def test_provenance_shorter_than_synthetic_rows(self, tmp_path, toy_dataset_dir):
+        cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
+        rows = run_augment(cfg)["synthetic_count"]
+        path = tmp_path / "run" / "augmented" / "provenance.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]), encoding="utf-8")
+        with pytest.raises(
+            DatasetError,
+            match=rf"^embeddings\.npz has {rows} synthetic rows but "
+            rf"provenance\.jsonl has {rows - 1} records$",
+        ):
+            run_train_eval(cfg, grid=("origin", "llm"))
+
+    def test_missing_provenance_is_refused(self, tmp_path, toy_dataset_dir):
+        # augment always writes it, so an out dir without it is damaged
+        cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
+        run_augment(cfg)
+        (tmp_path / "run" / "augmented" / "provenance.jsonl").unlink()
+        with pytest.raises(FileNotFoundError, match="provenance.jsonl"):
+            run_train_eval(cfg, grid=("origin",))
+
     def test_warm_cache_reports_equal_modulo_timings(self, tmp_path, toy_dataset_dir):
         cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
         run_augment(cfg)  # priming run (cold cache)
@@ -355,6 +411,11 @@ class TestCliCommands:
         assert out["node_count"] == 170
         assert out["class_count"] == 4
         assert out["tail_class_count"] == 2
+
+    def test_stats_command_names_a_bad_meta_json(self, toy_dataset_dir):
+        (toy_dataset_dir / "meta.json").write_text('{"tail_class_count": 2}', encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"^meta\.json: class_names must be a list"):
+            main(["stats", "--data", str(toy_dataset_dir)])
 
     def test_augment_and_train_eval_commands(self, tmp_path, toy_dataset_dir, capsys):
         cfg_path = tmp_path / "cfg.json"

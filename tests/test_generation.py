@@ -23,7 +23,7 @@ from tagaug.generation import (
     parse_generation,
     rebalance_targets,
 )
-from tagaug.graph import LongTailSplit
+from tagaug.graph import DatasetError, LongTailSplit
 
 
 def cora_spec():
@@ -401,5 +401,76 @@ class TestGenCache:
             assert list(GenCache(path).entries) == ["k0"]
         assert "torn final line" in caplog.text and '{"key": "k1", "te' in caplog.text
         path.write_text('{"key": "k1", "te\n' + whole, encoding="utf-8")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(DatasetError, match=r"^gen_cache\.jsonl line 1: malformed JSON"):
             GenCache(path)
+
+    def test_malformed_middle_line_is_named(self, tmp_path):
+        path = tmp_path / "gen_cache.jsonl"
+        whole = json.dumps({"key": "k0", "text": "x"}) + "\n"
+        path.write_text(whole + "{oops\n" + whole, encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"^gen_cache\.jsonl line 2: malformed JSON"):
+            GenCache(path)
+
+    @pytest.mark.parametrize("missing", ["key", "text"])
+    @pytest.mark.parametrize("end", ["\n", ""])
+    def test_record_without_key_or_text_is_named(self, tmp_path, missing, end):
+        # an unterminated final record is checked like any other line
+        rec = {"key": "k1", "text": "y"}
+        del rec[missing]
+        path = tmp_path / "gen_cache.jsonl"
+        path.write_text(
+            json.dumps({"key": "k0", "text": "x"}) + "\n\n" + json.dumps(rec) + end,
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetError, match=rf"^gen_cache\.jsonl line 3: missing key '{missing}'"):
+            GenCache(path)
+
+
+def byte_parse(blob):
+    """Cache oracle: each complete line parsed on its own from bytes, then a
+    final line without its newline, kept only when it parses."""
+    body, _, tail = blob.rpartition(b"\n")
+    records = [json.loads(line) for line in body.split(b"\n") if line.strip()]
+    if tail.strip():
+        try:
+            records.append(json.loads(tail))
+        except ValueError:
+            pass
+    return {rec["key"]: rec for rec in records}
+
+
+# Characters str.splitlines breaks on, CR, and the one run that makes the
+# joined parse fall back to the line-by-line reader.
+cache_texts = st.lists(
+    st.one_of(st.characters(), st.sampled_from(["\u2028", "\u0085", "\r", "\n", "}, {"])),
+    max_size=6,
+).map("".join)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from("abc"), cache_texts, st.booleans()), max_size=5),
+    st.lists(
+        st.sampled_from(["\n", "\r\n", "\n\n", "\n \r\n", "\n\t\n"]), min_size=5, max_size=5
+    ),
+    st.sampled_from(["terminated", "unterminated", "torn"]),
+    st.data(),
+)
+def test_gen_cache_entries_match_per_line_byte_parse(records, newlines, last, data):
+    lines = [
+        json.dumps(
+            {"key": key, "text": text, "model": "m", "variant": "S", "anchor": 0, "partner": 1},
+            ensure_ascii=ascii_only, sort_keys=True,
+        ).encode("utf-8")
+        for key, text, ascii_only in records
+    ]
+    blob = b"".join(line + newline.encode() for line, newline in zip(lines, newlines))
+    if lines and last != "terminated":
+        blob = blob[: -len(newlines[len(lines) - 1].encode())]
+        if last == "torn":
+            blob = blob[: len(blob) - data.draw(st.integers(1, len(lines[-1]) - 1))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "gen_cache.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        assert GenCache(path).entries == byte_parse(blob)

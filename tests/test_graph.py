@@ -556,6 +556,29 @@ class TestLoaderNamesFileAndLine:
             load_dataset(tmp_path)
 
 
+class TestMetaJson:
+    def test_malformed_json(self, tmp_path):
+        write_raw(tmp_path, small_nodes([0]), [], {"class_names": ["a"]})
+        (tmp_path / "meta.json").write_text('{"class_names": ["a"],}', encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"^meta\.json: malformed JSON"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "meta", [{}, {"class_names": "ab"}, {"class_names": None}, [["a"]]],
+        ids=["missing", "string", "null", "not an object"],
+    )
+    def test_class_names_must_be_a_list(self, tmp_path, meta):
+        write_raw(tmp_path, small_nodes([0]), [], meta)
+        with pytest.raises(DatasetError, match=r"^meta\.json: class_names must be a list"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("count", ["1", 1.0, True, None])
+    def test_tail_class_count_must_be_an_int(self, tmp_path, count):
+        write_raw(tmp_path, small_nodes([0]), [], {"class_names": ["a"], "tail_class_count": count})
+        with pytest.raises(DatasetError, match=r"^meta\.json: tail_class_count must be an integer"):
+            load_dataset(tmp_path)
+
+
 @pytest.mark.parametrize("label", [True, 1.5, np.int64(0)])
 def test_text_graph_rejects_a_label_that_is_not_an_int(label):
     with pytest.raises(DatasetError, match="is not an int"):

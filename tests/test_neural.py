@@ -17,9 +17,7 @@ from tagaug.neural import (
     forward,
     gradient_check,
     init_model,
-    load_model,
     predict,
-    save_model,
     train_classifier,
 )
 
@@ -323,19 +321,6 @@ class TestDropout:
         a, _ = forward(model, x, train_mode=False)
         b, _ = forward(model, x, train_mode=False)
         np.testing.assert_array_equal(a, b)
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path, rng):
-        model = init_model("gcn", 4, 3, TrainConfig(hidden_dims=(5,), seed=7))
-        path = tmp_path / "model.npz"
-        save_model(model, path, encoder_id="hashing-64", config_digest="abc")
-        loaded, meta = load_model(path)
-        assert meta["encoder_id"] == "hashing-64"
-        assert meta["kind"] == "gcn"
-        for la, lb in zip(model.layers, loaded.layers):
-            np.testing.assert_array_equal(la.weight, lb.weight)
-            np.testing.assert_array_equal(la.bias, lb.bias)
 
 
 def numerics_fingerprint():
