@@ -50,7 +50,7 @@ def train_confidence(emb, labels, train_idx, cfg):
 
 
 def score_edges(synthetic_rows, emb, conf):
-    """Score every synthetic/original pair as kappa(z_u) * cos(z_vhat, z_u)."""
+    """The (synthetic, original) matrix of kappa(z_u) * cos(z_vhat, z_u)."""
     synthetic_rows = np.atleast_2d(np.asarray(synthetic_rows, dtype=np.float64))
     if synthetic_rows.shape[1] != emb.dim:
         raise ValueError(
@@ -60,33 +60,38 @@ def score_edges(synthetic_rows, emb, conf):
     kappa = conf.kappa(emb.vectors)
     sims = cosine_matrix(synthetic_rows, emb.vectors)
     sims *= kappa[None, :]
-    n_syn, n_orig = sims.shape
-    table = np.empty((n_syn, n_orig, 3))
-    table[:, :, 0] = np.arange(n_syn)[:, None]
-    table[:, :, 1] = np.arange(n_orig)[None, :]
-    table[:, :, 2] = sims
-    return table.reshape(-1, 3)
+    return sims
+
+
+def _topk_cut(scores, k, tau):
+    """The lowest score a top-k candidate can have: the k-th best of the
+    scores at or above tau (NaN never is), or tau when k or fewer are.
+
+    One partition of a single negated copy finds it.
+    """
+    eligible = scores >= tau
+    if np.count_nonzero(eligible) <= k:
+        return tau
+    neg = np.negative(scores)
+    neg[~eligible] = np.inf
+    neg.partition(k - 1)
+    return -neg[k - 1]
 
 
 def select_topk_global(candidates, synthetic_count, cfg):
     """Pick the k = synthetic_count x factor best-scoring candidates.
 
-    Candidates under tau_conf are dropped first; ties break toward
-    (lower synthetic idx, lower original id). A partition finds the k-th
-    best score, so only the candidates at or above it (ties included)
-    are sorted. Returns the selected (syn, orig, score) rows and the
+    candidates holds (syn, orig, score) rows. Candidates under tau_conf
+    are dropped first; ties break toward (lower synthetic idx, lower
+    original id). Only the candidates at or above the k-th best score
+    (ties included) are sorted. Returns the selected rows and the
     synthetic indices left edgeless.
     """
     if synthetic_count < 1:
         raise ValueError("synthetic_count must be >= 1")
     candidates = np.asarray(candidates, dtype=np.float64).reshape(-1, 3)
     k = synthetic_count * cfg.factor
-    keep = np.flatnonzero(candidates[:, 2] >= cfg.tau_conf)
-    if len(keep) > k:
-        neg = -candidates[keep, 2]
-        cut = np.partition(neg, k - 1)[k - 1]
-        keep = keep[neg <= cut]
-    top = candidates[keep]
+    top = candidates[candidates[:, 2] >= _topk_cut(candidates[:, 2], k, cfg.tau_conf)]
     order = np.lexsort((top[:, 1], top[:, 0], -top[:, 2]))
     selected = top[order[:k]]
     connected = {int(s) for s in selected[:, 0]}
@@ -108,7 +113,12 @@ def assign_edges(synthetic, graph, emb, conf, cfg):
     if not synthetic:
         return [], {"k_edge": 0, "edges_added": 0, "isolated": 0, "score_quantiles": []}
     rows = np.vstack([node.embedding for node in synthetic])
-    candidates = score_edges(rows, emb, conf)
+    scores = score_edges(rows, emb, conf)
+    # Only the candidates at or above the k-th best score can win, so the
+    # table handed to select_topk_global holds those alone.
+    flat = scores.ravel()
+    pos = np.flatnonzero(flat >= _topk_cut(flat, len(synthetic) * cfg.factor, cfg.tau_conf))
+    candidates = np.column_stack([*np.divmod(pos, scores.shape[1]), flat[pos]])
     selected, isolated = select_topk_global(candidates, len(synthetic), cfg)
 
     per_node = [[] for _ in synthetic]
@@ -120,8 +130,8 @@ def assign_edges(synthetic, graph, emb, conf, cfg):
         out.append(replace(node, edges=edges, isolated=not edges))
 
     quantiles = (
-        [round(float(q), 6) for q in np.quantile(candidates[:, 2], [0.0, 0.25, 0.5, 0.75, 1.0])]
-        if len(candidates)
+        [round(float(q), 6) for q in np.quantile(scores, [0.0, 0.25, 0.5, 0.75, 1.0])]
+        if scores.size
         else []
     )
     summary = {

@@ -18,7 +18,7 @@ from dataclasses import asdict, astuple, dataclass, field
 import numpy as np
 
 from .embedding import _in_order, _post_with_retries, knn_embedding, knn_same_class
-from .graph import _encode_record, _jsonl_records
+from .graph import _decode, _encode_record, _jsonl_records
 
 logger = logging.getLogger(__name__)
 
@@ -349,7 +349,8 @@ class GenCache:
                     self.path, len(tail), tail[:200],
                 )
                 self._truncate_to = len(blob) - len(tail)
-        records = _jsonl_records(body.decode("utf-8"), "gen_cache.jsonl", ("key", "text"))
+        name = "gen_cache.jsonl"
+        records = _jsonl_records(_decode(body, name), name, ("key", "text"))
         self.entries = {rec["key"]: rec for rec in records}
 
     def get(self, key):

@@ -213,10 +213,24 @@ def _jsonl_records(text, name, keys=(), columns=None, fault=None):
     return columns(records)
 
 
+def _decode(blob, name):
+    """blob as UTF-8 text; a byte that is not UTF-8 raises DatasetError
+    naming the file name and the line."""
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise DatasetError(f"{name} line {line}: not UTF-8 ({exc.reason})") from None
+
+
 def _read_jsonl(directory_path, name, keys=(), columns=None, fault=None):
-    """_jsonl_records of the file name in directory_path."""
-    with open(os.path.join(directory_path, name), encoding="utf-8") as fh:
-        return _jsonl_records(fh.read(), name, keys, columns, fault)
+    """_jsonl_records of the file name in directory_path, its line ends
+    read as text mode reads them."""
+    with open(os.path.join(directory_path, name), "rb") as fh:
+        text = _decode(fh.read(), name)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return _jsonl_records(text, name, keys, columns, fault)
 
 
 def _node_columns(records, class_count):
@@ -286,16 +300,20 @@ def _edge_fault(rec, n):
 
 def _read_meta(directory_path):
     """meta.json of a dataset directory; DatasetError unless it is an object
-    whose class_names is a list and whose tail_class_count, if any, an int."""
+    whose class_names is a list and whose tail_class_count, if any, a
+    non-negative int."""
+    with open(os.path.join(directory_path, "meta.json"), "rb") as fh:
+        text = _decode(fh.read(), "meta.json")
     try:
-        with open(os.path.join(directory_path, "meta.json"), encoding="utf-8") as fh:
-            meta = json.load(fh)
+        meta = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"meta.json: malformed JSON: {exc}") from None
     if type(meta) is not dict or type(meta.get("class_names")) is not list:
         raise DatasetError("meta.json: class_names must be a list")
     if type(meta.get("tail_class_count", 0)) is not int:
         raise DatasetError("meta.json: tail_class_count must be an integer")
+    if meta.get("tail_class_count", 0) < 0:
+        raise DatasetError("meta.json: tail_class_count must not be negative")
     return meta
 
 
@@ -387,6 +405,8 @@ def class_frequencies(graph):
 
 def tail_classes_by_frequency(graph, tail_class_count):
     """The tail_class_count lowest-frequency classes, ties to lower index."""
+    if tail_class_count < 0:
+        raise ValueError(f"tail_class_count must not be negative, got {tail_class_count}")
     if tail_class_count >= graph.num_classes:
         raise ValueError("tail_class_count must be smaller than the class count")
     freq = class_frequencies(graph)

@@ -157,7 +157,8 @@ def forward(model, features, adjacency=None, train_mode=False, seed=0, epoch=0):
         if model.kind == "gcn":
             z = adjacency.matmul(z)
         z = z + layer.bias
-        caches.append(_LayerCache(dropped=dropped, mask=mask, pre_act=z))
+        # backward never reads layer 0's mask: no gradient flows to the input
+        caches.append(_LayerCache(dropped=dropped, mask=mask if i else None, pre_act=z))
         h = np.maximum(z, 0.0) if i < last else z
     return h, caches
 
@@ -249,6 +250,11 @@ def train_classifier(
             raise TrainingDivergedError(epoch, loss)
         model.loss_history.append(loss)
         grads = backward(model, caches, dlogits, adjacency=adjacency)
+        # The next forward must not run beside this epoch's caches. Dropped
+        # while grads (allocated last) lives, they leave holes the next epoch
+        # refills, not free memory at the top of the heap that malloc would
+        # return to the system and fault back in every epoch.
+        del logits, caches, dlogits
 
         t = epoch + 1
         corr1 = 1.0 - ADAM_BETA1**t

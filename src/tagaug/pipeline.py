@@ -87,6 +87,8 @@ class RunConfig:
             )
         if self.edge_strategy not in ("confidence", "duplicate", "none"):
             raise ValueError(f"unknown edge strategy: {self.edge_strategy!r}")
+        if self.tail_class_count is not None and self.tail_class_count < 0:
+            raise ValueError(f"tail_class_count must not be negative, got {self.tail_class_count}")
         if self.knn_k < 1:
             raise ValueError("knn_k must be >= 1")
         if not 0 <= self.val_fraction < 1:

@@ -455,6 +455,7 @@ class TestCliCommands:
             ("augment", {"knn_k": 0}, [], "knn_k must be >= 1"),
             ("augment", {"knn": 3}, [], "unexpected keyword argument 'knn'"),
             ("train-eval", {}, ["--grid", "origin,blah"], "unknown grid cell: blah"),
+            ("augment", {"tail_class_count": -1}, [], "tail_class_count must not be negative"),
         ],
     )
     def test_bad_config_exits_2_before_any_stage(

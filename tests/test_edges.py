@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -76,31 +78,31 @@ class TestScoreEdges:
     def test_orthogonal_scores_zero(self):
         emb = EmbeddingMatrix(vectors=np.eye(3), encoder_id="t")
         conf = StubConfidence([0.9, 0.8, 0.7])
-        cands = score_edges(np.array([[0.0, 0.0, 1.0]]), emb, conf)
-        by_target = {int(o): s for _, o, s in cands}
-        assert by_target[0] == pytest.approx(0.0)
-        assert by_target[1] == pytest.approx(0.0)
-        assert by_target[2] == pytest.approx(0.7)
+        scores = score_edges(np.array([[0.0, 0.0, 1.0]]), emb, conf)
+        assert scores.shape == (1, 3)
+        assert scores[0, 0] == pytest.approx(0.0)
+        assert scores[0, 1] == pytest.approx(0.0)
+        assert scores[0, 2] == pytest.approx(0.7)
 
     def test_kappa_monotonicity(self):
         emb = EmbeddingMatrix(vectors=np.eye(2), encoder_id="t")
         syn = np.array([[1.0, 0.0]])
         low = score_edges(syn, emb, StubConfidence([0.2, 1.0]))
         high = score_edges(syn, emb, StubConfidence([0.9, 1.0]))
-        assert high[0, 2] > low[0, 2]
-        assert high[1, 2] == low[1, 2]
+        assert high[0, 0] > low[0, 0]
+        assert high[0, 1] == low[0, 1]
 
     def test_matches_product_oracle(self, rng):
         emb = EmbeddingMatrix(vectors=rng.normal(size=(10, 6)), encoder_id="t")
         syn = rng.normal(size=(4, 6))
         kappa = rng.uniform(0.5, 1.0, size=10)
-        cands = score_edges(syn, emb, StubConfidence(kappa))
-        assert cands.shape == (40, 3)
-        for s, o, score in cands:
-            u = emb.vectors[int(o)]
-            v = syn[int(s)]
+        scores = score_edges(syn, emb, StubConfidence(kappa))
+        assert scores.shape == (4, 10)
+        for (s, o), score in np.ndenumerate(scores):
+            u = emb.vectors[o]
+            v = syn[s]
             cos = float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
-            assert score == pytest.approx(kappa[int(o)] * cos, abs=1e-12)
+            assert score == pytest.approx(kappa[o] * cos, abs=1e-12)
 
     def test_dimension_mismatch(self, rng):
         emb = EmbeddingMatrix(vectors=rng.normal(size=(3, 4)), encoder_id="t")
@@ -234,6 +236,84 @@ def test_select_topk_global_partition_matches_full_sort(tau_conf, shuffled):
     assert np.array_equal(selected, want)
     connected = set(want[:, 0].astype(int))
     assert isolated == [i for i in range(n_syn) if i not in connected]
+
+
+def full_table(scores):
+    """The (S*N, 3) table of every (syn, orig, score) candidate, row-major."""
+    n_syn, n_orig = scores.shape
+    syn, orig = np.divmod(np.arange(n_syn * n_orig), n_orig)
+    return np.column_stack([syn, orig, scores.ravel()])
+
+
+def with_embeddings(rows):
+    return [
+        SyntheticNode(text="t", label=0, provenance={}, embedding=row) for row in rows
+    ]
+
+
+@st.composite
+def wiring_cases(draw):
+    n_syn, n_orig = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    # entries in {-1, 0, 1}: repeated directions tie, all-zero rows score 0
+    vectors = st.lists(st.integers(-1, 1), min_size=3, max_size=3)
+    syn = draw(st.lists(vectors, min_size=n_syn, max_size=n_syn))
+    orig = draw(st.lists(vectors, min_size=n_orig, max_size=n_orig))
+    kappa = draw(st.lists(st.sampled_from([0.5, 0.75, 1.0]), min_size=n_orig, max_size=n_orig))
+    cfg = EdgeAssignConfig(
+        factor=draw(st.integers(1, 10)),  # k reaches past S * N
+        tau_conf=draw(st.sampled_from([0.0, 0.5])),
+    )
+    return np.array(syn, dtype=np.float64), np.array(orig, dtype=np.float64), kappa, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(wiring_cases())
+@example(  # identical rows: every score ties, and k = 2 cuts inside the tie
+    (np.ones((2, 3)), np.ones((3, 3)), [1.0, 1.0, 1.0], EdgeAssignConfig(factor=1))
+)
+@example(  # zero-norm rows score 0, which tau_conf 0 keeps
+    (np.zeros((2, 3)), np.eye(3), [0.5, 0.75, 1.0], EdgeAssignConfig(factor=2))
+)
+def test_assign_edges_matches_select_topk_global_over_the_full_table(case):
+    syn, orig, kappa, cfg = case
+    emb = EmbeddingMatrix(vectors=orig, encoder_id="t")
+    conf = StubConfidence(kappa)
+    table = full_table(score_edges(syn, emb, conf))
+    selected, isolated = select_topk_global(table, len(syn), cfg)
+
+    wired, summary = assign_edges(with_embeddings(syn), None, emb, conf, cfg)
+
+    per_node = [[] for _ in syn]
+    for s, o, score in selected:
+        per_node[int(s)].append((int(o), float(score)))
+    assert [node.edges for node in wired] == [sorted(edges) for edges in per_node]
+    assert [i for i, node in enumerate(wired) if node.isolated] == isolated
+    quantiles = np.quantile(table[:, 2], [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert summary == {
+        "k_edge": len(syn) * cfg.factor,
+        "edges_added": len(selected),
+        "isolated": len(isolated),
+        "score_quantiles": [round(float(q), 6) for q in quantiles],
+    }
+
+
+def test_assign_edges_peak_memory_is_about_one_score_matrix():
+    # The score matrix and one negated copy for the cut: no (S * N, 3) table.
+    rng = np.random.default_rng(3)
+    n_syn, n_orig, dim = 40, 2000, 16
+    emb = EmbeddingMatrix(vectors=rng.normal(size=(n_orig, dim)), encoder_id="t")
+    nodes = with_embeddings(rng.normal(size=(n_syn, dim)))
+    conf = StubConfidence(rng.uniform(0.5, 1.0, n_orig))
+    cfg = EdgeAssignConfig(factor=20)
+    assign_edges(nodes[:2], None, emb, conf, cfg)  # lazy imports stay out of the peak
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assign_edges(nodes, None, emb, conf, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n_syn * n_orig * 8 + n_orig * dim * 8
 
 
 class TestDuplicateEdges:

@@ -425,6 +425,13 @@ class TestGenCache:
         with pytest.raises(DatasetError, match=rf"^gen_cache\.jsonl line 3: missing key '{missing}'"):
             GenCache(path)
 
+    def test_bytes_that_are_not_utf8_are_named(self, tmp_path):
+        path = tmp_path / "gen_cache.jsonl"
+        whole = json.dumps({"key": "k0", "text": "x"}).encode() + b"\n"
+        path.write_bytes(whole + b'{"key": "k1", "text": "\xff"}\n' + whole)
+        with pytest.raises(DatasetError, match=r"^gen_cache\.jsonl line 2: not UTF-8"):
+            GenCache(path)
+
 
 def byte_parse(blob):
     """Cache oracle: each complete line parsed on its own from bytes, then a

@@ -17,6 +17,7 @@ from tagaug.graph import (
     make_longtail_split,
     merge_augmented,
     normalized_adjacency,
+    tail_classes_by_frequency,
     write_dataset,
 )
 
@@ -207,6 +208,13 @@ class TestLongtailSplit:
     def test_tail_count_must_be_under_class_count(self, toy_graph):
         with pytest.raises(ValueError, match="tail_class_count"):
             make_longtail_split(toy_graph, 20, 0.5, tail_class_count=4, seed=0)
+
+    def test_negative_tail_count_rejected(self, toy_graph):
+        # -1 would otherwise slice off the most frequent class: all but one are tails
+        with pytest.raises(ValueError, match="tail_class_count must not be negative"):
+            tail_classes_by_frequency(toy_graph, -1)
+        with pytest.raises(ValueError, match="tail_class_count must not be negative"):
+            make_longtail_split(toy_graph, 20, 0.5, tail_class_count=-1, seed=0)
 
     def test_ratio_validation(self, toy_graph):
         with pytest.raises(ValueError):
@@ -556,6 +564,29 @@ class TestLoaderNamesFileAndLine:
             load_dataset(tmp_path)
 
 
+    @pytest.mark.parametrize(
+        "name, line", [("nodes.jsonl", 2), ("edges.jsonl", 1), ("meta.json", 1)]
+    )
+    def test_bytes_that_are_not_utf8(self, tmp_path, name, line):
+        write_raw(tmp_path, small_nodes([0, 0]), [{"src": 0, "dst": 1}], {"class_names": ["a"]})
+        blob = (tmp_path / name).read_bytes()
+        at = blob.index(b"\n") + 3 if line == 2 else 3
+        (tmp_path / name).write_bytes(blob[:at] + b"\xff" + blob[at:])
+        with pytest.raises(DatasetError, match=rf"^{re.escape(name)} line {line}: not UTF-8"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_line_ends_read_as_text_mode_reads_them(self, tmp_path, end):
+        write_raw(
+            tmp_path, small_nodes([0, 1, 1]), [{"src": 0, "dst": 1}], {"class_names": ["a", "b"]}
+        )
+        want = load_dataset(tmp_path)
+        for name in ("nodes.jsonl", "edges.jsonl"):
+            path = tmp_path / name
+            path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+        assert load_dataset(tmp_path) == want
+
+
 class TestMetaJson:
     def test_malformed_json(self, tmp_path):
         write_raw(tmp_path, small_nodes([0]), [], {"class_names": ["a"]})
@@ -576,6 +607,11 @@ class TestMetaJson:
     def test_tail_class_count_must_be_an_int(self, tmp_path, count):
         write_raw(tmp_path, small_nodes([0]), [], {"class_names": ["a"], "tail_class_count": count})
         with pytest.raises(DatasetError, match=r"^meta\.json: tail_class_count must be an integer"):
+            load_dataset(tmp_path)
+
+    def test_tail_class_count_must_not_be_negative(self, tmp_path):
+        write_raw(tmp_path, small_nodes([0]), [], {"class_names": ["a"], "tail_class_count": -1})
+        with pytest.raises(DatasetError, match=r"^meta\.json: tail_class_count must not be neg"):
             load_dataset(tmp_path)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -252,6 +253,31 @@ class TestTraining:
             train_classifier(x, y, np.array([], dtype=int), cfg, kind="mlp")
         with pytest.raises(ValueError, match="2 classes"):
             train_classifier(x, y, np.arange(3), cfg, kind="mlp")
+
+
+def test_gcn_training_holds_one_epoch_of_caches():
+    # Epoch t's caches are gone before epoch t + 1's forward, so more
+    # epochs do not raise the peak.
+    rng = np.random.default_rng(0)
+    n, dim = 2000, 128
+    pairs = {tuple(sorted(p)) for p in rng.integers(n, size=(6000, 2)).tolist() if p[0] != p[1]}
+    labels = rng.integers(3, size=n)
+    graph = TextGraph(n, ("t",) * n, tuple(labels.tolist()), ("a", "b", "c"), tuple(pairs))
+    adj = normalized_adjacency(graph)
+    features = rng.normal(size=(n, dim))
+
+    def peak(epochs):
+        cfg = TrainConfig(epochs=epochs, dropout=0.5, hidden_dims=(64, 64), seed=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_classifier(features, labels, np.arange(0, n, 3), cfg, kind="gcn", adjacency=adj)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # builds the adjacency's cached plan outside the measurement
+    assert peak(3) <= 1.05 * peak(1)
 
 
 class TestPredict:
