@@ -7,6 +7,7 @@ Dataset directory format (UTF-8, LF newlines):
   meta.json    {"class_names": [...], "tail_class_count": int}
 """
 
+import gc
 import json
 import math
 import os
@@ -159,10 +160,17 @@ def _parse_jsonl(text):
     if _TWO_OBJECTS.search(text):
         return None
     body = list(filter(str.strip, text.split("\n")))
+    # The parse makes one dict per line at once; the cyclic collector would
+    # scan them over and over for cycles that JSON cannot make.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         records = json.loads("[" + ",".join(body) + "]")
     except json.JSONDecodeError:
         return None
+    finally:
+        if collecting:
+            gc.enable()
     if len(records) != len(body) or not set(map(type, records)) <= {dict}:
         return None
     return records

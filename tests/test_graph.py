@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import re
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tagaug import graph as graph_module
 from tagaug.fixtures import make_toy_tag
 from tagaug.generation import SyntheticNode
 from tagaug.graph import (
@@ -458,6 +460,59 @@ def test_neighbors_match_edge_scan(data):
     merged = merge_augmented(graph, [synth(0, [(t, 1.0) for t in ts]) for ts in targets])
     for v in range(merged.node_count):
         assert merged.neighbors(v) == edge_scan_neighbors(merged, v)
+
+
+class TestCollectorPausedForTheBulkParse:
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    @pytest.fixture()
+    def seen(self, monkeypatch):
+        """The collector's state during each json.loads of the loader."""
+        states = []
+        loads = graph_module.json.loads
+
+        def watched(text, *args, **kwargs):
+            states.append(gc.isenabled())
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(graph_module.json, "loads", watched)
+        return states
+
+    def test_good_file(self, tmp_path, seen):
+        write_raw(
+            tmp_path, small_nodes([0, 1, 0]), [{"src": 0, "dst": 1}], {"class_names": ["a", "b"]}
+        )
+        gc.enable()
+        load_dataset(tmp_path)
+        assert gc.isenabled()
+        # nodes and edges each parse in one joined call, with the collector off
+        assert seen.count(False) == 2
+
+    def test_malformed_file(self, tmp_path, seen):
+        write_raw(tmp_path, small_nodes([0, 0]), [], {"class_names": ["a"]})
+        with open(tmp_path / "nodes.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"id": 2, "label": 0, "text": \n')
+        gc.enable()
+        with pytest.raises(DatasetError, match="malformed JSON"):
+            load_dataset(tmp_path)
+        assert gc.isenabled()
+        assert False in seen  # the joined parse failed before the line-by-line one
+
+    @pytest.mark.parametrize("malformed", [False, True])
+    def test_disabled_beforehand_stays_disabled(self, tmp_path, malformed):
+        write_raw(tmp_path, small_nodes([0, 0]), [], {"class_names": ["a"]})
+        if malformed:
+            (tmp_path / "edges.jsonl").write_text("{\n", encoding="utf-8")
+        gc.disable()
+        try:
+            load_dataset(tmp_path)
+        except DatasetError:
+            assert malformed
+        assert not gc.isenabled()
 
 
 class TestLoaderNamesFileAndLine:

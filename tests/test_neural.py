@@ -1,10 +1,15 @@
 import hashlib
+import inspect
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tagaug import graph as graph_module
+from tagaug import kernels, neural
 from tagaug.fixtures import make_toy_tag
 from tagaug.graph import TextGraph, normalized_adjacency
 from tagaug.neural import (
@@ -280,6 +285,82 @@ def test_gcn_training_holds_one_epoch_of_caches():
     assert peak(3) <= 1.05 * peak(1)
 
 
+def random_gcn_problem(n=3000, dim=32, seed=0):
+    rng = np.random.default_rng(seed)
+    pairs = {tuple(sorted(p)) for p in rng.integers(n, size=(3 * n, 2)).tolist() if p[0] != p[1]}
+    labels = rng.integers(4, size=n)
+    graph = TextGraph(n, ("t",) * n, tuple(labels.tolist()), tuple("abcd"), tuple(pairs))
+    return graph, rng.normal(size=(n, dim)), labels
+
+
+def force_split(monkeypatch, cpus):
+    """Run every product and mask on `cpus` threads, however small."""
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(kernels, "RANGE_MIN_ENTRIES", 1)
+    monkeypatch.setattr(neural, "MASK_RANGE_MIN_WORDS", 1)
+    monkeypatch.setattr(neural, "MASK_BLOCK_WORDS", 4096)
+
+
+def train_random_gcn(problem):
+    graph, features, labels = problem
+    cfg = TrainConfig(epochs=2, dropout=0.5, hidden_dims=(64, 64), seed=3)
+    adj = normalized_adjacency(graph)  # a fresh plan, split as forced now
+    model = train_classifier(features, labels, np.arange(0, len(labels), 3), cfg,
+                             kind="gcn", adjacency=adj)
+    return adj, model
+
+
+def test_split_gcn_training_has_the_same_bits(monkeypatch):
+    problem = random_gcn_problem()
+    runs = {}
+    for cpus in (1, 4):
+        force_split(monkeypatch, cpus)
+        adj, runs[cpus] = train_random_gcn(problem)
+        assert len(adj.plan) == (kernels.PIECES_PER_THREAD * cpus if cpus > 1 else 1)
+    one, split = runs[1], runs[4]
+    assert one.loss_history == split.loss_history
+    for a, b in zip(one.layers, split.layers):
+        assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
+
+
+def test_split_kernels_call_nothing_public_off_the_calling_thread(monkeypatch):
+    # pipebench's tracer wraps these functions in every tagaug namespace
+    # and keeps one span stack, so none of them may run on a range thread.
+    calls, thread_counts = [], []
+
+    def wrap(name, func):
+        def wrapped(*args, **kwargs):
+            before = threading.active_count()
+            calls.append((name, threading.get_ident()))
+            result = func(*args, **kwargs)
+            if name in ("csr_matmul", "dropout_mask"):
+                thread_counts.append((name, before, threading.active_count()))
+            return result
+
+        return wrapped
+
+    namespaces = [m for name, m in sys.modules.items() if name.split(".")[0] == "tagaug"]
+    for module in (kernels, neural, graph_module):
+        for attr, value in list(vars(module).items()):
+            if attr.startswith("_") or not inspect.isfunction(value):
+                continue
+            if value.__module__ != module.__name__:
+                continue
+            wrapper = wrap(attr, value)
+            for namespace in namespaces:
+                for bound, held in list(vars(namespace).items()):
+                    if held is value:
+                        monkeypatch.setattr(namespace, bound, wrapper)
+
+    force_split(monkeypatch, 4)
+    train_random_gcn(random_gcn_problem(n=1000))
+    names = {name for name, _ident in calls}
+    assert {"csr_matmul", "csr_plan", "dropout_mask", "forward", "backward"} <= names
+    assert {ident for _name, ident in calls} == {threading.get_ident()}
+    assert {"csr_matmul", "dropout_mask"} == {name for name, _b, _a in thread_counts}
+    assert all(before == after for _name, before, after in thread_counts)
+
+
 class TestPredict:
     def test_argmax_and_margin_inputs(self):
         layers = [DenseLayer(np.eye(3), np.zeros(3))]
@@ -340,6 +421,31 @@ class TestDropout:
         got = dropout_mask(shape, rate, seed, epoch, layer)
         assert got.dtype == np.float64 and got.shape == shape
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (7, 5), (13, 11), (0, 3)])
+    def test_split_mask_is_generator_random_below_keep(self, monkeypatch, cpus, shape):
+        # Word counts 1, 9, 35 and 143 are multiples of neither 4 nor most
+        # range counts; 5-word blocks straddle the Philox 4-word blocks.
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(neural, "MASK_RANGE_MIN_WORDS", 1)
+        monkeypatch.setattr(neural, "MASK_BLOCK_WORDS", 5)
+        seed, epoch, layer, keep = 9, 2, 1, 0.6
+        key = np.array([seed, (epoch << 8) | layer], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        want = (rng.random(shape) < keep).astype(np.float64) / keep
+        assert np.array_equal(dropout_mask(shape, 1.0 - keep, seed, epoch, layer), want)
+
+    def test_mask_peak_is_close_to_its_bytes(self):
+        shape = (10_000, 256)
+        dropout_mask((8, 8), 0.5, 0, 0, 0)  # numpy's lazy set-up, outside the peak
+        tracemalloc.start()
+        try:
+            mask = dropout_mask(shape, 0.5, seed=0, epoch=1, layer=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * mask.nbytes
 
     def test_eval_mode_has_no_dropout(self, rng):
         model = init_model("mlp", 3, 2, TrainConfig(hidden_dims=(4,), dropout=0.9, seed=0))
