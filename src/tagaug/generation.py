@@ -18,7 +18,7 @@ from dataclasses import asdict, astuple, dataclass, field
 import numpy as np
 
 from .embedding import _in_order, _post_with_retries, knn_embedding, knn_same_class
-from .graph import _decode, _encode_record, _jsonl_records
+from .graph import _decode, _encode_record, _jsonl_records, _strings
 
 logger = logging.getLogger(__name__)
 
@@ -326,7 +326,8 @@ class GenCache:
     newline that does not parse. Loading drops it (with a warning) and the
     next append first truncates the file back to the last newline, so the
     cache stays a valid resume point. A malformed line anywhere else, or a
-    record without "key" or "text", raises DatasetError naming the line.
+    record whose "key" or "text" is missing or not a string, raises
+    DatasetError naming the line.
     """
 
     def __init__(self, path):
@@ -350,7 +351,9 @@ class GenCache:
                 )
                 self._truncate_to = len(blob) - len(tail)
         name = "gen_cache.jsonl"
-        records = _jsonl_records(_decode(body, name), name, ("key", "text"))
+        records, _ = _jsonl_records(
+            _decode(body, name), name, ("key", "text"), (_strings("key"), _strings("text"))
+        )
         self.entries = {rec["key"]: rec for rec in records}
 
     def get(self, key):

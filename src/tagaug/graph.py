@@ -5,16 +5,21 @@ Dataset directory format (UTF-8, LF newlines):
                ids 0-based contiguous ascending
   edges.jsonl  one object per line: {"src": int, "dst": int}
   meta.json    {"class_names": [...], "tail_class_count": int}
+
+Each JSON-lines file (these two, provenance.jsonl and gen_cache.jsonl) is
+parsed once and checked once by _jsonl_records: each record rule is one
+function over the parsed columns, and the first bad record's line is named.
 """
 
 import gc
 import json
 import math
+import operator
 import os
 import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -137,7 +142,7 @@ class NormalizedAdjacency:
 
 
 # Only a line holding "}", a comma and "{" in a row can hold two objects.
-_TWO_OBJECTS = re.compile(r"\}[ \t]*,[ \t]*\{")
+_TWO_OBJECTS = re.compile(r"\}[ \t\r]*,[ \t\r]*\{")
 
 
 def _all_int(values):
@@ -151,74 +156,88 @@ def _parse_jsonl(text):
     than exactly one object.
 
     Lines split on "\n" only: ensure_ascii=False writes U+2028 and U+0085
-    raw, and str.splitlines breaks on them. The joined parse gives each
-    line's own object when it yields one dict per line and no line holds
-    "}", a comma and "{" in a row: only such a line can hold two objects,
-    and only two objects on one line can make up the count for one object
-    spread over two lines.
+    raw, and str.splitlines breaks on them. Blank lines at either end are
+    dropped, and one between two records fails the parse. The joined parse
+    gives each line's own object when it yields one dict per line and no
+    line holds "}", a comma and "{" in a row: only such a line can hold two
+    objects, and only two objects on one line can make up the count for
+    one object spread over two lines.
     """
     if _TWO_OBJECTS.search(text):
         return None
-    body = list(filter(str.strip, text.split("\n")))
+    body = text.strip(" \t\r\n")
     # The parse makes one dict per line at once; the cyclic collector would
     # scan them over and over for cycles that JSON cannot make.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        records = json.loads("[" + ",".join(body) + "]")
+        records = json.loads("[" + body.replace("\n", ",") + "]")
     except json.JSONDecodeError:
         return None
     finally:
         if collecting:
             gc.enable()
-    if len(records) != len(body) or not set(map(type, records)) <= {dict}:
+    lines = body.count("\n") + 1 if body else 0
+    if len(records) != lines or not set(map(type, records)) <= {dict}:
         return None
     return records
 
 
-def _valid(keys, fault, records):
-    """records when each holds every key and has no fault, else None."""
-    if not all(key in rec for rec in records for key in keys):
-        return None
-    if fault is not None and any(fault(rec, i) for i, rec in enumerate(records)):
-        return None
-    return records
+def _first_fault(records, keys, rules):
+    """The first bad record's (index, reason), or None, and the columns at
+    keys (a dict of lists) of the records before it. A record is bad when
+    it is a JSONDecodeError, not an object, lacks a key, or breaks a rule.
 
-
-def _jsonl_records(text, name, keys=(), columns=None, fault=None):
-    """columns(records) of the JSON objects on text's non-blank lines; by
-    default the records themselves, when none is invalid.
-
-    The text is parsed in one pass, and columns checks all records at once,
-    returning None if one is invalid. Only then is it read line by line: the
-    first line that is not one JSON object, lacks one of keys, or has a
-    fault(record, index) names, raises DatasetError naming the file and the
-    line.
+    A rule maps the columns to the (index, reason) of the first record it
+    rejects, or None. It sees only the records before each fault found so
+    far, so at one record the earlier rule names the fault.
     """
-    columns = columns or partial(_valid, keys, fault)
-    records = _parse_jsonl(text)
-    found = None if records is None else columns(records)
-    if found is not None:
-        return found
-    records = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{name} line {lineno}: malformed JSON: {exc}") from None
-        if type(rec) is not dict:
-            why = "not a JSON object"
+    fault = None
+    try:
+        columns = {key: [rec[key] for rec in records] for key in keys}
+    except (KeyError, TypeError):
+        for i, rec in enumerate(records):
+            missing = [key for key in keys if type(rec) is not dict or key not in rec]
+            if missing:
+                break
+        if isinstance(rec, json.JSONDecodeError):
+            fault = i, f"malformed JSON: {rec}"
         else:
-            missing = [key for key in keys if key not in rec]
-            why = f"missing key {missing[0]!r}" if missing else None
-            if why is None and fault is not None:
-                why = fault(rec, len(records))
-        if why:
-            raise DatasetError(f"{name} line {lineno}: {why}")
-        records.append(rec)
-    return columns(records)
+            fault = i, f"missing key {missing[0]!r}" if type(rec) is dict else "not a JSON object"
+        columns = {key: [rec[key] for rec in records[:i]] for key in keys}
+    for rule in rules:
+        found = rule(columns)
+        if found is not None:
+            fault = found
+            columns = {key: column[: found[0]] for key, column in columns.items()}
+    return fault, columns
+
+
+def _jsonl_records(text, name, keys, rules):
+    """The JSON objects on text's non-blank lines and their columns at keys,
+    when every record holds keys and passes rules.
+
+    One json.loads parses all lines at once. Only when that parse fails or
+    cannot be trusted (_parse_jsonl) are the lines parsed one by one, up to
+    the first malformed one, whose JSONDecodeError ends the records. One
+    check (_first_fault) runs over the records; the first bad one raises
+    DatasetError naming the file and the line.
+    """
+    records = _parse_jsonl(text)
+    if records is None:
+        records = []
+        for line in filter(str.strip, text.split("\n")):
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                records.append(exc)
+                break
+    fault, columns = _first_fault(records, keys, rules)
+    if fault is None:
+        return records, columns
+    index, why = fault
+    lineno = [n for n, line in enumerate(text.split("\n"), start=1) if line.strip()][index]
+    raise DatasetError(f"{name} line {lineno}: {why}")
 
 
 def _decode(blob, name):
@@ -231,79 +250,71 @@ def _decode(blob, name):
         raise DatasetError(f"{name} line {line}: not UTF-8 ({exc.reason})") from None
 
 
-def _read_jsonl(directory_path, name, keys=(), columns=None, fault=None):
+def _read_jsonl(directory_path, name, keys, rules):
     """_jsonl_records of the file name in directory_path, its line ends
     read as text mode reads them."""
     with open(os.path.join(directory_path, name), "rb") as fh:
         text = _decode(fh.read(), name)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return _jsonl_records(text, name, keys, columns, fault)
+    return _jsonl_records(text, name, keys, rules)
 
 
-def _node_columns(records, class_count):
-    """(labels, texts) when every node record is valid, else None."""
-    try:
-        ids = [rec["id"] for rec in records]
-        labels = [rec["label"] for rec in records]
-        texts = [rec["text"] for rec in records]
-    except KeyError:
+def _ints_below(key, bound):
+    """Rule: each record's key holds an int in [0, bound)."""
+    def rule(columns):
+        values = columns[key]
+        if _all_int(values) and (not values or min(values) >= 0 and max(values) < bound):
+            return None
+        for i, value in enumerate(values):
+            if type(value) is not int:
+                return i, f"{key} {json.dumps(value)} is not an integer"
+            if not 0 <= value < bound:
+                return i, f"{key} out of range ({value} not in [0, {bound}))"
+    return rule
+
+
+def _node_ids(columns):
+    """Rule: the node ids are 0, 1, 2, ... in file order."""
+    ids = columns["id"]
+    if _all_int(ids) and ids == list(range(len(ids))):
         return None
-    if not (_all_int(ids) and ids == list(range(len(ids))) and _all_int(labels)):
-        return None
-    if labels and not (min(labels) >= 0 and max(labels) < class_count):
-        return None
-    return labels, texts
+    for i, nid in enumerate(ids):
+        if type(nid) is not int:
+            return i, f"node id {json.dumps(nid)} is not an integer"
+        if 0 <= nid < i:
+            return i, f"duplicate node id {nid}"
+        if nid != i:
+            return i, f"node ids must be 0-based contiguous ascending, got {nid}"
 
 
-def _range_fault(rec, bounds):
-    """Why rec's value at the first bad key of bounds is not an int in
-    [0, bound), or None."""
-    for key, bound in bounds.items():
-        value = rec[key]
-        if type(value) is not int:
-            return f"{key} {json.dumps(value)} is not an integer"
-        if not 0 <= value < bound:
-            return f"{key} out of range ({value} not in [0, {bound}))"
-    return None
+def _strings(key):
+    """Rule: each record's key holds a string."""
+    def rule(columns):
+        if set(map(type, columns[key])) <= {str}:
+            return None
+        for i, value in enumerate(columns[key]):
+            if type(value) is not str:
+                return i, f"{key} {json.dumps(value)} is not a string"
+    return rule
 
 
-def _node_fault(rec, index, class_count):
-    nid = rec["id"]
-    if type(nid) is not int:
-        return f"node id {json.dumps(nid)} is not an integer"
-    if 0 <= nid < index:
-        return f"duplicate node id {nid}"
-    if nid != index:
-        return f"node ids must be 0-based contiguous ascending, got {nid}"
-    return _range_fault(rec, {"label": class_count})
-
-
-def _edge_pairs(records, n):
-    """The (src, dst) pairs as an (E, 2) array when every edge record is
-    valid, else None."""
-    try:
-        src = [rec["src"] for rec in records]
-        dst = [rec["dst"] for rec in records]
-    except KeyError:
-        return None
-    if not (_all_int(src) and _all_int(dst)):
-        return None
-    if records and not (min(min(src), min(dst)) >= 0 and max(max(src), max(dst)) < n):
-        return None
-    pairs = np.array([src, dst], dtype=np.int64).T
-    return None if (pairs[:, 0] == pairs[:, 1]).any() else pairs
-
-
-def _edge_fault(rec, n):
-    u, v = rec["src"], rec["dst"]
-    if type(u) is not int or type(v) is not int:
-        return f"edge endpoints ({json.dumps(u)}, {json.dumps(v)}) are not integers"
-    if not (0 <= u < n and 0 <= v < n):
-        return f"edge endpoint out of range ({u}, {v})"
-    if u == v:
-        return f"self-loop on node {u}"
-    return None
+def _edges_within(n):
+    """Rule: each edge joins two distinct nodes, ints in [0, n)."""
+    def rule(columns):
+        src, dst = columns["src"], columns["dst"]
+        ends = src + dst
+        if (_all_int(ends) and (not ends or min(ends) >= 0 and max(ends) < n)
+                and not any(map(operator.eq, src, dst))):
+            return None
+        for i, (u, v) in enumerate(zip(src, dst)):
+            if type(u) is not int or type(v) is not int:
+                return i, f"edge endpoints ({json.dumps(u)}, {json.dumps(v)}) are not integers"
+            if not (0 <= u < n and 0 <= v < n):
+                return i, f"edge endpoint out of range ({u}, {v})"
+            if u == v:
+                return i, f"self-loop on node {u}"
+    return rule
 
 
 def _read_meta(directory_path):
@@ -334,25 +345,18 @@ def load_dataset(directory_path):
             raise DatasetError(f"missing file: {name} in {directory_path}")
 
     class_names = tuple(_read_meta(directory_path)["class_names"])
-    c = len(class_names)
-
-    labels, texts = _read_jsonl(
+    nodes = _read_jsonl(
         directory_path, "nodes.jsonl", ("id", "text", "label"),
-        lambda records: _node_columns(records, c),
-        lambda rec, index: _node_fault(rec, index, c),
-    )
-    n = len(texts)
-    pairs = _read_jsonl(
-        directory_path, "edges.jsonl", ("src", "dst"),
-        lambda records: _edge_pairs(records, n),
-        lambda rec, _index: _edge_fault(rec, n),
-    )
+        (_node_ids, _ints_below("label", len(class_names)), _strings("text")),
+    )[1]
+    n = len(nodes["id"])
+    edges = _read_jsonl(directory_path, "edges.jsonl", ("src", "dst"), (_edges_within(n),))[1]
     return TextGraph(
         node_count=n,
-        texts=tuple(texts),
-        labels=tuple(labels),
+        texts=tuple(nodes["text"]),
+        labels=tuple(nodes["label"]),
         class_names=class_names,
-        edges=pairs,
+        edges=np.array([edges["src"], edges["dst"]], dtype=np.int64).T,
     )
 
 

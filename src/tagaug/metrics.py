@@ -69,7 +69,7 @@ def head_tail_gap(confusion, tail_classes):
 
 @dataclass
 class ManifoldIndex:
-    """Per-class point sets with min-Euclidean-distance queries."""
+    """Per-class point sets; all_points stacks them for k-NN queries."""
 
     by_class: dict = field(default_factory=dict)
 
@@ -89,14 +89,6 @@ def build_manifold_index(rows, labels):
     return ManifoldIndex(
         by_class={int(cls): rows[labels == cls] for cls in np.unique(labels)}
     )
-
-
-def dist_to_manifold(x, index, cls):
-    """Minimum Euclidean distance from x to the stored class-cls points."""
-    if cls not in index.by_class or len(index.by_class[cls]) == 0:
-        raise KeyError(f"manifold set empty for class {cls}")
-    diffs = index.by_class[cls] - np.asarray(x, dtype=np.float64)
-    return float(np.sqrt((diffs**2).sum(axis=1)).min())
 
 
 def bcr(sample_rows, sample_labels, index, k):

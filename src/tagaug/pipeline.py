@@ -28,8 +28,8 @@ from .generation import (
 from .graph import (
     DatasetError,
     LongTailSplit,
+    _ints_below,
     _open_atomic,
-    _range_fault,
     _read_jsonl,
     _read_meta,
     graph_stats,
@@ -280,18 +280,17 @@ def load_artifacts(cfg):
         encoder_id = bytes(data["encoder_id"]).decode("utf-8")
     emb = EmbeddingMatrix(vectors=original, encoder_id=encoder_id)
 
-    bounds = {"label": graph.num_classes, "anchor": graph.node_count}
-    records = _read_jsonl(
-        os.path.join(cfg.out_dir, "augmented"), "provenance.jsonl", tuple(bounds),
-        fault=lambda rec, _index: _range_fault(rec, bounds),
+    records, columns = _read_jsonl(
+        os.path.join(cfg.out_dir, "augmented"), "provenance.jsonl", ("label", "anchor"),
+        (_ints_below("label", graph.num_classes), _ints_below("anchor", graph.node_count)),
     )
     if len(records) != len(synthetic):
         raise DatasetError(
             f"embeddings.npz has {len(synthetic)} synthetic rows but "
             f"provenance.jsonl has {len(records)} records"
         )
-    row_labels = np.array([rec["label"] for rec in records], dtype=np.int64)
-    return graph, split, emb, (synthetic, row_labels, [rec["anchor"] for rec in records])
+    row_labels = np.array(columns["label"], dtype=np.int64)
+    return graph, split, emb, (synthetic, row_labels, columns["anchor"])
 
 
 def _train_eval_cell(graph, features, train_ids, split, cfg):

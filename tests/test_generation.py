@@ -425,6 +425,17 @@ class TestGenCache:
         with pytest.raises(DatasetError, match=rf"^gen_cache\.jsonl line 3: missing key '{missing}'"):
             GenCache(path)
 
+    def test_two_objects_joined_by_a_carriage_return_are_malformed(self, tmp_path):
+        # Joined with commas, these three lines parse as three valid records
+        # (the last with text "p,q"); line by line, line 1 is malformed.
+        path = tmp_path / "gen_cache.jsonl"
+        path.write_bytes(
+            b'{"key": "a", "text": "x"},\r{"key": "b", "text": "y"}\n'
+            b'{"key": "c", "text": "p\nq"}\n'
+        )
+        with pytest.raises(DatasetError, match=r"^gen_cache\.jsonl line 1: malformed JSON"):
+            GenCache(path)
+
     def test_bytes_that_are_not_utf8_are_named(self, tmp_path):
         path = tmp_path / "gen_cache.jsonl"
         whole = json.dumps({"key": "k0", "text": "x"}).encode() + b"\n"

@@ -760,6 +760,8 @@ def oracle_load(directory):
             raise DatasetError(bad)
         if type(label) is not int or not 0 <= label < class_count:
             raise DatasetError(bad)
+        if type(text) is not str:
+            raise DatasetError(bad)
         texts.append(text)
         labels.append(label)
     n, pairs = len(texts), []
@@ -795,6 +797,7 @@ NODE_FAULTS = {
     "bool label": lambda rec, line: json.dumps({**rec, "label": False}),
     "negative label": lambda rec, line: json.dumps({**rec, "label": -1}),
     "huge label": lambda rec, line: json.dumps({**rec, "label": 2**70}),
+    "int text": lambda rec, line: json.dumps({**rec, "text": 5}),
 }
 EDGE_FAULTS = {
     "truncated": lambda rec, line: line[:-1],

@@ -11,7 +11,6 @@ from tagaug.metrics import (
     check_margin_bound,
     classification_metrics,
     confusion_matrix,
-    dist_to_manifold,
     head_tail_gap,
     icr,
 )
@@ -269,32 +268,6 @@ class TestMarginBound:
             check_margin_bound(1.0, 0.5, 0.5, 1.0)
         with pytest.raises(ValueError, match="bcr"):
             check_margin_bound(1.0, 1.5, 1.5, 1.0)
-
-
-class TestManifoldDistance:
-    def test_member_distance_zero(self, rng):
-        rows = rng.normal(size=(10, 3))
-        labels = [0] * 5 + [1] * 5
-        index = build_manifold_index(rows, labels)
-        assert dist_to_manifold(rows[2], index, 0) == 0.0
-
-    def test_singleton_set(self):
-        index = build_manifold_index(np.array([[1.0, 1.0]]), [0])
-        assert dist_to_manifold([4.0, 5.0], index, 0) == pytest.approx(5.0)
-
-    def test_matches_scan_oracle(self, rng):
-        rows = rng.normal(size=(50, 4))
-        labels = [0] * 50
-        index = build_manifold_index(rows, labels)
-        for _ in range(20):
-            x = rng.normal(size=4)
-            oracle = min(np.linalg.norm(x - r) for r in rows)
-            assert dist_to_manifold(x, index, 0) == pytest.approx(oracle, abs=1e-12)
-
-    def test_empty_class_rejected(self):
-        index = build_manifold_index(np.array([[1.0]]), [0])
-        with pytest.raises(KeyError):
-            dist_to_manifold([0.0], index, 5)
 
 
 def test_confusion_matrix_counts():
