@@ -78,6 +78,52 @@ def _topk_cut(scores, k, tau):
     return -neg[k - 1]
 
 
+def _order_values(a, positions):
+    """{position: value} for the given positions in sorted order of 1-D a.
+    Each partition takes one kth, within the segment the kths before it
+    left, and reorders a in place."""
+    found = {}
+
+    def select(lo, hi, ks):
+        if ks:
+            mid = ks[len(ks) // 2]
+            a[lo:hi].partition(mid - lo)
+            found[mid] = a[mid]
+            select(lo, mid, [k for k in ks if k < mid])
+            select(mid + 1, hi, [k for k in ks if k > mid])
+
+    select(0, len(a), sorted(set(positions)))
+    return found
+
+
+def _quantiles(values, qs):
+    """np.quantile(values, qs) (method "linear"), bit for bit, with values
+    reordered in place: numpy's partition at several kths at once is the
+    slow part of np.quantile, so each kth is taken alone. The indexes,
+    weights and lerp are numpy's own, and a NaN makes every quantile NaN.
+    Where -0.0 and 0.0 tie at a kth, or NaNs of different payloads, the two
+    partitions may pick either, so only such a zero's sign or such a NaN's
+    payload may differ."""
+    flat = values.reshape(-1)
+    n = flat.size
+    virtual = (n - 1) * np.asarray(qs, dtype=np.float64)
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    last = virtual >= n - 1
+    prev[last] = nxt[last] = -1
+    gamma = virtual - prev
+    prev, nxt = prev.astype(np.intp) % n, nxt.astype(np.intp) % n
+    found = _order_values(flat, [*prev, *nxt, n - 1])
+    a = np.array([found[i] for i in prev])
+    b = np.array([found[i] for i in nxt])
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    if np.isnan(found[n - 1]):
+        out[:] = found[n - 1]
+    return out
+
+
 def select_topk_global(candidates, synthetic_count, cfg):
     """Pick the k = synthetic_count x factor best-scoring candidates.
 
@@ -129,8 +175,9 @@ def assign_edges(synthetic, graph, emb, conf, cfg):
         edges = sorted(per_node[i])
         out.append(replace(node, edges=edges, isolated=not edges))
 
+    # scores is dead once the candidates are taken, so it is reordered.
     quantiles = (
-        [round(float(q), 6) for q in np.quantile(scores, [0.0, 0.25, 0.5, 0.75, 1.0])]
+        [round(float(q), 6) for q in _quantiles(scores, (0.0, 0.25, 0.5, 0.75, 1.0))]
         if scores.size
         else []
     )

@@ -49,6 +49,9 @@ class TextGraph:
     def __post_init__(self):
         if len(self.texts) != self.node_count or len(self.labels) != self.node_count:
             raise DatasetError("texts/labels length must equal node_count")
+        if not set(map(type, self.texts)) <= {str}:
+            text = next(text for text in self.texts if type(text) is not str)
+            raise DatasetError(f"text {text!r} is not a str")
         if not _all_int(self.labels):
             lab = next(lab for lab in self.labels if type(lab) is not int)
             raise DatasetError(f"label {lab!r} is not an int")
@@ -130,7 +133,7 @@ class NormalizedAdjacency:
 
     @cached_property
     def plan(self):
-        return csr_plan(self.indptr, self.indices, self.data)
+        return csr_plan(self.indptr, self.indices, self.data, self.shape[1])
 
     def matmul(self, dense):
         return csr_matmul(self.indptr, self.indices, self.data, dense, plan=self.plan)

@@ -2,29 +2,36 @@
 the helper that splits it and the dropout masks across CPUs.
 
 The product runs twice per layer per epoch (forward and backward) for
-every training epoch, so it dominates GCN training. The kernel is numpy
-only and vectorised across rows: rows are ordered by degree, most entries
-first, so at step j the rows that still have a j-th entry form a prefix
-of that order, and one contiguous add handles all of them. Each row
-still receives its entries one at a time in index order, so the result
-is bit-equal to the sequential loop ``out[r] += data[j] * dense[indices[j]]``
-and deterministic run to run.
+every training epoch, so it dominates GCN training. ``csr_plan`` picks one
+of two paths per matrix, once, and the plan is cached per adjacency
+(``NormalizedAdjacency``):
 
-A row's sum does not depend on the other rows, so the rows are cut into
-contiguous ranges of about equal entry counts, run on one thread per
+- Dense: a matrix with at most ``DENSE_CELLS_PER_ENTRY`` cells per stored
+  entry (the toy graph) is densified, and each product is one BLAS
+  ``plan @ dense``, bit-equal to numpy's ``todense() @ dense`` on the same
+  numpy and BLAS and within 1e-12 relative of the index-order loop. Like
+  every other ``@`` in training, its bits may depend on the BLAS build and
+  thread count, and a non-finite entry of ``dense`` reaches every row of
+  the product (0 x inf is NaN).
+- Step-major: any sparser matrix. Rows are ordered by degree, most entries
+  first, so at step j the rows that still have a j-th entry form a prefix
+  of that order, and one contiguous add handles all of them. Each row
+  receives its entries one at a time in index order, so the result is
+  bit-equal to the sequential loop ``out[r] += data[j] * dense[indices[j]]``.
+
+Neither path reads a row of ``dense`` beyond the matrix's column count.
+
+A row's sum does not depend on the other rows, so step-major rows are cut
+into contiguous ranges of about equal entry counts, run on one thread per
 usable CPU (``os.sched_getaffinity``) and at most one per
 ``RANGE_MIN_ENTRIES`` entries. Each range keeps its own degree order and
 steps and writes its own rows of the output; numpy releases the
 interpreter lock inside the gathers and adds. The bits do not depend on
 the range count or on which thread runs a range. These threads are
 tagaug's own: ``OPENBLAS_NUM_THREADS`` does not bound them, and a process
-restricted to one CPU runs one range.
-
-The step-major layout depends only on the matrix, so ``csr_plan`` builds
-it once: the plan is cached per adjacency (``NormalizedAdjacency``) and
-every product reuses it. A range's steps are grouped into chunks of at
-most as many entries as the range has rows, and each chunk costs one
-gather and one multiply, so temporaries stay at most rows x cols.
+restricted to one CPU runs one range. A range's steps are grouped into
+chunks of at most as many entries as the range has rows, and each chunk
+costs one gather and one multiply, so temporaries stay at most rows x cols.
 """
 
 import os
@@ -39,6 +46,13 @@ import numpy as np
 # entries, 23.1 vs 19.0 ms at 13k and 60.8 vs 37.9 ms at 35k. The toy
 # graph's largest product (2,574 entries) stays on one range.
 RANGE_MIN_ENTRIES = 8192
+
+# A matrix with at most this many cells (rows x cols) per stored entry is
+# multiplied densely. On a 2-core host with one BLAS thread, random graphs
+# of average degree 10 and 64 columns: at 170 rows (16 cells per entry)
+# dense took 0.080 ms and step-major 0.245 ms; at 400 rows (37) they were
+# even; at 800 rows (73) dense was 2x slower, and at 3,200 rows 11x.
+DENSE_CELLS_PER_ENTRY = 32
 
 # A 10k-row 64-column product on a 2-core VM that other guests shared, 8
 # interleaved rounds: one static half per thread was slower than one
@@ -123,11 +137,15 @@ def _steps(indptr, indices, data):
     return order, chunks
 
 
-def csr_plan(indptr, indices, data):
-    """The row ranges of a CSR matrix, each with its degree order and
-    step-major entries.
+def csr_plan(indptr, indices, data, n_cols):
+    """How ``csr_matmul`` multiplies an (n_rows x n_cols) CSR matrix.
 
-    Returns a list of ``(lo, order, chunks)``, one per range of rows
+    A matrix with at most ``DENSE_CELLS_PER_ENTRY`` cells per entry plans
+    as itself, densified: an (n_rows, n_cols) array whose repeated column
+    ids add up in index order. Any other plans as its row ranges, each
+    with its degree order and step-major entries.
+
+    Step-major plans are a list of ``(lo, order, chunks)``, one per range of rows
     ``lo .. lo + len(order)``: ``_range_count(nnz, RANGE_MIN_ENTRIES)``
     contiguous ranges of about equal entry counts (a range may be empty).
     ``order`` sorts the range's rows by degree, most entries first
@@ -142,6 +160,11 @@ def csr_plan(indptr, indices, data):
     indices = np.asarray(indices, dtype=np.int64)
     data = np.asarray(data, dtype=np.float64)
     nnz = int(indptr[-1])
+    n_rows = len(indptr) - 1
+    if n_rows * n_cols <= DENSE_CELLS_PER_ENTRY * nnz:
+        matrix = np.zeros((n_rows, n_cols))
+        np.add.at(matrix, (np.repeat(np.arange(n_rows), np.diff(indptr)), indices), data)
+        return matrix
     ranges = _range_count(nnz, RANGE_MIN_ENTRIES)
     cuts = np.searchsorted(indptr, np.arange(1, ranges) * nnz // ranges)
     bounds = [0, *cuts.tolist(), len(indptr) - 1]
@@ -168,14 +191,18 @@ def _range_product(dense, acc, out, lo, order, chunks):
 def csr_matmul(indptr, indices, data, dense, plan=None):
     """Sparse (CSR) @ dense product, (n_rows x n_cols) float64 output.
 
-    ``plan`` is ``csr_plan(indptr, indices, data)``; it is built here when
-    not given. Its ranges run on threads joined before this returns.
+    ``plan`` is ``csr_plan(indptr, indices, data, n_cols)``; when not
+    given, it is built here with n_cols ``len(dense)``. A dense plan is one
+    BLAS product; step-major ranges run on threads joined before this
+    returns.
     """
     dense = np.asarray(dense, dtype=np.float64)
     if dense.ndim != 2:
         raise ValueError("dense operand must be 2-D")
     if plan is None:
-        plan = csr_plan(indptr, indices, data)
+        plan = csr_plan(indptr, indices, data, len(dense))
+    if isinstance(plan, np.ndarray):
+        return plan @ dense[:plan.shape[1]]
     acc = np.zeros((len(indptr) - 1, dense.shape[1]))
     out = np.empty_like(acc)
     _run_ranges(partial(_range_product, dense, acc, out), plan)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tagaug.edges import (
     EdgeAssignConfig,
+    _quantiles,
     assign_edges,
     duplicate_edges,
     score_edges,
@@ -314,6 +315,34 @@ def test_assign_edges_peak_memory_is_about_one_score_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 3 * n_syn * n_orig * 8 + n_orig * dim * 8
+
+
+QUARTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+# -0.0 is mapped to 0.0 and every NaN to float("nan"): where -0.0 and 0.0,
+# or NaNs of different payloads, tie at a kth, the two partitions may put
+# either there, so only the zero's sign or the NaN's payload could differ.
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.floats().map(lambda v: v + 0.0 if v == v else float("nan"))
+        | st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        min_size=1,
+        max_size=200,
+    ),
+    st.booleans(),
+)
+@example([0.5], False)  # size 1
+@example([1.0, float("nan"), 0.0, 0.25], True)  # NaN
+@example([0.25] * 7 + [1.0] * 2, True)  # ties at every kth
+@example([0.0, float("inf"), 0.5], False)  # inf - inf in the lerp
+def test_quantiles_are_np_quantile_bit_for_bit(values, two_d):
+    values = np.array(values).reshape((1, -1) if two_d else -1)
+    with np.errstate(invalid="ignore"):
+        want = np.quantile(values, QUARTILES)
+        got = _quantiles(values.copy(), QUARTILES)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestDuplicateEdges:

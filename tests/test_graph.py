@@ -676,6 +676,13 @@ def test_text_graph_rejects_a_label_that_is_not_an_int(label):
         TextGraph(2, ("x", "y"), (label, 1), ("a", "b"), ())
 
 
+@pytest.mark.parametrize("text", [5, None, b"x", ["x"]])
+def test_text_graph_rejects_a_text_that_is_not_a_str(text):
+    # Such a graph is one write_dataset could write and load_dataset refuse.
+    with pytest.raises(DatasetError, match=rf"^text {re.escape(repr(text))} is not a str$"):
+        TextGraph(2, ("a", text), (0, 0), ("a",), ((0, 1),))
+
+
 # Texts the fast writer and loader must carry unchanged: JSON escapes,
 # control characters, non-ASCII, and U+0085 / U+2028, which ensure_ascii=False
 # writes raw and str.splitlines would split on.

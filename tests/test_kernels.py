@@ -1,4 +1,7 @@
+import importlib.util
 import threading
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from tagaug import kernels
 from tagaug.fixtures import make_toy_tag
 from tagaug.graph import normalized_adjacency
+from tagaug.neural import TrainConfig, TrainingDivergedError, train_classifier
 
 
 def sequential_oracle(indptr, indices, data, dense):
@@ -46,12 +50,28 @@ def to_dense(indptr, indices, data, n_cols):
     return out
 
 
+@contextmanager
+def step_major():
+    """Every plan built inside takes the step-major path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "DENSE_CELLS_PER_ENTRY", 0)
+        yield
+
+
+def dense_plan(indptr, indices, data, n_cols):
+    """csr_plan with the dense path taken whenever there is an entry."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "DENSE_CELLS_PER_ENTRY", 10**9)
+        return kernels.csr_plan(indptr, indices, data, n_cols)
+
+
 @settings(max_examples=200, deadline=None)
 @given(csr_operands())
 @example((np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), np.ones((2, 3))))
 def test_csr_matmul_equals_sequential_index_order_sum(operands):
     indptr, indices, data, dense = operands
-    out = kernels.csr_matmul(indptr, indices, data, dense)
+    with step_major():
+        out = kernels.csr_matmul(indptr, indices, data, dense)
     assert out.dtype == np.float64
     assert np.array_equal(out, sequential_oracle(indptr, indices, data, dense))
 
@@ -69,7 +89,8 @@ def test_csr_matmul_matches_dense_oracle(operands):
 @given(csr_operands())
 def test_one_plan_serves_every_dense_width(operands):
     indptr, indices, data, dense = operands
-    plan = kernels.csr_plan(indptr, indices, data)
+    with step_major():
+        plan = kernels.csr_plan(indptr, indices, data, dense.shape[0])
     rng = np.random.default_rng(len(indices))
     for width in (0, 1, 4, 64):
         dense = rng.normal(size=(dense.shape[0], width))
@@ -78,12 +99,13 @@ def test_one_plan_serves_every_dense_width(operands):
         assert np.array_equal(out, sequential_oracle(indptr, indices, data, dense))
 
 
-def forced_plan(indptr, indices, data, cpus):
-    """csr_plan as on `cpus` usable CPUs, with no minimum range size."""
-    with pytest.MonkeyPatch.context() as mp:
+def forced_plan(indptr, indices, data, n_cols, cpus):
+    """The step-major csr_plan as on `cpus` usable CPUs, with no minimum
+    range size."""
+    with step_major(), pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_usable_cpus", lambda: cpus)
         mp.setattr(kernels, "RANGE_MIN_ENTRIES", 1)
-        return kernels.csr_plan(indptr, indices, data)
+        return kernels.csr_plan(indptr, indices, data, n_cols)
 
 
 @settings(max_examples=200, deadline=None)
@@ -93,7 +115,7 @@ def forced_plan(indptr, indices, data, cpus):
 def test_split_product_equals_sequential_index_order_sum(operands, cpus):
     # More ranges than rows leaves some empty; rows may be empty too.
     indptr, indices, data, dense = operands
-    plan = forced_plan(indptr, indices, data, cpus)
+    plan = forced_plan(indptr, indices, data, dense.shape[0], cpus)
     threads = min(cpus, len(indices))
     assert len(plan) == (kernels.PIECES_PER_THREAD * threads if threads > 1 else 1)
     out = kernels.csr_matmul(indptr, indices, data, dense, plan=plan)
@@ -123,27 +145,28 @@ def check_plan_chunks(indptr, plan):
 @settings(max_examples=100, deadline=None)
 @given(csr_operands(), st.integers(1, 4))
 def test_plan_chunks_are_capped(operands, cpus):
-    indptr, indices, data, _dense = operands
-    check_plan_chunks(indptr, kernels.csr_plan(indptr, indices, data))
-    check_plan_chunks(indptr, forced_plan(indptr, indices, data, cpus))
+    indptr, indices, data, dense = operands
+    with step_major():
+        check_plan_chunks(indptr, kernels.csr_plan(indptr, indices, data, dense.shape[0]))
+    check_plan_chunks(indptr, forced_plan(indptr, indices, data, dense.shape[0], cpus))
 
 
 def test_plan_ranges_hold_about_equal_entries(monkeypatch):
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(kernels, "DENSE_CELLS_PER_ENTRY", 0)
     degree = np.random.default_rng(0).integers(0, 9, size=5000)
     indptr = np.concatenate([[0], np.cumsum(degree)])
     nnz = int(indptr[-1])
     indices, data = np.zeros(nnz, dtype=np.int64), np.ones(nnz)
-    # one range per RANGE_MIN_ENTRIES entries, at most one per usable CPU
     # one thread per RANGE_MIN_ENTRIES entries, at most one per usable
     # CPU, and PIECES_PER_THREAD ranges per thread
     pieces = kernels.PIECES_PER_THREAD
     monkeypatch.setattr(kernels, "RANGE_MIN_ENTRIES", nnz // 2 + 1)
-    assert len(kernels.csr_plan(indptr, indices, data)) == 1
+    assert len(kernels.csr_plan(indptr, indices, data, 1)) == 1
     monkeypatch.setattr(kernels, "RANGE_MIN_ENTRIES", nnz // 2)
-    assert len(kernels.csr_plan(indptr, indices, data)) == 2 * pieces
+    assert len(kernels.csr_plan(indptr, indices, data, 1)) == 2 * pieces
     monkeypatch.setattr(kernels, "RANGE_MIN_ENTRIES", 1)
-    plan = kernels.csr_plan(indptr, indices, data)
+    plan = kernels.csr_plan(indptr, indices, data, 1)
     assert len(plan) == 3 * pieces
     check_plan_chunks(indptr, plan)
     los = [lo for lo, _order, _chunks in plan] + [len(degree)]
@@ -151,7 +174,8 @@ def test_plan_ranges_hold_about_equal_entries(monkeypatch):
         assert abs(int(indptr[hi] - indptr[lo]) - nnz / len(plan)) <= degree.max()
 
 
-def test_toy_adjacency_plan_is_cached_and_capped():
+def test_toy_adjacency_plan_is_cached_and_capped(monkeypatch):
+    monkeypatch.setattr(kernels, "DENSE_CELLS_PER_ENTRY", 0)
     adj = normalized_adjacency(make_toy_tag(seed=2))
     assert adj.plan is adj.plan
     check_plan_chunks(adj.indptr, adj.plan)
@@ -161,6 +185,94 @@ def test_toy_adjacency_plan_is_cached_and_capped():
     assert np.array_equal(
         adj.matmul(dense), sequential_oracle(adj.indptr, adj.indices, adj.data, dense)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(csr_operands())
+@example((np.array([0, 2]), np.array([0, 0]), np.array([0.1, 0.2]), np.ones((3, 2))))
+def test_dense_product_is_blas_on_the_densified_matrix(operands):
+    # n_cols is dense's row count, often above the largest column id.
+    indptr, indices, data, dense = operands
+    n_cols = dense.shape[0]
+    plan = dense_plan(indptr, indices, data, n_cols)
+    # a matrix with no entries has no cells-per-entry bound: step-major
+    assert isinstance(plan, np.ndarray) == (len(indices) > 0)
+    rng = np.random.default_rng(len(indices))
+    for width in (0, 1, 4, 64):
+        dense = rng.normal(size=(n_cols, width))
+        out = kernels.csr_matmul(indptr, indices, data, dense, plan=plan)
+        assert out.dtype == np.float64 and out.shape == (len(indptr) - 1, width)
+        assert np.array_equal(out, to_dense(indptr, indices, data, n_cols) @ dense)
+        np.testing.assert_allclose(
+            out, sequential_oracle(indptr, indices, data, dense), rtol=1e-12, atol=1e-12
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(csr_operands())
+def test_product_reads_no_row_beyond_the_column_count(operands):
+    indptr, indices, data, dense = operands
+    n_cols = dense.shape[0]
+    padded = np.vstack([dense, np.full((2, dense.shape[1]), np.nan)])
+    with step_major():
+        plans = [kernels.csr_plan(indptr, indices, data, n_cols)]
+    plans.append(dense_plan(indptr, indices, data, n_cols))
+    for plan in plans:
+        want = kernels.csr_matmul(indptr, indices, data, dense, plan=plan)
+        out = kernels.csr_matmul(indptr, indices, data, padded, plan=plan)
+        assert np.array_equal(out, want)
+
+
+def test_toy_adjacency_takes_the_dense_path():
+    adj = normalized_adjacency(make_toy_tag(seed=2))  # 170 rows, 1,836 entries
+    assert isinstance(adj.plan, np.ndarray) and adj.plan is adj.plan
+    assert np.array_equal(adj.plan, adj.todense())
+    dense = np.random.default_rng(1).normal(size=(adj.shape[0], 8))
+    assert np.array_equal(adj.matmul(dense), adj.todense() @ dense)
+
+
+def test_benchmark_10k_graph_stays_step_major():
+    # pipebench's wiring_10k graph: sample_tag at LARGE_CLASS_SIZES, seed 1
+    path = Path(__file__).resolve().parents[1] / "pipebench" / "sampler.py"
+    spec = importlib.util.spec_from_file_location("pipebench_sampler", path)
+    sampler = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sampler)
+    graph, _parents = sampler.sample_tag((1400,) * 5 + (600,) * 5, seed=1)
+    adj = normalized_adjacency(graph)
+    assert adj.shape == (10_000, 10_000) and len(adj.indices) == 103_794
+    assert isinstance(adj.plan, list)
+    check_plan_chunks(adj.indptr, adj.plan)
+
+
+def test_non_finite_entry_reaches_every_row_of_a_dense_product():
+    adj = normalized_adjacency(make_toy_tag(seed=2))
+    dense = np.ones((adj.shape[0], 2))
+    dense[5, 0] = np.inf
+    reads = adj.todense()[:, 5] != 0
+    assert 0 < reads.sum() < adj.shape[0]
+    with np.errstate(invalid="ignore"):
+        dense_out = adj.matmul(dense)
+    with step_major():
+        sparse_out = kernels.csr_matmul(adj.indptr, adj.indices, adj.data, dense)
+    # 0 x inf is NaN, so the dense path spoils the rows that do not read it
+    assert not np.isfinite(dense_out[:, 0]).any()
+    assert np.array_equal(~np.isfinite(sparse_out[:, 0]), reads)
+    np.testing.assert_allclose(dense_out[:, 1], sparse_out[:, 1], rtol=1e-12)
+
+
+@pytest.mark.parametrize("path", ["dense", "step-major"])
+def test_gcn_with_a_nan_feature_row_diverges(monkeypatch, path):
+    if path == "step-major":
+        monkeypatch.setattr(kernels, "DENSE_CELLS_PER_ENTRY", 0)
+    graph = make_toy_tag(seed=2)
+    adj = normalized_adjacency(graph)
+    assert isinstance(adj.plan, np.ndarray) == (path == "dense")
+    features = np.random.default_rng(0).normal(size=(graph.node_count, 8))
+    train_idx = np.arange(0, graph.node_count, 3)
+    features[train_idx[0]] = np.nan
+    cfg = TrainConfig(epochs=3, dropout=0.5, hidden_dims=(8,), seed=0)
+    with pytest.raises(TrainingDivergedError, match="epoch 0"):
+        train_classifier(features, graph.labels, train_idx, cfg, kind="gcn", adjacency=adj)
 
 
 def test_range_error_is_raised_after_every_range_ran(monkeypatch):

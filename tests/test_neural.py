@@ -474,12 +474,18 @@ def numerics_fingerprint():
 
 # sha256 of the trained weights and loss_history, taken before the training
 # hot path was rewritten (kernel plan, raw-bit dropout masks, in-place Adam).
+# GOLDEN_GCN holds with the step-major product forced; GOLDEN_GCN_DENSE is
+# the same training on the toy adjacency's default, dense product.
 GOLDEN_FINGERPRINT = (
     "2.4.6", "scipy-openblas", "0.3.31.188.0", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
 )
 GOLDEN_GCN = {
     0: "44cfa35f22221007c822272564f2f0df0440e1ae0790f76c899c29ba8ec5b9e9",
     1: "ff8f5e44ee3638b01ac773eb65dafa47a3d609a0350c327119c244dd55d02d99",
+}
+GOLDEN_GCN_DENSE = {
+    0: "1a5260e157557a8384380dd64646c4395efe8d87bdfbd46ee10cc2ddbaf372be",
+    1: "b245408ba757f3f4a4de6cd27d1ee42e9e7f42ae435aa8c68ee3c288708fb2e3",
 }
 GOLDEN_MLP = "30946b11ba31f664bab0ae66dd61f79d49a2d5c15e5d0a63d71a6179bf90e818"
 
@@ -513,8 +519,7 @@ class TestGoldenBits:
         h.update(np.asarray(model.loss_history, dtype=np.float64).tobytes())
         return h.hexdigest()
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_gcn_with_dropout(self, toy_problem, seed):
+    def train_gcn(self, toy_problem, seed):
         graph, x, y, train_idx = toy_problem
         cfg = TrainConfig(
             epochs=30, learning_rate=0.01, dropout=0.5, hidden_dims=(16, 16), seed=seed
@@ -522,7 +527,16 @@ class TestGoldenBits:
         model = train_classifier(
             x, y, train_idx, cfg, kind="gcn", adjacency=normalized_adjacency(graph)
         )
-        assert self.digest(model) == GOLDEN_GCN[seed]
+        return self.digest(model)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gcn_with_dropout(self, toy_problem, seed, monkeypatch):
+        monkeypatch.setattr(kernels, "DENSE_CELLS_PER_ENTRY", 0)  # step-major
+        assert self.train_gcn(toy_problem, seed) == GOLDEN_GCN[seed]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gcn_with_dropout_dense_product(self, toy_problem, seed):
+        assert self.train_gcn(toy_problem, seed) == GOLDEN_GCN_DENSE[seed]
 
     def test_wide_mlp_with_weight_decay(self, toy_problem):
         _graph, x, y, train_idx = toy_problem
