@@ -15,6 +15,7 @@ TestGoldenBits does.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,19 @@ GOLDEN_OUTPUTS = {
     "gen_cache.jsonl": "a1b27cafedc8033b0d172a22f6874f7ac9d2b5b64b1752539d86e660bc165999",
     "split.json": "3edb0c1296ff8d6a92f5d955d4a8d209276163faee5b690e97c165e6567038ca",
     "train_eval_report.json": "0bc9f8bf81737033eb6c52e563e186276c02fea24e9d35133047a7cc56f7522c",
+}
+# Taken with the dense product on the same numerics, before training kept
+# bool ReLU flags and dropout masks.
+GOLDEN_OUTPUTS_MIXUP = {
+    "augment_report.json": "c57abad36ffa3dd9d8afb4dbc47d56d654ecab790aafe7c167b0533da584893a",
+    "augmented/edges.jsonl": "f96883ea1ebc56bfbaab95c5cf29780d46d7a51f4560d922ff6be15781551837",
+    "augmented/meta.json": "ee6ff93211905d7ef259ffdea703eae960bd63f88af89b72919301cf2752eeea",
+    "augmented/nodes.jsonl": "e5a32f42a427b9e83ab13deb3ded6cc6085026187b46b97b50537023ea725e1e",
+    "augmented/provenance.jsonl": "c712c4bda8454136e425f1b4f162fbe3c9bc7479bd74635194d72e0f1e1ad305",
+    "embeddings.npz": "b9be012fb155a8afb714db52496887c09eef75a1fd0f140e16898dedfa04d6b2",
+    "gen_cache.jsonl": "c44beb53d7781e445516bf5824cbfcbd8a272d85f747655d23c9ce4a3472f1c7",
+    "split.json": "3edb0c1296ff8d6a92f5d955d4a8d209276163faee5b690e97c165e6567038ca",
+    "train_eval_report.json": "48f8e00d7a0666424ff2eba2b9ce17f721bcd1ad302ee1e9e0a867a35f442956",
 }
 
 
@@ -101,6 +115,12 @@ def output_digests(out_dir):
 
 
 class TestGoldenOutputs:
+    golden = GOLDEN_OUTPUTS
+
+    @staticmethod
+    def config():
+        return golden_config()
+
     @pytest.fixture(autouse=True, scope="class")
     def same_numerics(self):
         here = numerics_fingerprint()
@@ -108,19 +128,43 @@ class TestGoldenOutputs:
             pytest.skip(f"golden digests taken on {GOLDEN_FINGERPRINT}, running on {here}")
 
     @pytest.fixture(scope="class")
-    def digests(self, tmp_path_factory):
+    def out_dir(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("golden")
         write_dataset(make_toy_tag(seed=2), root / "data", tail_class_count=2)
         with pytest.MonkeyPatch.context() as mp:
             mp.chdir(root)
-            cfg = golden_config()
+            cfg = self.config()
             run_augment(cfg)
             run_train_eval(cfg, grid=GRID_CELLS)
-        return output_digests(root / "out")
+        return root / "out"
+
+    @pytest.fixture(scope="class")
+    def digests(self, out_dir):
+        return output_digests(out_dir)
 
     def test_every_output_is_pinned(self, digests):
-        assert sorted(digests) == sorted(GOLDEN_OUTPUTS)
+        assert sorted(digests) == sorted(self.golden)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
     def test_output_is_byte_identical(self, digests, name):
-        assert digests[name] == GOLDEN_OUTPUTS[name]
+        assert digests[name] == self.golden[name]
+
+
+class TestGoldenOutputsMixupConfidence(TestGoldenOutputs):
+    """Variant M (mixup) under a confidence floor tau_conf of 0.3.
+
+    The toy's scores reach 0.3 on 1,995 of the 26 x 170 candidates. An edge
+    factor of 80 asks for 2,080 edges, so the floor, not the budget, sets
+    the cut.
+    """
+
+    golden = GOLDEN_OUTPUTS_MIXUP
+
+    @staticmethod
+    def config():
+        return replace(golden_config(), variant="M", tau_conf=0.3, edge_factor=80)
+
+    def test_tau_conf_sets_the_cut(self, out_dir):
+        report = json.loads((out_dir / "augment_report.json").read_text(encoding="utf-8"))
+        wiring = report["edge_assignment"]
+        assert wiring["edges_added"] == 1995 < wiring["k_edge"] == 2080
