@@ -11,9 +11,11 @@ each row in index order for a sparser one (see kernels.py).
 A dropout mask reads the Philox stream's raw 64-bit words. numpy's
 ``Generator.random`` turns a word into the double ``(raw >> 11) * 2**-53``,
 and that double is below ``keep`` exactly when the integer ``raw >> 11`` is
-below ``ceil(keep * 2**53)`` (scaling by a power of two is exact). So the
-mask keeps the same entries as ``Generator(Philox(key)).random(shape) < keep``
-without building the doubles.
+below ``t = ceil(keep * 2**53)`` (scaling by a power of two is exact), that
+is when ``raw <= t * 2**11 - 1``. For ``0 < keep <= 1``, t lies in
+1 .. 2**53, so that bound fits in 64 bits. So the mask keeps the same
+entries as ``Generator(Philox(key)).random(shape) < keep`` without
+shifting the words or building the doubles.
 
 A Philox word depends only on its counter and key, so a large mask is
 filled in ranges on threads of their own, each seeking to its first word,
@@ -23,6 +25,17 @@ Training is full-batch. A GCN runs over every row, because neighbours feed
 the rows the loss reads. An MLP's rows are independent, so it trains on the
 train_idx rows alone and its dropout masks have that shape; prediction
 still scores every row. backward returns parameter gradients only.
+
+forward keeps for backward only what backward reads, per layer: the input
+after dropout, a bool ReLU flag ``z > 0`` (not on the last layer) and,
+from layer 1 on, a bool flag where the dropout mask kept an entry. Layer
+0's mask is never read: no gradient flows to the features. The float
+mask holds exactly ``1 / keep`` or 0, so ``(g * kept) * (1 / keep)`` has
+the bits of ``g * mask``, signed zeros, inf x 0 = NaN and NaN payloads
+included: ``g * 1.0`` is g, and a zero or NaN keeps its sign and payload
+when multiplied by a positive number.
+ReLU, bias and dropout run in place on arrays nothing else reads, and
+backward frees each layer's cache once that layer's gradients are taken.
 """
 
 import math
@@ -145,12 +158,13 @@ def dropout_mask(shape, rate, seed, epoch, layer):
     n = flat.size
     # Ranges start on a Philox block of 4 words, so each can seek to its own.
     step = 4 * max(1, -(-n // (4 * _range_count(n, MASK_RANGE_MIN_WORDS))))
-    fill = partial(_fill_mask, flat, key, math.ceil(keep * 2.0**53), 1.0 / keep)
+    last_kept = np.uint64((math.ceil(keep * 2.0**53) << 11) - 1)  # the largest kept word
+    fill = partial(_fill_mask, flat, key, last_kept, 1.0 / keep)
     _run_ranges(fill, [(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)])
     return mask
 
 
-def _fill_mask(flat, key, threshold, scale, lo, hi):
+def _fill_mask(flat, key, last_kept, scale, lo, hi):
     """Words lo .. hi of the mask, MASK_BLOCK_WORDS at a time."""
     bits = getattr(_PHILOX, "bits", None)
     if bits is None:
@@ -165,16 +179,15 @@ def _fill_mask(flat, key, threshold, scale, lo, hi):
     }
     for start in range(lo, hi, MASK_BLOCK_WORDS):
         words = bits.random_raw(min(MASK_BLOCK_WORDS, hi - start))
-        words >>= 11
         # Generator.random(shape) < keep; 1.0 / keep or 0.0, as in kept / keep
-        np.multiply(words < threshold, scale, out=flat[start:start + len(words)])
+        np.multiply(words <= last_kept, scale, out=flat[start:start + len(words)])
 
 
 @dataclass
 class _LayerCache:
-    dropped: np.ndarray
-    mask: np.ndarray
-    pre_act: np.ndarray
+    dropped: np.ndarray  # the layer's input after dropout
+    kept: np.ndarray  # bool, where the dropout mask kept an entry; None on layer 0 or no dropout
+    active: np.ndarray  # bool, pre-activation > 0; None on the last layer
 
 
 def forward(model, features, adjacency=None, train_mode=False, seed=0, epoch=0):
@@ -182,7 +195,7 @@ def forward(model, features, adjacency=None, train_mode=False, seed=0, epoch=0):
 
     Each layer computes A_hat @ (drop(h) @ W) + b (the adjacency product is
     skipped for MLPs); ReLU between layers, dropout before every weight
-    multiply in train mode.
+    multiply in train mode. features is never written.
     """
     if model.kind == "gcn" and adjacency is None:
         raise ValueError("gcn forward requires an adjacency")
@@ -195,37 +208,48 @@ def forward(model, features, adjacency=None, train_mode=False, seed=0, epoch=0):
                 f"layer {i}: input dim {h.shape[1]} != weight rows "
                 f"{layer.weight.shape[0]}"
             )
+        kept = None
         if train_mode and model.dropout_rate > 0:
             mask = dropout_mask(h.shape, model.dropout_rate, seed, epoch, i)
-            dropped = h * mask
-        else:
-            mask = None
-            dropped = h
-        z = dropped @ layer.weight
+            if i:  # h is the last layer's ReLU output, which nothing else reads
+                kept = mask != 0.0
+                h *= mask
+            else:  # backward never reads layer 0's mask: no gradient flows to the input
+                h = np.multiply(h, mask, out=mask)
+            del mask
+        z = h @ layer.weight
         if model.kind == "gcn":
             z = adjacency.matmul(z)
-        z = z + layer.bias
-        # backward never reads layer 0's mask: no gradient flows to the input
-        caches.append(_LayerCache(dropped=dropped, mask=mask if i else None, pre_act=z))
-        h = np.maximum(z, 0.0) if i < last else z
+        z += layer.bias
+        active = z > 0.0 if i < last else None
+        caches.append(_LayerCache(dropped=h, kept=kept, active=active))
+        h = np.maximum(z, 0.0, out=z) if i < last else z
     return h, caches
 
 
 def backward(model, caches, dlogits, adjacency=None):
-    """Parameter gradients from the logit gradient (adjacency is symmetric)."""
+    """Parameter gradients from the logit gradient (adjacency is symmetric).
+
+    Consumes caches: each entry is set to None once its layer's gradients
+    are taken, so its arrays are freed while the layers below still run.
+    """
     grads = [None] * len(model.layers)
     g_out = dlogits
-    last = len(model.layers) - 1
-    for i in range(last, -1, -1):
-        cache = caches[i]
-        gz = g_out if i == last else g_out * (cache.pre_act > 0.0)
-        db = gz.sum(axis=0)
-        ga = adjacency.matmul(gz) if model.kind == "gcn" else gz
+    for i in range(len(model.layers) - 1, -1, -1):
+        cache, caches[i] = caches[i], None
+        if cache.active is not None:  # g_out is this function's own array here
+            g_out *= cache.active
+        db = g_out.sum(axis=0)
+        ga = adjacency.matmul(g_out) if model.kind == "gcn" else g_out
+        g_out = None
         grads[i] = (cache.dropped.T @ ga, db)
         if i > 0:  # nothing reads the gradient of the input features
             g_out = ga @ model.layers[i].weight.T
-            if cache.mask is not None:
-                g_out = g_out * cache.mask
+            del ga
+            if cache.kept is not None:
+                # g_out * mask, bit for bit: the mask is kept / (1 - rate)
+                g_out *= cache.kept
+                g_out *= 1.0 / (1.0 - model.dropout_rate)
     return grads
 
 

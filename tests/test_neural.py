@@ -18,11 +18,13 @@ from tagaug.neural import (
     TrainConfig,
     TrainingDivergedError,
     aggregate_layer,
+    backward,
     confidence_train_defaults,
     dropout_mask,
     forward,
     gradient_check,
     init_model,
+    masked_cross_entropy,
     predict,
     train_classifier,
 )
@@ -293,6 +295,38 @@ def random_gcn_problem(n=3000, dim=32, seed=0):
     return graph, rng.normal(size=(n, dim)), labels
 
 
+def test_gcn_training_peak_is_backward_inputs_and_one_product():
+    # The traced peak of 3 GCN epochs (hidden 64, 64) on 2000 nodes with 128
+    # features, in N x 64 float64 arrays. It falls in layer 1's backward
+    # sparse product, beside what the design keeps alive there:
+    #   layer 0's dropped input (128 wide)                        2
+    #   layer 1's dropped input                                   1
+    #   the gradient going into the product                       1
+    #   the step-major product: output, accumulator and two
+    #   chunk gathers                                             4
+    #   three bool flags (1/8 each), Adam's five copies of the
+    #   parameters (1/2), logits and their gradient (N x 4)       1
+    # That is 9 (9.11 measured); the bound leaves 0.4 for the small arrays.
+    # Float masks and pre-activations in the caches took it to 15.7.
+    graph, features, labels = random_gcn_problem(n=2000, dim=128)
+    adj = normalized_adjacency(graph)
+    assert isinstance(adj.plan, list)  # step-major
+
+    def peak(epochs):
+        cfg = TrainConfig(epochs=epochs, dropout=0.5, hidden_dims=(64, 64), seed=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_classifier(features, labels, np.arange(0, 2000, 3), cfg, kind="gcn",
+                             adjacency=adj)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # builds the adjacency's cached plan outside the measurement
+    assert peak(3) <= 9.5 * 2000 * 64 * 8
+
+
 def force_split(monkeypatch, cpus):
     """Run every product and mask on `cpus` threads, however small."""
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
@@ -361,6 +395,104 @@ def test_split_kernels_call_nothing_public_off_the_calling_thread(monkeypatch):
     assert all(before == after for _name, before, after in thread_counts)
 
 
+def reference_forward(model, features, adjacency=None, train_mode=False, seed=0, epoch=0):
+    """Oracle: forward keeping each layer's float dropout mask and
+    pre-activation, as training did before its caches held bool flags."""
+    h = np.asarray(features, dtype=np.float64)
+    caches = []
+    last = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
+        mask, dropped = None, h
+        if train_mode and model.dropout_rate > 0:
+            mask = dropout_mask(h.shape, model.dropout_rate, seed, epoch, i)
+            dropped = h * mask
+        z = dropped @ layer.weight
+        if model.kind == "gcn":
+            z = adjacency.matmul(z)
+        z = z + layer.bias
+        caches.append((dropped, mask if i else None, z))
+        h = np.maximum(z, 0.0) if i < last else z
+    return h, caches
+
+
+def reference_backward(model, caches, dlogits, adjacency=None):
+    """Oracle: backward from reference_forward's float caches."""
+    grads = []
+    g_out = dlogits
+    last = len(model.layers) - 1
+    for i in range(last, -1, -1):
+        dropped, mask, pre_act = caches[i]
+        gz = g_out if i == last else g_out * (pre_act > 0.0)
+        ga = adjacency.matmul(gz) if model.kind == "gcn" else gz
+        grads.insert(0, (dropped.T @ ga, gz.sum(axis=0)))
+        if i > 0:
+            g_out = ga @ model.layers[i].weight.T
+            if mask is not None:
+                g_out = g_out * mask
+    return grads
+
+
+class TestBackwardBits:
+    """forward and backward give the reference's bits from bool caches."""
+
+    @staticmethod
+    def problem(kind, planted):
+        # 40 nodes, 3 layers: layers 1 and 2 keep dropout flags, 0 and 1
+        # ReLU flags. Features are signed with exact zeros of both signs,
+        # and a zero weight column and bias make one pre-activation column
+        # exactly 0.
+        rng = np.random.default_rng(5)
+        n = 40
+        graph, _x, labels = random_gcn_problem(n=n, dim=1, seed=5)
+        model = init_model(kind, 7, 4, TrainConfig(hidden_dims=(6, 5), dropout=0.3, seed=2))
+        model.layers[0].weight[:, 2] = 0.0
+        x = rng.normal(size=(n, 7))
+        x[rng.random(size=x.shape) < 0.2] = 0.0
+        x[3, :4] = -0.0
+        if planted == "feature_inf":
+            x[7, 1] = np.inf
+        return model, x, labels, normalized_adjacency(graph)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("planted", ["none", "feature_inf", "dlogits_inf"])
+    @pytest.mark.parametrize("train_mode", [True, False])
+    @pytest.mark.parametrize("kind", ["gcn", "gcn_step_major", "mlp"])
+    def test_gradients_are_reference_bits(self, monkeypatch, kind, train_mode, planted):
+        if kind == "gcn_step_major":
+            monkeypatch.setattr(kernels, "DENSE_CELLS_PER_ENTRY", 0)
+            kind = "gcn"
+        model, x, labels, adj = self.problem(kind, planted)
+        x_bytes = x.tobytes()
+        run = dict(adjacency=adj if kind == "gcn" else None)
+        want_logits, want_caches = reference_forward(model, x, train_mode=train_mode,
+                                                     seed=3, epoch=8, **run)
+        logits, caches = forward(model, x, train_mode=train_mode, seed=3, epoch=8, **run)
+        assert logits.tobytes() == want_logits.tobytes()
+        assert x.tobytes() == x_bytes
+
+        _loss, dlogits = masked_cross_entropy(want_logits, labels, np.arange(0, 40, 2))
+        if planted == "dlogits_inf":
+            # inf meets the dropped entries of its rows (inf x 0 is NaN)
+            dlogits[4, 1] = np.inf
+            dlogits[6, 0] = -0.0
+        want = reference_backward(model, want_caches, dlogits.copy(), **run)
+        got = backward(model, caches, dlogits, **run)
+        assert caches == [None] * len(model.layers)
+        for (dw, db), (want_dw, want_db) in zip(got, want):
+            assert dw.tobytes() == want_dw.tobytes()
+            assert db.tobytes() == want_db.tobytes()
+        if planted != "none":
+            assert not np.all(np.isfinite(got[0][0]))
+
+    @pytest.mark.parametrize("kind", ["gcn", "mlp"])
+    def test_three_layer_gradient_check(self, kind):
+        # no exact-zero pre-activations: central differences straddle the kink
+        graph, x, labels = random_gcn_problem(n=40, dim=7, seed=5)
+        model = init_model(kind, 7, 4, TrainConfig(hidden_dims=(6, 5), seed=0))
+        adj = normalized_adjacency(graph) if kind == "gcn" else None
+        assert gradient_check(model, x, labels, adjacency=adj) <= 1e-4
+
+
 class TestPredict:
     def test_argmax_and_margin_inputs(self):
         layers = [DenseLayer(np.eye(3), np.zeros(3))]
@@ -410,7 +542,11 @@ class TestDropout:
         c = dropout_mask((5, 5), 0.5, seed=1, epoch=4, layer=0)
         assert not np.array_equal(a, c)
 
-    @pytest.mark.parametrize("rate", [0.1, 0.25, 0.3, 0.5, 0.7, 0.9])
+    # 2**-53 and 1 - 2**-53 put the kept-word bound at its largest and
+    # smallest (2**64 - 2049 and 2047); at 0 and 1e-20, keep rounds to 1.0.
+    @pytest.mark.parametrize(
+        "rate", [0.1, 0.25, 0.3, 0.5, 0.7, 0.9, 2**-53, 1 - 2**-53, 0.0, 1e-20]
+    )
     @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (7, 5), (170, 64)])
     def test_mask_is_generator_random_below_keep(self, rate, shape):
         seed, epoch, layer = 3, 41, 1
