@@ -42,7 +42,7 @@ GOLDEN_OUTPUTS = {
     "train_eval_report.json": "0bc9f8bf81737033eb6c52e563e186276c02fea24e9d35133047a7cc56f7522c",
 }
 # Taken with the dense product on the same numerics, before training kept
-# bool ReLU flags and dropout masks.
+# bool ReLU and dropout flags in place of float pre-activations and masks.
 GOLDEN_OUTPUTS_MIXUP = {
     "augment_report.json": "c57abad36ffa3dd9d8afb4dbc47d56d654ecab790aafe7c167b0533da584893a",
     "augmented/edges.jsonl": "f96883ea1ebc56bfbaab95c5cf29780d46d7a51f4560d922ff6be15781551837",
@@ -116,10 +116,7 @@ def output_digests(out_dir):
 
 class TestGoldenOutputs:
     golden = GOLDEN_OUTPUTS
-
-    @staticmethod
-    def config():
-        return golden_config()
+    overrides = {}
 
     @pytest.fixture(autouse=True, scope="class")
     def same_numerics(self):
@@ -133,7 +130,7 @@ class TestGoldenOutputs:
         write_dataset(make_toy_tag(seed=2), root / "data", tail_class_count=2)
         with pytest.MonkeyPatch.context() as mp:
             mp.chdir(root)
-            cfg = self.config()
+            cfg = replace(golden_config(), **self.overrides)
             run_augment(cfg)
             run_train_eval(cfg, grid=GRID_CELLS)
         return root / "out"
@@ -159,10 +156,7 @@ class TestGoldenOutputsMixupConfidence(TestGoldenOutputs):
     """
 
     golden = GOLDEN_OUTPUTS_MIXUP
-
-    @staticmethod
-    def config():
-        return replace(golden_config(), variant="M", tau_conf=0.3, edge_factor=80)
+    overrides = {"variant": "M", "tau_conf": 0.3, "edge_factor": 80}
 
     def test_tau_conf_sets_the_cut(self, out_dir):
         report = json.loads((out_dir / "augment_report.json").read_text(encoding="utf-8"))

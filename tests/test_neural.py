@@ -306,7 +306,7 @@ def test_gcn_training_peak_is_backward_inputs_and_one_product():
     #   chunk gathers                                             4
     #   three bool flags (1/8 each), Adam's five copies of the
     #   parameters (1/2), logits and their gradient (N x 4)       1
-    # That is 9 (9.11 measured); the bound leaves 0.4 for the small arrays.
+    # That is 9 (9.11 measured); the bound leaves 0.5 for the small arrays.
     # Float masks and pre-activations in the caches took it to 15.7.
     graph, features, labels = random_gcn_problem(n=2000, dim=128)
     adj = normalized_adjacency(graph)
