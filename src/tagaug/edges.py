@@ -14,6 +14,9 @@ import numpy as np
 from .embedding import cosine_matrix
 from .neural import predict, train_classifier
 
+# Scores _topk_cut scans at a time when k is smaller.
+_CUT_BLOCK = 1 << 16
+
 
 @dataclass
 class ConfidenceNet:
@@ -65,17 +68,22 @@ def score_edges(synthetic_rows, emb, conf):
 
 def _topk_cut(scores, k, tau):
     """The lowest score a top-k candidate can have: the k-th best of the
-    scores at or above tau (NaN never is), or tau when k or fewer are.
+    1-D scores at or above tau (NaN never is), or tau when k or fewer are.
 
-    One partition of a single negated copy finds it.
+    Scores are scanned max(k, _CUT_BLOCK) at a time, keeping the k best
+    seen so far and, once there are k, only scores at or above the k-th of
+    them, so no copy of all the scores is made. A block of at least k keeps
+    the partitions' total work linear in the scores.
     """
-    eligible = scores >= tau
-    if np.count_nonzero(eligible) <= k:
-        return tau
-    neg = np.negative(scores)
-    neg[~eligible] = np.inf
-    neg.partition(k - 1)
-    return -neg[k - 1]
+    step = max(k, _CUT_BLOCK)
+    best, cut = scores[:0], tau
+    for lo in range(0, len(scores), step):
+        block = scores[lo:lo + step]
+        best = np.concatenate([best, block[block >= cut]])
+        if len(best) > k:
+            best = np.partition(best, len(best) - k)[len(best) - k:]
+            cut = best[0]
+    return cut
 
 
 def _order_values(a, positions):

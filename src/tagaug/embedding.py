@@ -16,7 +16,6 @@ from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
-import requests
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 _HASH_SALT = b"tagaug-hash-v1"
@@ -108,6 +107,9 @@ def _post_with_retries(url, payload, cfg, error_cls, prefix="", stop=None):
     between them, then raises error_cls(prefix + the last failure). Once
     the stop event is set, it makes no further attempt.
     """
+    # Imported here, so local runs never load it (about 9 MB of peak RSS).
+    import requests
+
     stop = stop or threading.Event()
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(cfg.api_key_env, "")

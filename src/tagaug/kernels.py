@@ -29,9 +29,11 @@ steps and writes its own rows of the output; numpy releases the
 interpreter lock inside the gathers and adds. The bits do not depend on
 the range count or on which thread runs a range. These threads are
 tagaug's own: ``OPENBLAS_NUM_THREADS`` does not bound them, and a process
-restricted to one CPU runs one range. A range's steps are grouped into
-chunks of at most as many entries as the range has rows, and each chunk
-costs one gather and one multiply, so temporaries stay at most rows x cols.
+restricted to one CPU runs one range. Each range accumulates into its
+own rows x cols scratch and scatters it into the output at the end. Its
+steps are grouped into chunks of at most as many entries as the range has
+rows, and each chunk costs one gather and one multiply, dropped before the
+next, so a running range holds about two arrays of its own rows x cols.
 """
 
 import os
@@ -57,8 +59,10 @@ DENSE_CELLS_PER_ENTRY = 32
 # A 10k-row 64-column product on a 2-core VM that other guests shared, 8
 # interleaved rounds: one static half per thread was slower than one
 # thread in 2 rounds (65.9 vs 56.2 ms); two ranges per thread, taken in
-# turn, beat the static halves in 6 rounds and one thread in 7.
-PIECES_PER_THREAD = 2
+# turn, beat the static halves in 6. A running range's scratch is about
+# 2 / PIECES_PER_THREAD of the output: 4 held 1.56 outputs, 2 held 2.05,
+# and 4 was faster in 7 of 8 rounds (median 9.6 vs 10.6 ms).
+PIECES_PER_THREAD = 4
 
 
 def _usable_cpus():
@@ -174,17 +178,20 @@ def csr_plan(indptr, indices, data, n_cols):
     ]
 
 
-def _range_product(dense, acc, out, lo, order, chunks):
-    """Rows lo .. lo + len(order) of the product, into out; acc is scratch."""
-    acc = acc[lo:lo + len(order)]
+def _range_product(dense, out, lo, order, chunks):
+    """Rows lo .. lo + len(order) of the product, into out. The range's
+    accumulator and one chunk's gather are its only scratch."""
+    acc = np.zeros((len(order), dense.shape[1]))
     for cols, vals, widths in chunks:
-        # np.take gathers rows faster than dense[cols], most of all on two threads
+        # np.take gathers rows faster than dense[cols], most of all on two
+        # threads; with out= and mode="raise" it gathers into a temporary.
         terms = np.take(dense, cols, axis=0)
         terms *= vals[:, None]
         off = 0
         for width in widths:
             acc[:width] += terms[off:off + width]
             off += width
+        del terms  # before the next chunk's gather
     out[lo:lo + len(order)][order] = acc
 
 
@@ -203,7 +210,6 @@ def csr_matmul(indptr, indices, data, dense, plan=None):
         plan = csr_plan(indptr, indices, data, len(dense))
     if isinstance(plan, np.ndarray):
         return plan @ dense[:plan.shape[1]]
-    acc = np.zeros((len(indptr) - 1, dense.shape[1]))
-    out = np.empty_like(acc)
-    _run_ranges(partial(_range_product, dense, acc, out), plan)
+    out = np.empty((len(indptr) - 1, dense.shape[1]))
+    _run_ranges(partial(_range_product, dense, out), plan)
     return out

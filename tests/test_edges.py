@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tagaug import edges
 from tagaug.edges import (
     EdgeAssignConfig,
     _quantiles,
+    _topk_cut,
     assign_edges,
     duplicate_edges,
     score_edges,
@@ -299,7 +301,8 @@ def test_assign_edges_matches_select_topk_global_over_the_full_table(case):
 
 
 def test_assign_edges_peak_memory_is_about_one_score_matrix():
-    # The score matrix and one negated copy for the cut: no (S * N, 3) table.
+    # The score matrix and the cosine product's temporaries; the cut scans
+    # it in blocks, and no (S * N, 3) table is built.
     rng = np.random.default_rng(3)
     n_syn, n_orig, dim = 40, 2000, 16
     emb = EmbeddingMatrix(vectors=rng.normal(size=(n_orig, dim)), encoder_id="t")
@@ -315,6 +318,53 @@ def test_assign_edges_peak_memory_is_about_one_score_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 3 * n_syn * n_orig * 8 + n_orig * dim * 8
+
+
+def negated_copy_cut(scores, k, tau):
+    """Oracle: one partition of a negated copy of every score."""
+    eligible = scores >= tau
+    if np.count_nonzero(eligible) <= k:
+        return tau
+    neg = np.negative(scores)
+    neg[~eligible] = np.inf
+    neg.partition(k - 1)
+    return -neg[k - 1]
+
+
+# Blocks of 1 to 8 scores straddle the eligible runs; -0.0 == 0.0, so a tie
+# between them may land on either.
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.lists(st.floats() | st.sampled_from([0.0, 0.3, 0.5, 1.0]), max_size=60),
+    st.integers(1, 64),
+    st.sampled_from([0.0, 0.3]),
+    st.integers(1, 8),
+)
+@example([float("nan")] * 5 + [0.5], 1, 0.0, 2)  # NaN is never eligible
+@example([0.3] * 9 + [float("inf"), -float("inf")], 4, 0.3, 3)  # ties at tau
+@example([0.5, 0.1, 0.9], 2, 0.3, 1)  # k equals the eligible count
+def test_topk_cut_matches_a_negated_copy(values, k, tau, block):
+    scores = np.array(values, dtype=np.float64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(edges, "_CUT_BLOCK", block)
+        got = _topk_cut(scores, k, tau)
+    assert got == negated_copy_cut(scores, k, tau)
+
+
+def test_topk_cut_holds_no_copy_of_the_scores():
+    # wiring_10k's shape and k. With k below the block, the scan holds one
+    # block's mask and eligible scores, their concatenation with the k best
+    # and its partitioned copy: under 5 blocks of float64 (a negated copy
+    # of all the scores is 475 x 10,000 x 8 bytes, 38 MB).
+    scores = np.random.default_rng(0).uniform(size=475 * 10_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _topk_cut(scores, 9_500, 0.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * edges._CUT_BLOCK * 8
 
 
 QUARTILES = (0.0, 0.25, 0.5, 0.75, 1.0)

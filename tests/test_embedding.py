@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tagaug
 from tagaug.embedding import (
     _TOKEN_RE,
     Centroids,
@@ -252,3 +257,14 @@ class TestCentroids:
         with pytest.raises(KeyError, match="undefined"):
             cents.require(3)
         assert isinstance(cents, Centroids)
+
+
+def test_local_runs_do_not_import_requests():
+    # requests is loaded by the first remote call only; a fresh interpreter
+    # shows what importing the pipeline and the CLI loads.
+    src = os.path.dirname(os.path.dirname(tagaug.__file__))
+    code = "import sys, tagaug.pipeline, tagaug.cli; print('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 import importlib.util
 import threading
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -120,6 +121,34 @@ def test_split_product_equals_sequential_index_order_sum(operands, cpus):
     assert len(plan) == (kernels.PIECES_PER_THREAD * threads if threads > 1 else 1)
     out = kernels.csr_matmul(indptr, indices, data, dense, plan=plan)
     assert np.array_equal(out, sequential_oracle(indptr, indices, data, dense))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_product_scratch_is_per_running_range(monkeypatch, cpus):
+    # A running range holds its accumulator and one chunk's gather, each at
+    # most its rows x width, and the buffer numpy's broadcast multiply uses
+    # (np.getbufsize() items). So a product peaks at its output plus that
+    # for the largest ranges, one per thread; 0.02 of the output covers the
+    # small arrays. With one accumulator for all rows and two gathers alive,
+    # the peak read 2.92 outputs on 2 CPUs (4 ranges) and 3.85 on one.
+    rng = np.random.default_rng(0)
+    n, width = 4000, 64
+    indptr = np.concatenate([[0], np.cumsum(rng.integers(0, 21, size=n))])
+    indices = rng.integers(n, size=int(indptr[-1]))
+    data = rng.normal(size=len(indices))
+    dense = rng.normal(size=(n, width))
+    plan = forced_plan(indptr, indices, data, n, cpus)
+    assert len(plan) == (kernels.PIECES_PER_THREAD * cpus if cpus > 1 else 1)
+    running = sorted(len(order) for _lo, order, _chunks in plan)[-cpus:]
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kernels.csr_matmul(indptr, indices, data, dense, plan=plan)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1.02 * n + 2 * sum(running)) * width * 8 + cpus * np.getbufsize() * 8
 
 
 def check_plan_chunks(indptr, plan):
