@@ -133,9 +133,12 @@ def _in_order(call, items):
     """Yield call(item, stop) for each item, in input order; a call that
     raised yields its exception instead of a result.
 
-    The calls run on worker threads, at most MAX_IN_FLIGHT submitted at
-    once. Closing the generator sets the stop event, so the running calls
-    end after their current attempt, cancels the calls not yet started and
+    The calls run on MAX_IN_FLIGHT worker threads, and the window holds the
+    oldest result not yet yielded and at most MAX_IN_FLIGHT calls past it,
+    so at most one call waits in the pool's queue, to start when any running
+    call finishes: a call waiting to retry holds only its own worker.
+    Closing the generator sets the stop event, so the running calls end
+    after their current attempt, cancels the calls not yet started and
     waits for the running ones, so no request outlives the caller.
     """
     limit = MAX_IN_FLIGHT
@@ -145,7 +148,7 @@ def _in_order(call, items):
     try:
         for item in items:
             window.append(pool.submit(call, item, stop))
-            if len(window) == limit:
+            if len(window) > limit:
                 yield _outcome(window.popleft())
         while window:
             yield _outcome(window.popleft())

@@ -357,10 +357,12 @@ def anchor_id(body):
     return text_id(first[len("<START>") : -len("<END>")])
 
 
-def run_generation(texts, pairs, base, cache_path, retry_count=0, strict_parse=False):
+def run_generation(
+    texts, pairs, base, cache_path, retry_count=0, strict_parse=False, retry_backoff=0.01
+):
     gen = GeneratorConfig(
         kind="remote", endpoint=base, model="gen", retry_count=retry_count,
-        retry_backoff=0.01, strict_parse=strict_parse,
+        retry_backoff=retry_backoff, strict_parse=strict_parse,
     )
     return generate_interpolations(
         pairs, "S", gen, SPEC, texts, ["a", "b"], cache_path
@@ -370,6 +372,28 @@ def run_generation(texts, pairs, base, cache_path, retry_count=0, strict_parse=F
 def pair_schedule(count):
     # anchor i with partner i + 1, all in class 0
     return [VicinalPair(anchor=i, partner=i + 1, label=0, partner_label=0) for i in range(count)]
+
+
+def first_attempt_fails(item, id_of):
+    """A TrackingHandler fail_fn that fails only the first request whose
+    id_of(body) is item."""
+    failed = []
+
+    def fail_fn(body):
+        if id_of(body) == item and not failed:
+            failed.append(body)
+            return True
+        return False
+
+    return fail_fn
+
+
+def sent_before_retry(requests, item, id_of):
+    """The sorted ids of the requests that reached the server before item's
+    second attempt."""
+    ids = [id_of(req["body"]) for req in requests]
+    retry = [at for at, sent in enumerate(ids) if sent == item][1]
+    return sorted(ids[:retry])
 
 
 class TestRequestsInFlight:
@@ -485,6 +509,65 @@ class TestRequestsInFlight:
         assert "HTTP 500" in stats["skipped"][0]["error"]
         assert len(warnings) == 2
         assert "skipping pair (2, 3)" in warnings[0] and "<END>" in warnings[1]
+
+    def test_retry_wait_holds_back_no_other_batch(self, tracking_server):
+        server, base = tracking_server
+        self.bind(server, lambda i: 0.02)
+
+        def batch_id(body):
+            return text_id(body["input"][0])
+
+        server.state["fail_fn"] = first_attempt_fails(0, batch_id)
+        texts = [f"t-{i}" for i in range(12)]
+        cfg = EncoderConfig(
+            kind="remote", endpoint=base, model="m", batch_size=1, retry_count=1,
+            retry_backoff=0.3,
+        )
+        emb = encode_remote(texts, cfg)
+        # while batch 0 waits to retry, the batches behind it keep the
+        # workers busy, up to MAX_IN_FLIGHT past it and no further
+        limit = embedding.MAX_IN_FLIGHT
+        assert sent_before_retry(server.state["requests"], 0, batch_id) == list(range(limit + 1))
+        assert server.state["peak"] <= limit
+        np.testing.assert_array_equal(emb.vectors, unit_rows(range(len(texts))))
+
+    def test_retry_wait_holds_back_no_other_pair(
+        self, tracking_server, tmp_path, monkeypatch, caplog
+    ):
+        server, base = tracking_server
+        self.bind(server, lambda i: 0.02)
+        chat = server.state["chat_fn"]
+        # pair 0 fails its first attempt; pair 6's reply lacks <END>
+        server.state["chat_fn"] = lambda body: (
+            chat(body)[: -len("<END>")] if anchor_id(body) == 6 else chat(body)
+        )
+        texts = [f"t-{i}" for i in range(11)]
+        limit = embedding.MAX_IN_FLIGHT
+        runs, before_retry = [], []
+        for in_flight in (limit, 1):
+            monkeypatch.setattr(embedding, "MAX_IN_FLIGHT", in_flight)
+            server.state["requests"].clear()
+            server.state["fail_fn"] = first_attempt_fails(0, anchor_id)
+            cache = tmp_path / f"cache{in_flight}.jsonl"
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="tagaug.generation"):
+                nodes, stats = run_generation(
+                    texts, pair_schedule(10), base, cache, retry_count=1, retry_backoff=0.3
+                )
+            runs.append((
+                [(n.text, n.label, n.provenance) for n in nodes],
+                stats.as_dict(),
+                cache.read_bytes(),
+                [rec.getMessage() for rec in caplog.records],
+            ))
+            before_retry.append(sent_before_retry(server.state["requests"], 0, anchor_id))
+        assert before_retry == [list(range(limit + 1)), [0]]
+        assert server.state["peak"] <= limit
+        assert runs[0] == runs[1]
+        node_rows, stats, _cache, warnings = runs[0]
+        assert [text for text, _l, _p in node_rows] == [f"reply to {i}" for i in range(10)]
+        assert stats["generated"] == 10 and stats["skipped"] == []
+        assert len(warnings) == 1 and "<END>" in warnings[0]
 
 
 def test_strict_parse_skips_reply_without_end(stub_server, tmp_path):
