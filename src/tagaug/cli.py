@@ -134,7 +134,7 @@ def main(argv=None):
             tail_class_count=tail_count,
             seed=args.seed,
         )
-        print(json.dumps(graph_stats(graph, split).as_dict(), indent=2, sort_keys=True))
+        print(json.dumps(graph_stats(graph, split), indent=2, sort_keys=True))
         return 0
 
     raise SystemExit(f"unknown command {args.command}")

@@ -13,7 +13,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -304,20 +304,7 @@ def knn_embedding(anchor, k, emb, candidate_idx):
     return [cand for _negsim, cand in scored[:k]]
 
 
-@dataclass
-class Centroids:
-    """Per-class mean vectors; classes absent from the subset are undefined."""
-
-    by_class: dict = field(default_factory=dict)
-
-    def require(self, cls):
-        if cls not in self.by_class:
-            raise KeyError(f"centroid undefined for class {cls}")
-        return self.by_class[cls]
-
-
 def class_centroids(emb, labels):
+    """{class: mean row} over the classes present in labels."""
     labels = np.asarray(labels, dtype=np.int64)
-    return Centroids(
-        by_class={int(c): emb.vectors[labels == c].mean(axis=0) for c in np.unique(labels)}
-    )
+    return {int(c): emb.vectors[labels == c].mean(axis=0) for c in np.unique(labels)}

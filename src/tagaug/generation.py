@@ -13,7 +13,7 @@ import json
 import logging
 import os
 from contextlib import closing
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -405,9 +405,6 @@ class GenerationStats:
     cache_hits: int = 0
     generated: int = 0
     skipped: list = field(default_factory=list)
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def generate_interpolations(pairs, variant, gen, spec, texts, class_names, cache_path):

@@ -9,6 +9,9 @@ Dataset directory format (UTF-8, LF newlines):
 Each JSON-lines file (these two, provenance.jsonl and gen_cache.jsonl) is
 parsed once and checked once by _jsonl_records: each record rule is one
 function over the parsed columns, and the first bad record's line is named.
+TextGraph's constructor runs the same text, label and edge rules, so a graph
+built in code is refused with the reason the loader gives for the same node
+or edge.
 """
 
 import gc
@@ -18,7 +21,7 @@ import operator
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,8 +39,10 @@ class TextGraph:
 
     edges may hold (u, v) pairs in any order and orientation; a mirrored or
     repeated pair is one edge. They are stored canonically: sorted, unique,
-    each with u < v. A self-loop or an endpoint outside [0, node_count)
-    raises DatasetError.
+    each with u < v. A text or label that load_dataset would refuse, an
+    endpoint outside [0, node_count) or a self-loop raises DatasetError with
+    the loader's reason for the first one, as does a class count other than
+    1 + the largest label.
     """
 
     node_count: int
@@ -47,31 +52,22 @@ class TextGraph:
     edges: tuple
 
     def __post_init__(self):
-        if len(self.texts) != self.node_count or len(self.labels) != self.node_count:
+        n, c = self.node_count, len(self.class_names)
+        if len(self.texts) != n or len(self.labels) != n:
             raise DatasetError("texts/labels length must equal node_count")
-        if not set(map(type, self.texts)) <= {str}:
-            text = next(text for text in self.texts if type(text) is not str)
-            raise DatasetError(f"text {text!r} is not a str")
-        if not _all_int(self.labels):
-            lab = next(lab for lab in self.labels if type(lab) is not int)
-            raise DatasetError(f"label {lab!r} is not an int")
-        c = len(self.class_names)
-        if self.node_count and c != 1 + max(self.labels):
-            raise DatasetError(
-                f"class_names has {c} entries but max label is {max(self.labels)}"
-            )
-        if self.node_count and min(self.labels) < 0:
-            lab = next(lab for lab in self.labels if lab < 0)
-            raise DatasetError(f"label {lab} out of range [0, {c})")
-        n = self.node_count
+        # The loader's rules; at one node the label rule names the fault first.
+        columns = {"label": self.labels, "text": self.texts}
+        found = [rule(columns) for rule in (_ints_below("label", c), _strings("text"))]
+        fault = min(filter(None, found), key=operator.itemgetter(0), default=None)
+        if fault:
+            raise DatasetError(fault[1])
+        if n and c != 1 + max(self.labels):
+            raise DatasetError(f"class_names has {c} entries but max label is {max(self.labels)}")
         pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        loops = pairs[pairs[:, 0] == pairs[:, 1]]
-        if len(loops):
-            raise DatasetError(f"self-loop on node {loops[0, 0]}")
-        outside = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)]
-        if len(outside):
-            u, v = outside[0]
-            raise DatasetError(f"edge ({u}, {v}) malformed or out of range")
+        bad = ((pairs < 0) | (pairs >= n)).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
+        if bad.any():
+            u, v = pairs[bad.argmax()].tolist()
+            raise DatasetError(_edges_within(n)({"src": [u], "dst": [v]})[1])
         # One integer code per undirected pair, sorted, repeats dropped.
         codes = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
         first = np.ones(len(codes), dtype=bool)
@@ -271,7 +267,7 @@ def _ints_below(key, bound):
             return None
         for i, value in enumerate(values):
             if type(value) is not int:
-                return i, f"{key} {json.dumps(value)} is not an integer"
+                return i, f"{key} {json.dumps(value, default=repr)} is not an integer"
             if not 0 <= value < bound:
                 return i, f"{key} out of range ({value} not in [0, {bound}))"
     return rule
@@ -284,7 +280,7 @@ def _node_ids(columns):
         return None
     for i, nid in enumerate(ids):
         if type(nid) is not int:
-            return i, f"node id {json.dumps(nid)} is not an integer"
+            return i, f"node id {json.dumps(nid, default=repr)} is not an integer"
         if 0 <= nid < i:
             return i, f"duplicate node id {nid}"
         if nid != i:
@@ -298,7 +294,7 @@ def _strings(key):
             return None
         for i, value in enumerate(columns[key]):
             if type(value) is not str:
-                return i, f"{key} {json.dumps(value)} is not a string"
+                return i, f"{key} {json.dumps(value, default=repr)} is not a string"
     return rule
 
 
@@ -312,7 +308,8 @@ def _edges_within(n):
             return None
         for i, (u, v) in enumerate(zip(src, dst)):
             if type(u) is not int or type(v) is not int:
-                return i, f"edge endpoints ({json.dumps(u)}, {json.dumps(v)}) are not integers"
+                ends = ", ".join(json.dumps(end, default=repr) for end in (u, v))
+                return i, f"edge endpoints ({ends}) are not integers"
             if not (0 <= u < n and 0 <= v < n):
                 return i, f"edge endpoint out of range ({u}, {v})"
             if u == v:
@@ -322,8 +319,8 @@ def _edges_within(n):
 
 def _read_meta(directory_path):
     """meta.json of a dataset directory; DatasetError unless it is an object
-    whose class_names is a list and whose tail_class_count, if any, a
-    non-negative int."""
+    whose class_names is a list of strings and whose tail_class_count, if
+    any, a non-negative int."""
     with open(os.path.join(directory_path, "meta.json"), "rb") as fh:
         text = _decode(fh.read(), "meta.json")
     try:
@@ -332,6 +329,8 @@ def _read_meta(directory_path):
         raise DatasetError(f"meta.json: malformed JSON: {exc}") from None
     if type(meta) is not dict or type(meta.get("class_names")) is not list:
         raise DatasetError("meta.json: class_names must be a list")
+    if not set(map(type, meta["class_names"])) <= {str}:
+        raise DatasetError("meta.json: class_names must be a list of strings")
     if type(meta.get("tail_class_count", 0)) is not int:
         raise DatasetError("meta.json: tail_class_count must be an integer")
     if meta.get("tail_class_count", 0) < 0:
@@ -537,32 +536,16 @@ def merge_augmented(graph, synthetic):
     )
 
 
-@dataclass(frozen=True)
-class Stats:
-    node_count: int
-    edge_count: int
-    class_count: int
-    tail_class_count: int
-    train_count: int
-    val_count: int
-    test_count: int
-    mean_text_length: float
-
-    def as_dict(self):
-        return {**asdict(self), "mean_text_length": round(self.mean_text_length, 4)}
-
-
 def graph_stats(graph, split=None):
-    mean_len = (
-        float(np.mean([len(t) for t in graph.texts])) if graph.node_count else 0.0
-    )
-    return Stats(
-        node_count=graph.node_count,
-        edge_count=len(graph.edges),
-        class_count=graph.num_classes,
-        tail_class_count=len(split.tail_classes) if split else 0,
-        train_count=len(split.train_idx) if split else 0,
-        val_count=len(split.val_idx) if split else 0,
-        test_count=len(split.test_idx) if split else 0,
-        mean_text_length=mean_len,
-    )
+    """The counts the stats command and augment_report.json print."""
+    mean_len = float(np.mean([len(t) for t in graph.texts])) if graph.node_count else 0.0
+    return {
+        "node_count": graph.node_count,
+        "edge_count": len(graph.edges),
+        "class_count": graph.num_classes,
+        "tail_class_count": len(split.tail_classes) if split else 0,
+        "train_count": len(split.train_idx) if split else 0,
+        "val_count": len(split.val_idx) if split else 0,
+        "test_count": len(split.test_idx) if split else 0,
+        "mean_text_length": round(mean_len, 4),
+    }

@@ -2,8 +2,6 @@
 evaluator the theory-verification command checks.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .neural import predict
@@ -67,36 +65,22 @@ def head_tail_gap(confusion, tail_classes):
     return head_mean - tail_mean
 
 
-@dataclass
-class ManifoldIndex:
-    """Per-class point sets; all_points stacks them for k-NN queries."""
-
-    by_class: dict = field(default_factory=dict)
-
-    @property
-    def all_points(self):
-        rows, labs = [], []
-        for cls in sorted(self.by_class):
-            pts = self.by_class[cls]
-            rows.append(pts)
-            labs.extend([cls] * len(pts))
-        return np.vstack(rows), np.array(labs, dtype=np.int64)
-
-
 def build_manifold_index(rows, labels):
-    rows = np.asarray(rows, dtype=np.float64)
+    """The reference (rows, labels) for bcr, grouped by class in ascending
+    order, each class's rows in their input order; bcr breaks distance ties
+    by this order."""
     labels = np.asarray(labels, dtype=np.int64)
-    return ManifoldIndex(
-        by_class={int(cls): rows[labels == cls] for cls in np.unique(labels)}
-    )
+    order = np.argsort(labels, kind="stable")
+    return np.asarray(rows, dtype=np.float64)[order], labels[order]
 
 
 def bcr(sample_rows, sample_labels, index, k):
     """Fraction of samples whose k-NN majority label on the reference set
-    differs from their own label; majority ties count as differing."""
+    index, build_manifold_index's (rows, labels), differs from their own
+    label; majority ties count as differing."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ref_rows, ref_labels = index.all_points
+    ref_rows, ref_labels = index
     sample_rows = np.atleast_2d(np.asarray(sample_rows, dtype=np.float64))
     sample_labels = np.asarray(sample_labels, dtype=np.int64)
     boundary = 0
@@ -115,20 +99,16 @@ def bcr(sample_rows, sample_labels, index, k):
 def bps(sample_rows, sample_labels, centroids):
     """Mean of d_in / d_out per sample; d_out = 0 clamps to BPS_CAP.
 
-    d_in is the distance to the own-class centroid, d_out to the nearest
-    other-class centroid. Higher means nearer the boundary.
+    centroids maps each class to its centroid (class_centroids). d_in is
+    the distance to the own-class centroid, d_out to the nearest other-class
+    centroid. Higher means nearer the boundary.
     """
     sample_rows = np.atleast_2d(np.asarray(sample_rows, dtype=np.float64))
     sample_labels = np.asarray(sample_labels, dtype=np.int64)
     scores = []
     for row, own in zip(sample_rows, sample_labels):
-        own_centroid = centroids.require(int(own))
-        d_in = float(np.linalg.norm(row - own_centroid))
-        others = [
-            float(np.linalg.norm(row - centroids.by_class[c]))
-            for c in centroids.by_class
-            if c != own
-        ]
+        d_in = float(np.linalg.norm(row - centroids[int(own)]))
+        others = [float(np.linalg.norm(row - c)) for cls, c in centroids.items() if cls != own]
         if not others:
             raise ValueError("bps needs at least two defined centroids")
         d_out = min(others)

@@ -225,9 +225,9 @@ def run_augment(cfg):
         "config": cfg.to_dict(),
         "config_digest": cfg.digest(),
         "seed": cfg.seed,
-        "graph_stats": graph_stats(graph, split).as_dict(),
+        "graph_stats": graph_stats(graph, split),
         "split_counts": _split_counts(split),
-        "generation": gen_stats.as_dict(),
+        "generation": asdict(gen_stats),
         "synthetic_count": len(nodes),
         "edge_assignment": edge_summary,
         "timings": {k: round(v, 6) for k, v in timings.items()},
@@ -271,14 +271,30 @@ def load_artifacts(cfg):
     access. Returns the graph, the split, the original embeddings, and the
     llm cells' synthetic (rows, labels, anchors): the labels and anchor ids
     come from provenance.jsonl, the rows from embeddings.npz (row i belongs
-    to record i). No cell reads the synthetic texts."""
+    to record i). No cell reads the synthetic texts. Files that do not fit
+    the dataset raise DatasetError naming the file."""
     graph = load_dataset(cfg.dataset_dir)
     split = _load_split(os.path.join(cfg.out_dir, "split.json"))
+    fault = _ints_below("index", graph.node_count)(
+        {"index": split.train_idx + split.val_idx + split.test_idx}
+    )
+    if fault:
+        raise DatasetError(f"split.json: {fault[1]}")
     with np.load(os.path.join(cfg.out_dir, "embeddings.npz")) as data:
         original = data["original"]
         synthetic = data["synthetic"]
         encoder_id = bytes(data["encoder_id"]).decode("utf-8")
     emb = EmbeddingMatrix(vectors=original, encoder_id=encoder_id)
+    if len(original) != graph.node_count:
+        raise DatasetError(
+            f"embeddings.npz has {len(original)} original rows but the dataset has "
+            f"{graph.node_count} nodes"
+        )
+    if synthetic.shape[1:] != original.shape[1:]:
+        raise DatasetError(
+            f"embeddings.npz has synthetic rows of shape {synthetic.shape[1:]} but "
+            f"original rows of shape {original.shape[1:]}"
+        )
 
     records, columns = _read_jsonl(
         os.path.join(cfg.out_dir, "augmented"), "provenance.jsonl", ("label", "anchor"),
@@ -328,9 +344,10 @@ def _mean_std_block(runs):
 
 
 def _boundary_references(emb, labels, cfg):
-    """What the boundary block measures synthetic rows against: the manifold
-    index, the class centroids, and an MLP probe trained on a class-balanced
-    sample. All three read only the original rows and labels."""
+    """What the boundary block measures synthetic rows against: the
+    reference rows and labels in class order, the class centroids, and an MLP
+    probe trained on a class-balanced sample. All three read only the
+    original rows and labels."""
     labels = np.asarray(labels, dtype=np.int64)
     counts = np.bincount(labels)
     per_class = counts[counts > 0].min()

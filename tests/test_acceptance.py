@@ -169,7 +169,7 @@ def test_criterion_5_oracle_equivalence():
         sample_labels = rng.integers(3, size=len(samples))
         k = int(rng.integers(1, 6))
         got = bcr(samples, sample_labels, index, k)
-        rows, labs = index.all_points
+        rows, labs = index
         boundary = 0
         for row, own in zip(samples, sample_labels):
             order = sorted(range(len(rows)), key=lambda i: (np.linalg.norm(row - rows[i]), i))
@@ -192,9 +192,9 @@ def test_criterion_5_oracle_equivalence():
         got = bps(samples, sample_labels, cents)
         scores = []
         for row, own in zip(samples, sample_labels):
-            d_in = np.linalg.norm(row - cents.by_class[int(own)])
+            d_in = np.linalg.norm(row - cents[int(own)])
             d_out = min(
-                np.linalg.norm(row - c) for cls, c in cents.by_class.items() if cls != own
+                np.linalg.norm(row - c) for cls, c in cents.items() if cls != own
             )
             scores.append(d_in / d_out)
         assert got == pytest.approx(np.mean(scores), abs=1e-12)

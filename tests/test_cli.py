@@ -380,6 +380,37 @@ class TestTrainEval:
         ):
             run_train_eval(cfg, grid=("origin", "llm"))
 
+    @pytest.mark.parametrize(
+        "name, edit, named",
+        [
+            ("embeddings.npz", lambda arrays: arrays.update(original=arrays["original"][:-1]),
+             r"embeddings\.npz has 169 original rows but the dataset has 170 nodes"),
+            ("embeddings.npz", lambda arrays: arrays.update(synthetic=arrays["synthetic"][:, 1:]),
+             r"embeddings\.npz has synthetic rows of shape \(127,\) but original rows of shape "
+             r"\(128,\)"),
+            ("split.json", lambda split: split["test_idx"].append(170),
+             r"split\.json: index out of range \(170 not in \[0, 170\)\)"),
+        ],
+        ids=["original rows", "synthetic columns", "split index"],
+    )
+    def test_artifacts_that_do_not_fit_the_dataset_are_refused(
+        self, tmp_path, toy_dataset_dir, name, edit, named
+    ):
+        cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
+        run_augment(cfg)
+        path = tmp_path / "run" / name
+        if name == "split.json":
+            content = json.loads(path.read_text(encoding="utf-8"))
+            edit(content)
+            path.write_text(json.dumps(content), encoding="utf-8")
+        else:
+            with np.load(path) as data:
+                content = dict(data)
+            edit(content)
+            np.savez(path, **content)
+        with pytest.raises(DatasetError, match=f"^{named}$"):
+            load_artifacts(cfg)
+
     def test_missing_provenance_is_refused(self, tmp_path, toy_dataset_dir):
         # augment always writes it, so an out dir without it is damaged
         cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))

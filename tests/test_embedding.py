@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import tagaug
 from tagaug.embedding import (
     _TOKEN_RE,
-    Centroids,
     _token_hash,
     class_centroids,
     cosine_matrix,
@@ -234,13 +233,13 @@ class TestCentroids:
     def test_single_point_per_class(self):
         emb = FakeEmb([[1.0, 2.0], [3.0, 4.0]])
         cents = class_centroids(emb, [0, 1])
-        np.testing.assert_array_equal(cents.require(0), [1.0, 2.0])
-        np.testing.assert_array_equal(cents.require(1), [3.0, 4.0])
+        np.testing.assert_array_equal(cents[0], [1.0, 2.0])
+        np.testing.assert_array_equal(cents[1], [3.0, 4.0])
 
     def test_two_point_mean(self):
         emb = FakeEmb([[0.0, 0.0], [2.0, 2.0]])
         cents = class_centroids(emb, [0, 0])
-        np.testing.assert_array_equal(cents.require(0), [1.0, 1.0])
+        np.testing.assert_array_equal(cents[0], [1.0, 1.0])
 
     def test_matches_summation_oracle(self, rng):
         vectors = rng.normal(size=(20, 5))
@@ -250,13 +249,13 @@ class TestCentroids:
         for cls in range(3):
             members = [i for i, lab in enumerate(labels) if lab == cls]
             oracle = sum(vectors[i] for i in members) / len(members)
-            np.testing.assert_allclose(cents.require(cls), oracle, atol=1e-12)
+            np.testing.assert_allclose(cents[cls], oracle, atol=1e-12)
 
     def test_absent_class_undefined(self):
         cents = class_centroids(FakeEmb([[1.0, 0.0]]), [0])
-        with pytest.raises(KeyError, match="undefined"):
-            cents.require(3)
-        assert isinstance(cents, Centroids)
+        assert cents.keys() == {0}
+        with pytest.raises(KeyError):
+            cents[3]
 
 
 def test_local_runs_do_not_import_requests():

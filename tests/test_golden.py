@@ -55,6 +55,21 @@ GOLDEN_OUTPUTS_MIXUP = {
     "train_eval_report.json": "48f8e00d7a0666424ff2eba2b9ce17f721bcd1ad302ee1e9e0a867a35f442956",
 }
 
+# Variant S (same-class interpolation), the default and the benchmark's
+# variant, taken on the same numerics before the boundary references became
+# plain arrays and dicts.
+GOLDEN_OUTPUTS_SMOTE = {
+    "augment_report.json": "78ce20b877621b125ab786b28f98935185b717136a930e0282e03cc0bd92301c",
+    "augmented/edges.jsonl": "5b30b570990bc80f5830ec1e1689692b6a7d3b89c93c1f2935cf2a70babbabb1",
+    "augmented/meta.json": "ee6ff93211905d7ef259ffdea703eae960bd63f88af89b72919301cf2752eeea",
+    "augmented/nodes.jsonl": "09dceeea17535405ab3b8bc90771458e10b80e1b9f69e7a06b92a669a101b7c7",
+    "augmented/provenance.jsonl": "6011f08369d5cd09ef495b42810f950350dbbe3a9ef0b58b20fbaac19c10fe04",
+    "embeddings.npz": "61402c339dcb7e33a81790838ce25216186fc35e98a6eb55feb0836668dfe884",
+    "gen_cache.jsonl": "b4483d6d7f4156b83204dbc159c925fb1a57651a3dd1e003d386e7b8a1d0d30a",
+    "split.json": "3edb0c1296ff8d6a92f5d955d4a8d209276163faee5b690e97c165e6567038ca",
+    "train_eval_report.json": "5d78fa7ba06a0de9adbb7c040bb5781109cc6828eac021620984368879165a99",
+}
+
 
 def golden_config():
     """The acceptance config, cut to 20 GCN epochs and eval seeds (0, 1).
@@ -162,3 +177,11 @@ class TestGoldenOutputsMixupConfidence(TestGoldenOutputs):
         report = json.loads((out_dir / "augment_report.json").read_text(encoding="utf-8"))
         wiring = report["edge_assignment"]
         assert wiring["edges_added"] == 1995 < wiring["k_edge"] == 2080
+
+
+class TestGoldenOutputsSmote(TestGoldenOutputs):
+    """Variant S, the default and the benchmark's: each synthetic text
+    interpolates two same-class neighbours."""
+
+    golden = GOLDEN_OUTPUTS_SMOTE
+    overrides = {"variant": "S"}

@@ -395,7 +395,7 @@ class TestBenchmarkShapedExports:
             graph, head_count=20, imbalance_ratio=0.5, tail_class_count=5, seed=0
         )
         stats = graph_stats(graph, split)
-        assert stats.class_count == 7 and stats.tail_class_count == 5
+        assert stats["class_count"] == 7 and stats["tail_class_count"] == 5
 
     def test_pubmed_shaped_class_counts(self, tmp_path, rng):
         n, class_count = 600, 3
@@ -414,24 +414,22 @@ class TestBenchmarkShapedExports:
             graph, head_count=20, imbalance_ratio=0.5, tail_class_count=2, seed=0
         )
         stats = graph_stats(graph, split)
-        assert stats.class_count == 3 and stats.tail_class_count == 2
+        assert stats["class_count"] == 3 and stats["tail_class_count"] == 2
 
 
 class TestGraphStats:
     def test_empty(self):
         graph = TextGraph(0, (), (), (), ())
         stats = graph_stats(graph)
-        assert stats.node_count == 0 and stats.edge_count == 0
-        assert stats.mean_text_length == 0.0
+        assert stats["node_count"] == 0 and stats["edge_count"] == 0
+        assert stats["mean_text_length"] == 0.0
 
     def test_counts(self, toy_graph, toy_split):
         stats = graph_stats(toy_graph, toy_split)
-        assert stats.node_count == toy_graph.node_count
-        assert stats.class_count == 4
-        assert stats.tail_class_count == 2
-        assert stats.mean_text_length == pytest.approx(
-            np.mean([len(t) for t in toy_graph.texts])
-        )
+        assert stats["node_count"] == toy_graph.node_count
+        assert stats["class_count"] == 4
+        assert stats["tail_class_count"] == 2
+        assert stats["mean_text_length"] == round(np.mean([len(t) for t in toy_graph.texts]), 4)
 
 
 def edge_scan_neighbors(graph, node):
@@ -670,16 +668,25 @@ class TestMetaJson:
             load_dataset(tmp_path)
 
 
-@pytest.mark.parametrize("label", [True, 1.5, np.int64(0)])
-def test_text_graph_rejects_a_label_that_is_not_an_int(label):
-    with pytest.raises(DatasetError, match="is not an int"):
+@pytest.mark.parametrize(
+    "label, shown",
+    [(True, "true"), (1.5, "1.5"), (np.int64(0), json.dumps(repr(np.int64(0))))],
+    ids=["True", "1.5", "label2"],
+)
+def test_text_graph_rejects_a_label_that_is_not_an_int(label, shown):
+    with pytest.raises(DatasetError, match=rf"^label {re.escape(shown)} is not an integer$"):
         TextGraph(2, ("x", "y"), (label, 1), ("a", "b"), ())
 
 
-@pytest.mark.parametrize("text", [5, None, b"x", ["x"]])
-def test_text_graph_rejects_a_text_that_is_not_a_str(text):
+@pytest.mark.parametrize(
+    "text, shown",
+    [(5, "5"), (None, "null"), (b"x", '"b\'x\'"'), (["x"], '["x"]')],
+    ids=["5", "None", "x", "text3"],
+)
+def test_text_graph_rejects_a_text_that_is_not_a_str(text, shown):
     # Such a graph is one write_dataset could write and load_dataset refuse.
-    with pytest.raises(DatasetError, match=rf"^text {re.escape(repr(text))} is not a str$"):
+    # A value JSON cannot hold prints as the JSON string of its repr.
+    with pytest.raises(DatasetError, match=rf"^text {re.escape(shown)} is not a string$"):
         TextGraph(2, ("a", text), (0, 0), ("a",), ((0, 1),))
 
 

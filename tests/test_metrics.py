@@ -128,7 +128,7 @@ class TestBcr:
             k = int(rng.integers(1, 6))
             got = bcr(samples, sample_labels, index, k)
 
-            ordered_rows, ordered_labels = index.all_points
+            ordered_rows, ordered_labels = index
             boundary = 0
             for row, own in zip(samples, sample_labels):
                 dists = [
@@ -189,10 +189,10 @@ class TestBps:
         got = bps(samples, sample_labels, cents)
         scores = []
         for row, own in zip(samples, sample_labels):
-            d_in = np.linalg.norm(row - cents.by_class[int(own)])
+            d_in = np.linalg.norm(row - cents[int(own)])
             d_out = min(
                 np.linalg.norm(row - c)
-                for cls, c in cents.by_class.items()
+                for cls, c in cents.items()
                 if cls != own
             )
             scores.append(d_in / d_out)

@@ -1,5 +1,7 @@
 """Every reason a dataset, provenance or cache record check gives, with the
-file and the line it names, and which fault is named when there are more."""
+file and the line it names, and which fault is named when there are more;
+and that TextGraph's constructor gives the loader's reason for the same
+fault."""
 
 import json
 import re
@@ -210,6 +212,11 @@ FAULTS = {
         "gen_cache.jsonl", with_line(CACHE, '{"key": "k0"}', 1),
         "gen_cache.jsonl line 1: missing key 'text'",
     ),
+    # meta.json is one object, so its reasons name no line.
+    "class name not a string": (
+        "meta.json", ['{"class_names": [0, 1]}'],
+        "meta.json: class_names must be a list of strings",
+    ),
     # One record that breaks two rules: the earlier rule names it; a
     # missing key comes before every value rule, and keys go in order.
     "missing label before float id": (
@@ -324,3 +331,29 @@ class TestStringFields:
         line = '{"id": 1, "text": 5, "label": 2}'
         with pytest.raises(DatasetError, match=r"^nodes\.jsonl line 2: label out of range"):
             read("nodes.jsonl", with_line(NODES, line, 2))
+
+
+# (file, its lines, the TextGraph fields that hold the same fault)
+SHARED_FAULTS = {
+    "text": ("nodes.jsonl", with_line(NODES, '{"id": 1, "text": 5, "label": 1}', 2),
+             {"texts": ("a", 5, "c")}),
+    "label": ("nodes.jsonl", with_line(NODES, '{"id": 2, "text": "c", "label": -1}', 3),
+              {"labels": (0, 1, -1)}),
+    "endpoint": ("edges.jsonl", with_line(EDGES, '{"src": 1, "dst": 3}', 2),
+                 {"edges": ((0, 1), (1, 3))}),
+    "self-loop": ("edges.jsonl", with_line(EDGES, '{"src": 2, "dst": 2}', 2),
+                  {"edges": ((0, 1), (2, 2))}),
+    "endpoint and self-loop": ("edges.jsonl", with_line(EDGES, '{"src": 5, "dst": 5}', 1),
+                               {"edges": ((5, 5), (1, 2))}),
+}
+
+
+@pytest.mark.parametrize("name, lines, fields", SHARED_FAULTS.values(), ids=list(SHARED_FAULTS))
+def test_text_graph_gives_the_loaders_reason(read, name, lines, fields):
+    with pytest.raises(DatasetError) as loaded:
+        read(name, lines)
+    reason = re.fullmatch(rf"{re.escape(name)} line \d+: (.*)", str(loaded.value)).group(1)
+    graph = {"node_count": 3, "texts": ("a", "b", "c"), "labels": (0, 1, 0),
+             "class_names": ("a", "b"), "edges": ((0, 1), (1, 2))}
+    with pytest.raises(DatasetError, match=f"^{re.escape(reason)}$"):
+        TextGraph(**{**graph, **fields})

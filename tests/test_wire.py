@@ -7,6 +7,7 @@ import logging
 import socket
 import threading
 import time
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -497,7 +498,7 @@ class TestRequestsInFlight:
                 nodes, stats = run_generation(texts, pairs, base, cache, retry_count=1)
             runs.append((
                 [(n.text, n.label, n.provenance) for n in nodes],
-                stats.as_dict(),
+                asdict(stats),
                 cache.read_bytes(),
                 [rec.getMessage() for rec in caplog.records],
             ))
@@ -556,7 +557,7 @@ class TestRequestsInFlight:
                 )
             runs.append((
                 [(n.text, n.label, n.provenance) for n in nodes],
-                stats.as_dict(),
+                asdict(stats),
                 cache.read_bytes(),
                 [rec.getMessage() for rec in caplog.records],
             ))
