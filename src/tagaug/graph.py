@@ -23,6 +23,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -39,10 +40,11 @@ class TextGraph:
 
     edges may hold (u, v) pairs in any order and orientation; a mirrored or
     repeated pair is one edge. They are stored canonically: sorted, unique,
-    each with u < v. A text or label that load_dataset would refuse, an
-    endpoint outside [0, node_count) or a self-loop raises DatasetError with
-    the loader's reason for the first one, as does a class count other than
-    1 + the largest label.
+    each with u < v; endpoints are Python ints (not bools) or an integer
+    numpy array. A text or label that load_dataset would refuse, an endpoint
+    that is not an integer or lies outside [0, node_count), or a self-loop
+    raises DatasetError with the loader's reason for the first one, as does
+    a class count other than 1 + the largest label.
     """
 
     node_count: int
@@ -63,6 +65,13 @@ class TextGraph:
             raise DatasetError(fault[1])
         if n and c != 1 + max(self.labels):
             raise DatasetError(f"class_names has {c} entries but max label is {max(self.labels)}")
+        if isinstance(self.edges, np.ndarray):
+            ints = self.edges.dtype.kind in "iu" or not self.edges.size
+        else:
+            ints = _all_int(chain.from_iterable(self.edges))
+        if not ints:  # the loader's rule names the first bad edge
+            src, dst = zip(*self.edges)
+            raise DatasetError(_edges_within(n)({"src": list(src), "dst": list(dst)})[1])
         pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
         bad = ((pairs < 0) | (pairs >= n)).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
         if bad.any():
@@ -142,6 +151,8 @@ class NormalizedAdjacency:
 
 # Only a line holding "}", a comma and "{" in a row can hold two objects.
 _TWO_OBJECTS = re.compile(r"\}[ \t\r]*,[ \t\r]*\{")
+# A line holding nothing but whitespace, between two newlines.
+_BLANK_LINE = re.compile(r"\n\s*\n")
 
 
 def _all_int(values):
@@ -155,16 +166,18 @@ def _parse_jsonl(text):
     than exactly one object.
 
     Lines split on "\n" only: ensure_ascii=False writes U+2028 and U+0085
-    raw, and str.splitlines breaks on them. Blank lines at either end are
-    dropped, and one between two records fails the parse. The joined parse
-    gives each line's own object when it yields one dict per line and no
-    line holds "}", a comma and "{" in a row: only such a line can hold two
-    objects, and only two objects on one line can make up the count for
-    one object spread over two lines.
+    raw, and str.splitlines breaks on them. A blank line (all whitespace,
+    as str.strip sees it) is dropped wherever it is, as the line-by-line
+    parse drops it. The joined parse gives each line's own object when it
+    yields one dict per line and no line holds "}", a comma and "{" in a
+    row: only such a line can hold two objects, and only two objects on
+    one line can make up the count for one object spread over two lines.
     """
     if _TWO_OBJECTS.search(text):
         return None
     body = text.strip(" \t\r\n")
+    if _BLANK_LINE.search(f"\n{body}\n"):
+        body = "\n".join(filter(str.strip, body.split("\n")))
     # The parse makes one dict per line at once; the cyclic collector would
     # scan them over and over for cycles that JSON cannot make.
     collecting = gc.isenabled()

@@ -23,7 +23,8 @@ Neither path reads a row of ``dense`` beyond the matrix's column count.
 
 A row's sum does not depend on the other rows, so step-major rows are cut
 into contiguous ranges of about equal entry counts, run on one thread per
-usable CPU (``os.sched_getaffinity``) and at most one per
+usable CPU (``os.sched_getaffinity``; inside a job of
+``neural.train_jobs``, the job's share of them) and at most one per
 ``RANGE_MIN_ENTRIES`` entries. Each range keeps its own degree order and
 steps and writes its own rows of the output; numpy releases the
 interpreter lock inside the gathers and adds. The bits do not depend on
@@ -36,6 +37,7 @@ rows, and each chunk costs one gather and one multiply, dropped before the
 next, so a running range holds about two arrays of its own rows x cols.
 """
 
+import ctypes
 import os
 import threading
 from functools import partial
@@ -65,11 +67,47 @@ DENSE_CELLS_PER_ENTRY = 32
 PIECES_PER_THREAD = 4
 
 
+# A thread running one of neural.train_jobs' jobs holds that job's share
+# of the CPUs here, so side-by-side jobs do not each start a thread per CPU.
+_SHARE = threading.local()
+
+
 def _usable_cpus():
+    """The CPUs this thread's products and masks may split over: its job's
+    share under neural.train_jobs, else the process's CPU affinity."""
+    share = getattr(_SHARE, "cpus", None)
+    if share is not None:
+        return share
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on macOS or Windows
         return os.cpu_count() or 1
+
+
+# The names OpenBLAS builds export their thread count under; numpy's wheels
+# bundle scipy-openblas, which adds a prefix and a suffix.
+_OPENBLAS_THREADS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
+
+
+def _blas_threads():
+    """How many threads one BLAS product may run on: the count an OpenBLAS
+    loaded in this process reports (found through /proc, so on Linux),
+    else every usable CPU, as MKL, Accelerate or an unfound OpenBLAS may
+    take."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh if "openblas" in line})
+    except OSError:  # no /proc
+        paths = []
+    for path in paths:
+        lib = ctypes.CDLL(path)  # already loaded by numpy: no second copy
+        for name in _OPENBLAS_THREADS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return max(1, getter())
+    return _usable_cpus()
 
 
 def _range_count(work, per_range):
@@ -80,39 +118,43 @@ def _range_count(work, per_range):
     return PIECES_PER_THREAD * threads if threads > 1 else 1
 
 
-def _run_ranges(fill, ranges):
+def _run_ranges(fill, ranges, workers=None):
     """fill(*args) for each args in ranges, on the calling thread and one
-    more thread per other usable CPU, up to one per range. Each thread
-    takes the next range not yet taken, so a thread whose CPU is busy
-    elsewhere holds the call up by one range at most. Returns once every
-    range has run and every thread has been joined, raising the first
-    error a range raised."""
-    pending = iter(ranges)
+    more thread per other usable CPU (or up to `workers` threads in all),
+    up to one per range. Each thread takes the next range not yet taken, so
+    a thread whose CPU is busy elsewhere holds the call up by one range at
+    most. Once a range raises (KeyboardInterrupt included), no further
+    range starts. Returns once every thread has been joined, raising the
+    error of the lowest-index range that raised."""
+    pending = enumerate(ranges)
     lock = threading.Lock()
-    errors = []
+    errors = {}  # range index -> what it raised
 
     def run():
         while True:
             with lock:
-                args = next(pending, None)
-            if args is None:
+                index, args = (None, None) if errors else next(pending, (None, None))
+            if index is None:
                 return
             try:
                 fill(*args)
             except BaseException as exc:  # raised again on the calling thread
-                errors.append(exc)
+                with lock:
+                    errors[index] = exc
 
-    count = min(_usable_cpus(), len(ranges)) - 1
+    count = min(workers or _usable_cpus(), len(ranges)) - 1
     threads = [threading.Thread(target=run) for _ in range(count)]
     for thread in threads:
         thread.start()
     try:
         run()
     finally:
+        with lock:  # an interrupt outside fill must not leave ranges to start
+            pending = iter(())
         for thread in threads:
             thread.join()
     if errors:
-        raise errors[0]
+        raise errors[min(errors)]
 
 
 def _steps(indptr, indices, data):

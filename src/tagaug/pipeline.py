@@ -9,6 +9,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .metrics import (
     icr,
 )
 from .embedding import class_centroids
-from .neural import TrainConfig, confidence_train_defaults, predict, train_classifier
+from .neural import TrainConfig, confidence_train_defaults, predict, train_classifier, train_jobs
 
 GRID_CELLS = ("origin", "num", "num_C", "llm", "llm_C")
 
@@ -310,17 +311,22 @@ def load_artifacts(cfg):
 
 
 def _train_eval_cell(graph, features, train_ids, split, cfg):
-    """Train the classifier over the eval seeds; per-seed test metrics."""
+    """Train the classifier for each eval seed, side by side; per-seed test
+    metrics, in seed order."""
     adjacency = normalized_adjacency(graph)
+    adjacency.plan  # built before the jobs share it: cached_property may not lock
     labels = graph.labels
-    runs = []
-    for seed in cfg.eval_seeds:
-        train_cfg = replace(cfg.classifier, seed=seed)
-        model = train_classifier(
-            features, labels, train_ids, train_cfg, kind="gcn", adjacency=adjacency
+    models = train_jobs([
+        partial(
+            train_classifier, features, labels, train_ids,
+            replace(cfg.classifier, seed=seed), kind="gcn", adjacency=adjacency,
         )
+        for seed in cfg.eval_seeds
+    ])
+    test_idx = np.asarray(split.test_idx)
+    runs = []
+    for model in models:
         pred, _, _ = predict(model, features, adjacency=adjacency)
-        test_idx = np.asarray(split.test_idx)
         conf = confusion_matrix(
             np.asarray(labels)[test_idx], pred[test_idx], graph.num_classes
         )
@@ -343,11 +349,9 @@ def _mean_std_block(runs):
     return out
 
 
-def _boundary_references(emb, labels, cfg):
-    """What the boundary block measures synthetic rows against: the
-    reference rows and labels in class order, the class centroids, and an MLP
-    probe trained on a class-balanced sample. All three read only the
-    original rows and labels."""
+def _boundary_probe(emb, labels, cfg):
+    """The MLP probe the boundary block's icr reads, trained on a
+    class-balanced sample of the original rows."""
     labels = np.asarray(labels, dtype=np.int64)
     counts = np.bincount(labels)
     per_class = counts[counts > 0].min()
@@ -355,8 +359,7 @@ def _boundary_references(emb, labels, cfg):
     for cls in range(len(counts)):
         members = np.flatnonzero(labels == cls)[:per_class]
         chosen.extend(int(i) for i in members)
-    probe = train_classifier(emb.vectors, labels, np.array(chosen), cfg.confidence, kind="mlp")
-    return build_manifold_index(emb.vectors, labels), class_centroids(emb, labels), probe
+    return train_classifier(emb.vectors, labels, np.array(chosen), cfg.confidence, kind="mlp")
 
 
 def _num_synthetic(cfg, emb, labels, split):
@@ -383,21 +386,31 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
     cells read the persisted augmented artifacts, num cells synthesize
     embedding rows on the shared pair schedule. Cells ending in _C use
     confidence-assigned edges, the others duplicate the anchor's edges.
+    The boundary probe and the confidence net train side by side, and so
+    do each cell's eval seeds (train_jobs).
     """
     check_grid(grid)
     timings = {}
     t0 = time.perf_counter()
     graph, split, emb, llm = load_artifacts(cfg)
     labels = list(graph.labels)
+    augmented = set(grid) - {"origin"}
     # Only the boundary block of a non-origin cell reads these.
-    references = _boundary_references(emb, labels, cfg) if set(grid) - {"origin"} else None
+    index = build_manifold_index(emb.vectors, labels) if augmented else None
+    centroids = class_centroids(emb, labels) if augmented else None
     # num and num_C add the same rows, so they are synthesized once.
     num = _num_synthetic(cfg, emb, labels, split) if {"num", "num_C"} & set(grid) else None
     timings["load_s"] = time.perf_counter() - t0
 
-    conf_net = None
+    t1 = time.perf_counter()
+    jobs = {}
+    if augmented:
+        jobs["probe"] = partial(_boundary_probe, emb, labels, cfg)
     if any(cell.endswith("_C") for cell in grid):
-        conf_net = train_confidence(emb, labels, split.train_idx, cfg.confidence)
+        jobs["conf"] = partial(train_confidence, emb, labels, split.train_idx, cfg.confidence)
+    models = dict(zip(jobs, train_jobs(list(jobs.values()))))
+    probe, conf_net = models.get("probe"), models.get("conf")
+    timings["models_s"] = time.perf_counter() - t1
 
     cells_report = {}
     for cell in grid:
@@ -423,7 +436,6 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
             train_ids = np.concatenate(
                 [train_ids, np.arange(graph.node_count, cell_graph.node_count)]
             )
-            index, centroids, probe = references
             boundary = {
                 "bcr": round(bcr(rows, row_labels, index, k=5), 4),
                 "bps": round(bps(rows, row_labels, centroids), 4),

@@ -459,8 +459,11 @@ def byte_parse(blob):
 
 # Characters str.splitlines breaks on, CR, and the one run that makes the
 # joined parse fall back to the line-by-line reader.
+# UTF-8 can hold no lone surrogate, and the test writes the cache as UTF-8.
 cache_texts = st.lists(
-    st.one_of(st.characters(), st.sampled_from(["\u2028", "\u0085", "\r", "\n", "}, {"])),
+    st.one_of(
+        st.characters(codec="utf-8"), st.sampled_from(["\u2028", "\u0085", "\r", "\n", "}, {"])
+    ),
     max_size=6,
 ).map("".join)
 

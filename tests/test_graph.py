@@ -849,6 +849,33 @@ def test_load_dataset_matches_per_line_loader(tmp_path_factory, graph, data):
         assert expected == graph
 
 
+BLANK_LINES = ["", " ", "\t", "\r", "\x85 ", "\u2028"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.dictionaries(st.sampled_from("abc"), st.integers(-3, 3)), max_size=6),
+    st.data(),
+)
+@example([], None)
+@example([{"a": 1}, {"b": 2}], None)
+def test_blank_lines_keep_the_joined_parse(records, data):
+    # Blank lines between records, at either end, or making up the whole
+    # file: the joined parse takes them (it does not give up, None) and
+    # gives the line-by-line parse's records.
+    lines = [json.dumps(rec) for rec in records]
+    if data is None:  # a blank line in each gap and at both ends
+        lines = [" "] + [part for line in lines for part in (line, "\t")]
+    else:
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(lines)))
+            lines.insert(at, data.draw(st.sampled_from(BLANK_LINES)))
+    text = "\n".join(lines) + "\n"
+    assert graph_module._parse_jsonl(text) == [
+        json.loads(line) for line in filter(str.strip, text.split("\n"))
+    ] == records
+
+
 def naive_merge(graph, synthetic):
     """merge_augmented oracle: one node and one edge at a time."""
     texts, labels, edges = list(graph.texts), list(graph.labels), list(graph.edges)

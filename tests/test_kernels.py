@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from contextlib import contextmanager
@@ -304,8 +307,9 @@ def test_gcn_with_a_nan_feature_row_diverges(monkeypatch, path):
         train_classifier(features, graph.labels, train_idx, cfg, kind="gcn", adjacency=adj)
 
 
-def test_range_error_is_raised_after_every_range_ran(monkeypatch):
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+def test_lowest_range_error_is_raised_and_no_later_range_starts(monkeypatch):
+    # On one CPU the ranges run in order on the calling thread.
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
     done = []
 
     def fill(i):
@@ -313,8 +317,34 @@ def test_range_error_is_raised_after_every_range_ran(monkeypatch):
             raise MemoryError("range 1")
         done.append(i)
 
-    before = threading.active_count()
     with pytest.raises(MemoryError, match="range 1"):
         kernels._run_ranges(fill, [(0,), (1,), (2,), (3,)])
-    assert sorted(done) == [0, 2, 3]
+    assert done == [0]
+
+    # On two, range 0 raises after range 1 has, and its error is the one raised.
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+    range_1_raised = threading.Event()
+
+    def fill_both(i):
+        if i == 1:
+            range_1_raised.set()
+            raise MemoryError("range 1")
+        assert range_1_raised.wait(10)
+        raise ValueError("range 0")
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="range 0"):
+        kernels._run_ranges(fill_both, [(0,), (1,)])
     assert threading.active_count() == before
+
+
+def test_blas_threads_reads_the_openblas_numpy_loaded():
+    if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    probe = "from tagaug import kernels; print(kernels._blas_threads())"
+    # OpenBLAS takes no more threads than the CPUs it may use.
+    for threads in range(1, min(2, len(os.sched_getaffinity(0))) + 1):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert int(out) == threads

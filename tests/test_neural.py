@@ -1,9 +1,12 @@
 import hashlib
 import inspect
+import os
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from tagaug.neural import (
     masked_cross_entropy,
     predict,
     train_classifier,
+    train_jobs,
 )
 
 
@@ -361,6 +365,8 @@ def test_split_gcn_training_has_the_same_bits(monkeypatch):
 def test_split_kernels_call_nothing_public_off_the_calling_thread(monkeypatch):
     # pipebench's tracer wraps these functions in every tagaug namespace
     # and keeps one span stack, so none of them may run on a range thread.
+    # train_jobs' job threads do call them, by design: each job is a whole
+    # training, and the tracer's spans under train-eval overlap.
     calls, thread_counts = [], []
 
     def wrap(name, func):
@@ -394,6 +400,154 @@ def test_split_kernels_call_nothing_public_off_the_calling_thread(monkeypatch):
     assert {ident for _name, ident in calls} == {threading.get_ident()}
     assert {"csr_matmul", "dropout_mask"} == {name for name, _b, _a in thread_counts}
     assert all(before == after for _name, before, after in thread_counts)
+
+
+def usable_cpus(monkeypatch, cpus, blas_threads=1):
+    """The process's CPU affinity reads as `cpus` CPUs, and its BLAS as
+    running each product on `blas_threads` threads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(neural, "_blas_threads", lambda: blas_threads)
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 10])
+def test_train_jobs_gives_the_bits_of_sequential_training(monkeypatch, cpus):
+    # At 10 CPUs each of the 5 jobs splits its products and masks over 2.
+    usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(kernels, "DENSE_CELLS_PER_ENTRY", 0)
+    monkeypatch.setattr(kernels, "RANGE_MIN_ENTRIES", 1)
+    monkeypatch.setattr(neural, "MASK_RANGE_MIN_WORDS", 1)
+    graph = make_toy_tag(seed=11)
+    features = np.random.default_rng(0).normal(size=(graph.node_count, 24))
+    train_idx = np.arange(0, graph.node_count, 3)
+    adj = normalized_adjacency(graph)
+    # Every array the jobs share is read-only, so a write from any job raises.
+    arrays = [features, adj.indptr, adj.indices, adj.data]
+    for _lo, order, chunks in adj.plan:
+        arrays += [order, *(a for cols, vals, _widths in chunks for a in (cols, vals))]
+    for array in arrays:
+        array.flags.writeable = False
+    gcn = [
+        partial(train_classifier, features, graph.labels, train_idx,
+                TrainConfig(epochs=6, hidden_dims=(16, 16), seed=seed), kind="gcn",
+                adjacency=adj)
+        for seed in (0, 1, 2)
+    ]
+    mlp = [
+        partial(train_classifier, features, graph.labels, train_idx,
+                TrainConfig(epochs=6, dropout=0.3, hidden_dims=(32,), seed=4)),
+        partial(train_classifier, features, graph.labels, train_idx,
+                TrainConfig(epochs=6, dropout=0.0, hidden_dims=(64,), weight_decay=5e-4)),
+    ]
+    jobs = gcn + mlp
+    for alone, side_by_side in zip([job() for job in jobs], train_jobs(jobs)):
+        assert alone.loss_history == side_by_side.loss_history
+        for a, b in zip(alone.layers, side_by_side.layers):
+            assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
+
+
+def test_train_jobs_returns_results_in_job_order(monkeypatch):
+    # More threads than cores, switching as often as the interpreter allows:
+    # each job runs once, whichever thread takes it, and lands in its slot.
+    usable_cpus(monkeypatch, 8)
+    started = []
+
+    def job(index):
+        started.append(index)
+        time.sleep(0.001 * (index % 3))
+        return index
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = train_jobs([partial(job, index) for index in range(64)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == list(range(64))
+    assert sorted(started) == list(range(64))
+
+
+@pytest.mark.parametrize("first, later", [
+    (ValueError, KeyError), (ValueError, KeyboardInterrupt), (KeyboardInterrupt, ValueError),
+])
+def test_train_jobs_raises_the_lowest_index_error(monkeypatch, first, later):
+    # Job 0 raises after job 1 has. Each thread checks for an error before
+    # it takes a job, so neither takes job 2 after its own job failed.
+    usable_cpus(monkeypatch, 2)
+    job_1_raised, started = threading.Event(), []
+
+    def job_0():
+        assert job_1_raised.wait(10)
+        raise first("job 0")
+
+    def job_1():
+        job_1_raised.set()
+        raise later("job 1")
+
+    with pytest.raises(first, match="job 0"):
+        train_jobs([job_0, job_1, partial(started.append, 2)])
+    assert started == []
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_no_job_starts_after_a_failure(monkeypatch, error):
+    # On one CPU the jobs run in order on the calling thread; Ctrl-C there
+    # arrives as a KeyboardInterrupt raised inside the running job.
+    usable_cpus(monkeypatch, 1)
+    started = []
+
+    def failing():
+        started.append(1)
+        raise error("job 1")
+
+    with pytest.raises(error, match="job 1"):
+        train_jobs([partial(started.append, 0), failing, partial(started.append, 2)])
+    assert started == [0, 1]
+
+
+@pytest.mark.parametrize("cpus, jobs, share", [
+    (4, 2, 2), (4, 3, 1), (5, 2, 2), (2, 5, 1), (1, 3, 1), (4, 1, 4),
+])
+def test_each_job_sees_its_share_of_the_cpus(monkeypatch, cpus, jobs, share):
+    usable_cpus(monkeypatch, cpus)
+    assert train_jobs([kernels._usable_cpus] * jobs) == [share] * jobs
+    assert kernels._usable_cpus() == cpus  # the calling thread's view is back
+    # A job that runs jobs of its own gets its share back after them, so a
+    # second cell on the same thread is not left on one CPU.
+    inner = partial(train_jobs, [kernels._usable_cpus] * 2)
+    seen = train_jobs([lambda: (inner(), kernels._usable_cpus())] * jobs)
+    assert seen == [([max(1, share // min(2, share))] * 2, share)] * jobs
+    assert kernels._usable_cpus() == cpus
+
+
+@pytest.mark.parametrize("cpus, blas_threads, share", [
+    (1, 1, 1), (4, 1, 1), (4, 2, 2), (2, 2, 2), (3, 2, 3),
+])
+def test_jobs_at_once_fit_the_cpus_and_blas_threads(monkeypatch, cpus, blas_threads, share):
+    # Only as many jobs run at once as the CPUs hold sets of BLAS threads;
+    # with room for one, they run in order on the calling thread, which then
+    # starts no thread. Every thread started is joined before the return.
+    usable_cpus(monkeypatch, cpus, blas_threads)
+    before = threading.active_count()
+    seen = train_jobs([lambda: (kernels._usable_cpus(), threading.active_count())] * 3)
+    assert threading.active_count() == before
+    assert [cpus_seen for cpus_seen, _count in seen] == [share] * 3
+    assert max(count for _cpus, count in seen) <= before + min(3, cpus // blas_threads) - 1
+    assert cpus // blas_threads > 1 or seen == [(share, before)] * 3
+
+
+def test_side_by_side_jobs_run_no_more_threads_than_cpus(monkeypatch):
+    # Each job splits its ranges over its share, so 2 jobs on 4 CPUs run 4
+    # threads at most, where 4 each would run 7.
+    usable_cpus(monkeypatch, 4)
+    counts = []
+
+    def fill(_i):
+        counts.append(threading.active_count())
+        time.sleep(0.005)
+
+    before = threading.active_count()
+    train_jobs([partial(kernels._run_ranges, fill, [(i,) for i in range(8)])] * 2)
+    assert max(counts) <= before + 3
 
 
 def reference_forward(model, features, adjacency=None, train_mode=False, seed=0, epoch=0):

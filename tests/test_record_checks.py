@@ -345,6 +345,13 @@ SHARED_FAULTS = {
                   {"edges": ((0, 1), (2, 2))}),
     "endpoint and self-loop": ("edges.jsonl", with_line(EDGES, '{"src": 5, "dst": 5}', 1),
                                {"edges": ((5, 5), (1, 2))}),
+    # numpy would cast each of these to an int; the loader refuses them.
+    "float endpoint": ("edges.jsonl", with_line(EDGES, '{"src": 0, "dst": 1.5}', 2),
+                       {"edges": ((0, 1), (0, 1.5))}),
+    "bool endpoint": ("edges.jsonl", with_line(EDGES, '{"src": true, "dst": 2}', 2),
+                      {"edges": ((0, 1), (True, 2))}),
+    "str endpoint": ("edges.jsonl", with_line(EDGES, '{"src": 1, "dst": "2"}', 2),
+                     {"edges": ((0, 1), (1, "2"))}),
 }
 
 
