@@ -10,7 +10,7 @@ import json
 import logging
 import sys
 
-from .graph import _read_meta, graph_stats, load_dataset, make_longtail_split
+from .graph import graph_stats, load_dataset, make_longtail_split
 from .pipeline import RunConfig, _resolve_tail_count, check_grid
 from .pipeline import run_augment, run_train_eval, run_verify
 
@@ -126,7 +126,7 @@ def main(argv=None):
 
     if args.command == "stats":
         graph = load_dataset(args.data)
-        tail_count = _resolve_tail_count(None, _read_meta(args.data), graph)
+        tail_count = _resolve_tail_count(None, graph._meta, graph)
         split = make_longtail_split(
             graph,
             head_count=args.head_count,

@@ -234,7 +234,9 @@ def parse_generation(raw, strict=False):
     Lenient mode (default) recovers from missing markers: a dropped <END>
     keeps everything after <START>, fully absent markers return the whole
     trimmed string; both log a warning. Strict mode raises instead. An
-    empty extraction is an error in either mode.
+    empty extraction, or one holding a lone surrogate (a JSON reply may
+    escape one as "\\ud800", and UTF-8 cannot store it), is an error in
+    either mode.
     """
     start = raw.find(START_MARKER)
     if start >= 0:
@@ -255,6 +257,12 @@ def parse_generation(raw, strict=False):
     content = content.strip()
     if not content:
         raise GenerationParseError("empty generation")
+    try:
+        content.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise GenerationParseError(
+            f"generation holds a lone surrogate {content[exc.start]!r}"
+        ) from None
     return content
 
 
@@ -369,15 +377,18 @@ class GenCache:
             "anchor": anchor,
             "partner": partner,
         }
+        # Encoded first: a text UTF-8 cannot hold raises before the record
+        # is kept, so entries and the file stay the same.
+        line = (_encode_record(rec) + "\n").encode("utf-8")
         self.entries[key] = rec
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         if self._truncate_to is not None:
             os.truncate(self.path, self._truncate_to)
             self._truncate_to = None
-        lead = "\n" if self._unterminated else ""
+        lead = b"\n" if self._unterminated else b""
         self._unterminated = False
-        with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-            fh.write(lead + _encode_record(rec) + "\n")
+        with open(self.path, "ab") as fh:
+            fh.write(lead + line)
 
 
 def cache_key(variant, pair, t1, t2, class1, class2, gen, spec, attempt=0):

@@ -12,14 +12,20 @@ function over the parsed columns, and the first bad record's line is named.
 TextGraph's constructor runs the same text, label and edge rules, so a graph
 built in code is refused with the reason the loader gives for the same node
 or edge.
+
+source_graph.npz, which augment writes and train-eval reads in place of the
+dataset, holds a loaded graph as plain arrays with the sha256 of the dataset
+bytes it was parsed from (write_source_graph, read_source_graph).
 """
 
 import gc
+import hashlib
 import json
 import math
 import operator
 import os
 import re
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,6 +34,10 @@ from itertools import chain
 import numpy as np
 
 from .kernels import csr_matmul, csr_plan
+
+
+# The files of a dataset directory, in the order they are checked and hashed.
+_DATASET_FILES = ("nodes.jsonl", "edges.jsonl", "meta.json")
 
 
 class DatasetError(ValueError):
@@ -44,7 +54,10 @@ class TextGraph:
     numpy array. A text or label that load_dataset would refuse, an endpoint
     that is not an integer or lies outside [0, node_count), or a self-loop
     raises DatasetError with the loader's reason for the first one, as does
-    a class count other than 1 + the largest label.
+    a class count other than 1 + the largest label. A graph load_dataset or
+    read_source_graph returns also keeps, as _digest, the sha256 of the
+    dataset files it came from, and load_dataset's also keeps meta.json's
+    object as _meta; a graph built in code has neither.
     """
 
     node_count: int
@@ -78,13 +91,15 @@ class TextGraph:
             u, v = pairs[bad.argmax()].tolist()
             raise DatasetError(_edges_within(n)({"src": [u], "dst": [v]})[1])
         # One integer code per undirected pair, sorted, repeats dropped.
-        codes = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
+        low, high = pairs[:, 0], pairs[:, 1]
+        codes = np.sort(np.minimum(low, high) * n + np.maximum(low, high))
         first = np.ones(len(codes), dtype=bool)
         np.not_equal(codes[1:], codes[:-1], out=first[1:])
         pairs = np.column_stack((codes[first] // n, codes[first] % n))
         # _pairs holds the canonical edges as an (E, 2) int64 array.
         object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "edges", tuple(zip(*pairs.T.tolist())))
+        with _gc_paused():
+            object.__setattr__(self, "edges", tuple(zip(*pairs.T.tolist())))
 
     @property
     def num_classes(self):
@@ -102,12 +117,36 @@ class TextGraph:
         """Symmetric CSR (indptr, indices) of the edges, each row sorted."""
         # Built on first use; a frozen graph's edges never change, and every
         # derived graph (merge_augmented) is a new object with its own index.
-        pairs = self._pairs
-        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        indptr = np.zeros(self.node_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.node_count), out=indptr[1:])
-        return indptr, cols[np.lexsort((cols, rows))]
+        return _symmetric_csr(self._pairs, self.node_count)
+
+
+def _symmetric_csr(pairs, n, loops=False):
+    """CSR (indptr, indices) of the undirected graph on n nodes whose
+    canonical pairs (sorted, unique, u < v) are pairs, built by counting.
+
+    Row r holds its lower neighbours, then r itself when loops, then its
+    upper neighbours, so each row is sorted. The lower neighbours come from
+    a stable argsort of the pairs' second column; the upper ones are the
+    pairs' second column, already in row order.
+    """
+    low, high = pairs[:, 0], pairs[:, 1]
+    below = np.bincount(high, minlength=n)  # neighbours below each row
+    above = np.bincount(low, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(below + above + loops, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    rank = np.arange(len(pairs))
+    # Sorted by high, the pairs group each row's lower neighbours in order;
+    # an entry goes to its row's start plus its rank within the group.
+    by_high = np.argsort(high, kind="stable")
+    rows = high[by_high]
+    indices[indptr[rows] + rank - (np.cumsum(below) - below)[rows]] = low[by_high]
+    if loops:
+        indices[indptr[:-1] + below] = np.arange(n)
+    # As they are, the pairs group each row's upper neighbours in order;
+    # they go after the row's lower neighbours and loop.
+    indices[indptr[low] + below[low] + loops + rank - (np.cumsum(above) - above)[low]] = high
+    return indptr, indices
 
 
 @dataclass(frozen=True)
@@ -155,6 +194,20 @@ _TWO_OBJECTS = re.compile(r"\}[ \t\r]*,[ \t\r]*\{")
 _BLANK_LINE = re.compile(r"\n\s*\n")
 
 
+@contextmanager
+def _gc_paused():
+    """The cyclic collector off for a block that makes many containers at
+    once (a parse's dicts, a graph's edge tuples): it would scan them over
+    and over for cycles that they cannot form. Left as it was found."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def _all_int(values):
     """True when every value is an int; bool, float and numpy ints are not."""
     return set(map(type, values)) <= {int}
@@ -178,17 +231,11 @@ def _parse_jsonl(text):
     body = text.strip(" \t\r\n")
     if _BLANK_LINE.search(f"\n{body}\n"):
         body = "\n".join(filter(str.strip, body.split("\n")))
-    # The parse makes one dict per line at once; the cyclic collector would
-    # scan them over and over for cycles that JSON cannot make.
-    collecting = gc.isenabled()
-    gc.disable()
     try:
-        records = json.loads("[" + body.replace("\n", ",") + "]")
+        with _gc_paused():
+            records = json.loads("[" + body.replace("\n", ",") + "]")
     except json.JSONDecodeError:
         return None
-    finally:
-        if collecting:
-            gc.enable()
     lines = body.count("\n") + 1 if body else 0
     if len(records) != lines or not set(map(type, records)) <= {dict}:
         return None
@@ -262,14 +309,19 @@ def _decode(blob, name):
         raise DatasetError(f"{name} line {line}: not UTF-8 ({exc.reason})") from None
 
 
-def _read_jsonl(directory_path, name, keys, rules):
-    """_jsonl_records of the file name in directory_path, its line ends
-    read as text mode reads them."""
-    with open(os.path.join(directory_path, name), "rb") as fh:
-        text = _decode(fh.read(), name)
+def _jsonl_blob(blob, name, keys, rules):
+    """_jsonl_records of the bytes of file name, its line ends read as text
+    mode reads them."""
+    text = _decode(blob, name)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return _jsonl_records(text, name, keys, rules)
+
+
+def _read_jsonl(directory_path, name, keys, rules):
+    """_jsonl_blob of the file name in directory_path."""
+    with open(os.path.join(directory_path, name), "rb") as fh:
+        return _jsonl_blob(fh.read(), name, keys, rules)
 
 
 def _ints_below(key, bound):
@@ -330,14 +382,12 @@ def _edges_within(n):
     return rule
 
 
-def _read_meta(directory_path):
-    """meta.json of a dataset directory; DatasetError unless it is an object
-    whose class_names is a list of strings and whose tail_class_count, if
-    any, a non-negative int."""
-    with open(os.path.join(directory_path, "meta.json"), "rb") as fh:
-        text = _decode(fh.read(), "meta.json")
+def _meta_blob(blob):
+    """The bytes of meta.json as an object; DatasetError unless its
+    class_names is a list of strings and its tail_class_count, if any, a
+    non-negative int."""
     try:
-        meta = json.loads(text)
+        meta = json.loads(_decode(blob, "meta.json"))
     except json.JSONDecodeError as exc:
         raise DatasetError(f"meta.json: malformed JSON: {exc}") from None
     if type(meta) is not dict or type(meta.get("class_names")) is not list:
@@ -351,28 +401,49 @@ def _read_meta(directory_path):
     return meta
 
 
+def _dataset_files(directory_path):
+    """The bytes of a dataset directory's three files, each read once, and
+    the sha256 of each file's name, byte count and bytes in turn."""
+    directory_path = os.fspath(directory_path)
+    blobs, digest = {}, hashlib.sha256()
+    for name in _DATASET_FILES:
+        path = os.path.join(directory_path, name)
+        if not os.path.exists(path):
+            raise DatasetError(f"missing file: {name} in {directory_path}")
+        with open(path, "rb") as fh:
+            blobs[name] = fh.read()
+        digest.update(f"{name} {len(blobs[name])}\n".encode("utf-8"))
+        digest.update(blobs[name])
+    return blobs, digest.digest()
+
+
 def load_dataset(directory_path):
     """Load and validate a dataset directory into a TextGraph. An invalid
-    line raises DatasetError naming its file and line number."""
-    directory_path = os.fspath(directory_path)
-    for name in ("nodes.jsonl", "edges.jsonl", "meta.json"):
-        if not os.path.exists(os.path.join(directory_path, name)):
-            raise DatasetError(f"missing file: {name} in {directory_path}")
-
-    class_names = tuple(_read_meta(directory_path)["class_names"])
-    nodes = _read_jsonl(
-        directory_path, "nodes.jsonl", ("id", "text", "label"),
+    line raises DatasetError naming its file and line number. The graph
+    keeps the sha256 of the bytes it was parsed from (_dataset_files) as
+    _digest, for write_source_graph, and meta.json's object, parsed from
+    the same bytes, as _meta."""
+    blobs, digest = _dataset_files(directory_path)
+    meta = _meta_blob(blobs["meta.json"])
+    class_names = tuple(meta["class_names"])
+    nodes = _jsonl_blob(
+        blobs["nodes.jsonl"], "nodes.jsonl", ("id", "text", "label"),
         (_node_ids, _ints_below("label", len(class_names)), _strings("text")),
     )[1]
     n = len(nodes["id"])
-    edges = _read_jsonl(directory_path, "edges.jsonl", ("src", "dst"), (_edges_within(n),))[1]
-    return TextGraph(
+    edges = _jsonl_blob(
+        blobs["edges.jsonl"], "edges.jsonl", ("src", "dst"), (_edges_within(n),)
+    )[1]
+    graph = TextGraph(
         node_count=n,
         texts=tuple(nodes["text"]),
         labels=tuple(nodes["label"]),
         class_names=class_names,
         edges=np.array([edges["src"], edges["dst"]], dtype=np.int64).T,
     )
+    object.__setattr__(graph, "_digest", digest)
+    object.__setattr__(graph, "_meta", meta)
+    return graph
 
 
 @contextmanager
@@ -423,6 +494,81 @@ def write_dataset(graph, directory_path, tail_class_count=None, provenance=None)
     for name, content in files.items():
         with _open_atomic(os.path.join(directory_path, name)) as fh:
             fh.write(content)
+
+
+def _pack_strings(strings):
+    """strings as one UTF-8 byte array and each one's int64 end offset in
+    it. A lone surrogate, which json.loads returns for the escape "\\ud800",
+    passes through."""
+    encoded = [text.encode("utf-8", "surrogatepass") for text in strings]
+    ends = np.cumsum([len(blob) for blob in encoded], dtype=np.int64)
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), ends
+
+
+def _unpack_strings(blob, ends):
+    """The strings _pack_strings packed into blob and ends."""
+    data, ends = blob.tobytes(), ends.tolist()
+    return tuple(
+        data[start:end].decode("utf-8", "surrogatepass")
+        for start, end in zip([0] + ends[:-1], ends)
+    )
+
+
+def write_source_graph(graph, path):
+    """Write the graph load_dataset returned to path as the arrays of an
+    .npz: its labels, canonical edge pairs, texts and class names, and the
+    sha256 of the dataset files it was parsed from. A graph built in code
+    has no such digest and raises ValueError."""
+    digest = getattr(graph, "_digest", None)
+    if digest is None:
+        raise ValueError("source_graph.npz is written from load_dataset's graph only")
+    text_bytes, text_ends = _pack_strings(graph.texts)
+    class_bytes, class_ends = _pack_strings(graph.class_names)
+    with _open_atomic(path, "wb") as fh:
+        np.savez(
+            fh,
+            labels=np.array(graph.labels, dtype=np.int64),
+            edges=graph._pairs,
+            text_bytes=text_bytes,
+            text_ends=text_ends,
+            class_bytes=class_bytes,
+            class_ends=class_ends,
+            dataset_sha256=np.frombuffer(digest, dtype=np.uint8),
+        )
+
+
+def read_source_graph(path, directory_path):
+    """The TextGraph write_source_graph wrote to path, when the files of the
+    dataset in directory_path hash to the digest stored with it. A missing,
+    truncated or corrupt file, another digest, or arrays the TextGraph rules
+    refuse raise DatasetError naming the file and saying to run augment
+    again."""
+    name = os.path.basename(path)
+    if not os.path.exists(path):
+        raise DatasetError(f"{name}: no such file in {os.path.dirname(path)}; run augment again")
+    digest = _dataset_files(directory_path)[1]
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            stored = data["dataset_sha256"].tobytes()
+            if stored != digest:
+                raise DatasetError(
+                    f"the dataset in {os.fspath(directory_path)} differs from the one augment "
+                    f"read (sha256 {digest.hex()[:12]}, was {stored.hex()[:12]})"
+                )
+            labels = data["labels"]
+            graph = TextGraph(
+                node_count=len(labels),
+                texts=_unpack_strings(data["text_bytes"], data["text_ends"]),
+                labels=tuple(labels.tolist()),
+                class_names=_unpack_strings(data["class_bytes"], data["class_ends"]),
+                edges=data["edges"],
+            )
+    except (KeyError, ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile) as exc:
+        # A truncated or corrupt zip raises BadZipFile, EOFError, OSError or
+        # NotImplementedError (a RuntimeError), as its damage falls.
+        raise DatasetError(f"{name}: {exc}; run augment again") from None
+    object.__setattr__(graph, "_digest", digest)
+    return graph
 
 
 def class_frequencies(graph):
@@ -511,16 +657,12 @@ def make_longtail_split(
 def normalized_adjacency(graph):
     """D^{-1/2} (A + I) D^{-1/2} with self-loop-inclusive degrees."""
     n = graph.node_count
-    adj_ptr, adj_idx = graph._adjacency
-    degree = np.diff(adj_ptr)
-    inv_sqrt = 1.0 / np.sqrt(degree + 1.0)  # self loop
-    nodes = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([nodes, np.repeat(nodes, degree)])
-    cols = np.concatenate([nodes, adj_idx])
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
+    indptr, cols = _symmetric_csr(graph._pairs, n, loops=True)
+    degree = np.diff(indptr)  # self loop included
+    inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))
+    rows = np.repeat(np.arange(n, dtype=np.int64), degree)
     return NormalizedAdjacency(
-        indptr=adj_ptr + np.arange(n + 1),
+        indptr=indptr,
         indices=cols,
         data=inv_sqrt[rows] * inv_sqrt[cols],
         shape=(n, n),

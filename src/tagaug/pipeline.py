@@ -32,13 +32,14 @@ from .graph import (
     _ints_below,
     _open_atomic,
     _read_jsonl,
-    _read_meta,
     graph_stats,
     load_dataset,
     make_longtail_split,
     merge_augmented,
     normalized_adjacency,
+    read_source_graph,
     write_dataset,
+    write_source_graph,
 )
 from .metrics import (
     bcr,
@@ -168,7 +169,7 @@ def run_augment(cfg):
     timings = {}
     t0 = time.perf_counter()
     graph = load_dataset(cfg.dataset_dir)
-    meta = _read_meta(cfg.dataset_dir)
+    meta = graph._meta
     tail_count = _resolve_tail_count(cfg.tail_class_count, meta, graph)
     split = make_longtail_split(
         graph,
@@ -238,8 +239,11 @@ def run_augment(cfg):
 
 
 def write_artifacts(out_dir, graph, split, tail_count, nodes, emb, syn_emb):
-    """Persist what augment made: the augmented graph with its provenance
-    sidecar under out_dir/augmented, embeddings.npz and split.json."""
+    """Persist what augment made: source_graph.npz (graph, which must come
+    from load_dataset), the augmented graph with its provenance sidecar
+    under out_dir/augmented, embeddings.npz and split.json."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_source_graph(graph, os.path.join(out_dir, "source_graph.npz"))
     augmented = merge_augmented(graph, nodes)
     provenance = []
     for i, node in enumerate(nodes):
@@ -270,12 +274,15 @@ def write_artifacts(out_dir, graph, split, tail_count, nodes, emb, syn_emb):
 def load_artifacts(cfg):
     """Reload what train-eval reads of run_augment's output; no network
     access. Returns the graph, the split, the original embeddings, and the
-    llm cells' synthetic (rows, labels, anchors): the labels and anchor ids
-    come from provenance.jsonl, the rows from embeddings.npz (row i belongs
-    to record i). No cell reads the synthetic texts. Files that do not fit
-    the dataset raise DatasetError naming the file."""
-    graph = load_dataset(cfg.dataset_dir)
+    llm cells' synthetic (rows, labels, anchors): the graph comes from
+    source_graph.npz, refused unless cfg.dataset_dir still holds the
+    dataset augment read; the labels and anchor ids from provenance.jsonl,
+    the rows from embeddings.npz (row i belongs to record i). No cell reads
+    the synthetic texts. An out_dir without split.json raises
+    FileNotFoundError; files that do not fit the dataset raise DatasetError
+    naming the file."""
     split = _load_split(os.path.join(cfg.out_dir, "split.json"))
+    graph = read_source_graph(os.path.join(cfg.out_dir, "source_graph.npz"), cfg.dataset_dir)
     fault = _ints_below("index", graph.node_count)(
         {"index": split.train_idx + split.val_idx + split.test_idx}
     )
@@ -465,6 +472,8 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
             "checks": [
                 {"name": c["name"], "passed": c["passed"]} for c in stored["checks"]
             ],
+            "seed": stored.get("seed"),
+            "tool_version": stored.get("tool_version"),
         }
 
     report = {

@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 from dataclasses import replace
@@ -114,6 +115,26 @@ class TestAugmentPipeline:
         assert set(report["timings"]) == {
             "load_split_s", "encode_s", "generate_s", "encode_synthetic_s", "edges_s", "write_s"
         }
+
+    def test_augment_reads_each_dataset_file_once(self, tmp_path, toy_dataset_dir, monkeypatch):
+        # The split's tail count and the prompt's dataset name come from the
+        # meta.json bytes source_graph.npz's digest covers, not a second read.
+        cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
+        opened, real_open = [], builtins.open
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        run_augment(cfg)
+        monkeypatch.undo()
+        directory = os.path.abspath(toy_dataset_dir)
+        assert sorted(
+            os.path.basename(path) for path in opened
+            if isinstance(path, (str, os.PathLike))
+            and os.path.dirname(os.path.abspath(path)) == directory
+        ) == ["edges.jsonl", "meta.json", "nodes.jsonl"]
 
     def test_edge_strategy_none_isolates_everything(self, tmp_path, toy_dataset_dir):
         data = fast_config(toy_dataset_dir, tmp_path / "run")
@@ -265,6 +286,21 @@ class TestTrainEval:
         block = report["cells"]["origin"]["metrics"]["macro_f1"]
         assert block["mean"] == pytest.approx(np.mean(per_seed), abs=1e-3)
         assert block["std"] == pytest.approx(np.std(per_seed, ddof=1), abs=1e-3)
+
+    def test_theory_checks_carry_the_stored_seed_and_version(self, tmp_path, toy_dataset_dir):
+        cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
+        run_augment(cfg)
+        stored = {
+            "all_passed": False, "seed": 7, "tool_version": "0.0.stored",
+            "checks": [{"name": "a", "passed": True, "detail": 1}, {"name": "b", "passed": False}],
+            "timings": {"total_s": 1.0},
+        }
+        write_report(stored, str(tmp_path / "run" / "verify_report.json"))
+        report = run_train_eval(cfg, grid=("origin",))
+        assert report["theory_checks"] == {
+            "all_passed": False, "seed": 7, "tool_version": "0.0.stored",
+            "checks": [{"name": "a", "passed": True}, {"name": "b", "passed": False}],
+        }
 
     def test_unknown_cell_rejected(self, tmp_path, toy_dataset_dir):
         cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))

@@ -266,6 +266,12 @@ class TestParseGeneration:
         with pytest.raises(GenerationParseError):
             parse_generation("<START>unterminated", strict=True)
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_lone_surrogate_rejected(self, strict):
+        # json.loads reads the escape "\ud800" as one; UTF-8 cannot store it
+        with pytest.raises(GenerationParseError, match=r"^generation holds a lone surrogate"):
+            parse_generation("<START>a \ud800 b<END>", strict=strict)
+
 
 class TestMockGenerate:
     def test_token_multiset_from_sources(self):
@@ -392,6 +398,15 @@ class TestGenCache:
                 ]
                 with open(path, "rb") as fh:
                     assert fh.read().endswith(b"\n")
+
+    def test_a_text_utf8_cannot_hold_is_not_kept(self, tmp_path):
+        path = tmp_path / "gen_cache.jsonl"
+        cache = GenCache(path)
+        with pytest.raises(UnicodeEncodeError):
+            cache.append("k0", "a\ud800b", "m", "S", 0, 1)
+        assert cache.entries == {} and not path.exists()
+        cache.append("k1", "fine", "m", "S", 1, 2)
+        assert GenCache(path).entries == cache.entries
 
     def test_only_the_final_line_may_be_torn(self, tmp_path, caplog):
         path = tmp_path / "gen_cache.jsonl"

@@ -3,10 +3,11 @@ bytes as when the digests were taken.
 
 Every file the two commands leave is pinned by sha256: the reports without
 `timings`, the augmented dataset with its provenance, split.json, the
-generation cache, and the arrays of embeddings.npz (not its zip
-container, whose bytes carry no numbers of their own). A change that keeps
-outputs byte-identical passes unchanged; one that moves any output fails
-here and names the file.
+generation cache, and the arrays of embeddings.npz and source_graph.npz
+(not their zip containers, whose bytes carry no numbers of their own).
+source_graph.npz depends on the dataset alone, so the sets share its
+digest. A change that keeps outputs byte-identical passes unchanged; one
+that moves any output fails here and names the file.
 
 The numbers come from float64 training, so another numpy, BLAS or CPU may
 round differently; there the digests say nothing and the tests skip, as
@@ -38,6 +39,7 @@ GOLDEN_OUTPUTS = {
     "augmented/provenance.jsonl": "fc2f9097ce11479b6d2f614cfb42e8f33a870aac7003e28aed4a485b3b577c0e",
     "embeddings.npz": "735a04d3f1de3e251f8e4ab744536e79da135153470b43741e9f0ea6446d9af0",
     "gen_cache.jsonl": "a1b27cafedc8033b0d172a22f6874f7ac9d2b5b64b1752539d86e660bc165999",
+    "source_graph.npz": "69a721346b145000296ab6a7112c47e7c56017c6d4cd39e3fb10d956e5c6a0ed",
     "split.json": "3edb0c1296ff8d6a92f5d955d4a8d209276163faee5b690e97c165e6567038ca",
     "train_eval_report.json": "0bc9f8bf81737033eb6c52e563e186276c02fea24e9d35133047a7cc56f7522c",
 }
@@ -51,6 +53,7 @@ GOLDEN_OUTPUTS_MIXUP = {
     "augmented/provenance.jsonl": "c712c4bda8454136e425f1b4f162fbe3c9bc7479bd74635194d72e0f1e1ad305",
     "embeddings.npz": "b9be012fb155a8afb714db52496887c09eef75a1fd0f140e16898dedfa04d6b2",
     "gen_cache.jsonl": "c44beb53d7781e445516bf5824cbfcbd8a272d85f747655d23c9ce4a3472f1c7",
+    "source_graph.npz": "69a721346b145000296ab6a7112c47e7c56017c6d4cd39e3fb10d956e5c6a0ed",
     "split.json": "3edb0c1296ff8d6a92f5d955d4a8d209276163faee5b690e97c165e6567038ca",
     "train_eval_report.json": "48f8e00d7a0666424ff2eba2b9ce17f721bcd1ad302ee1e9e0a867a35f442956",
 }
@@ -66,6 +69,7 @@ GOLDEN_OUTPUTS_SMOTE = {
     "augmented/provenance.jsonl": "6011f08369d5cd09ef495b42810f950350dbbe3a9ef0b58b20fbaac19c10fe04",
     "embeddings.npz": "61402c339dcb7e33a81790838ce25216186fc35e98a6eb55feb0836668dfe884",
     "gen_cache.jsonl": "b4483d6d7f4156b83204dbc159c925fb1a57651a3dd1e003d386e7b8a1d0d30a",
+    "source_graph.npz": "69a721346b145000296ab6a7112c47e7c56017c6d4cd39e3fb10d956e5c6a0ed",
     "split.json": "3edb0c1296ff8d6a92f5d955d4a8d209276163faee5b690e97c165e6567038ca",
     "train_eval_report.json": "5d78fa7ba06a0de9adbb7c040bb5781109cc6828eac021620984368879165a99",
 }

@@ -324,6 +324,48 @@ def test_normalized_adjacency_matches_edge_loop(graph):
     np.testing.assert_array_equal(adj.todense(), dense)
 
 
+def lexsort_csr(graph):
+    """Oracle: both CSR forms as two lexsorts over the mirrored pairs built
+    them, the adjacency (indptr, indices) and the normalized (indptr,
+    indices, data)."""
+    n, pairs = graph.node_count, graph._pairs
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    adj_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=adj_ptr[1:])
+    adj_idx = cols[np.lexsort((cols, rows))]
+    degree = np.diff(adj_ptr)
+    inv_sqrt = 1.0 / np.sqrt(degree + 1.0)
+    nodes = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([nodes, np.repeat(nodes, degree)])
+    cols = np.concatenate([nodes, adj_idx])
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    return (adj_ptr, adj_idx), (adj_ptr + np.arange(n + 1), cols, inv_sqrt[rows] * inv_sqrt[cols])
+
+
+def star(n, centre):
+    return plain_graph(n, tuple((min(v, centre), max(v, centre)) for v in range(n) if v != centre))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+@example(plain_graph(0, ()))  # no nodes
+@example(plain_graph(1, ()))  # n = 1
+@example(plain_graph(5, ()))  # no edges
+@example(plain_graph(7, ((2, 4), (4, 5))))  # isolated nodes at both ends and between
+@example(star(6, 0))  # a star whose centre has upper neighbours only
+@example(star(6, 5))  # lower neighbours only
+@example(star(7, 3))  # both
+def test_counting_csr_matches_lexsort(graph):
+    adjacency, normalized = lexsort_csr(graph)
+    adj = normalized_adjacency(graph)
+    for got, want in zip((*graph._adjacency, adj.indptr, adj.indices, adj.data),
+                         (*adjacency, *normalized)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 def synth(label, edges=()):
     return SyntheticNode(text="gen", label=label, provenance={}, edges=list(edges))
 
@@ -567,6 +609,23 @@ class TestLoaderNamesFileAndLine:
         )
         with pytest.raises(DatasetError, match=r"^nodes\.jsonl line 1: malformed JSON"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("at", [1, 2, 3])
+    def test_two_objects_beside_texts_that_look_like_two(self, tmp_path, at):
+        # Beside texts that hold "}, {", a line that holds two objects is
+        # named with the line-by-line parse's error.
+        write_raw(tmp_path, [], [], {"class_names": ["a"]})
+        lines = [
+            json.dumps({"id": i, "label": 0, "text": text})
+            for i, text in enumerate(["}, {", "x", "a}, {b", "y"])
+        ]
+        lines[at] = lines[at] + ", " + lines[at]
+        (tmp_path / "nodes.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as alone:
+            json.loads(lines[at])
+        with pytest.raises(DatasetError) as refused:
+            load_dataset(tmp_path)
+        assert str(refused.value) == f"nodes.jsonl line {at + 1}: malformed JSON: {alone.value}"
 
     def test_one_object_spread_over_two_lines(self, tmp_path):
         # Joined with a comma, the two lines parse as one node with text "a,".

@@ -43,7 +43,7 @@ def read(tmp_path):
     write_lines(data / "nodes.jsonl", NODES)
     write_lines(data / "edges.jsonl", EDGES)
     (data / "meta.json").write_text('{"class_names": ["a", "b"]}', encoding="utf-8")
-    graph = TextGraph(3, ("a", "b", "c"), (0, 1, 0), ("a", "b"), ((0, 1), (1, 2)))
+    graph = load_dataset(data)  # write_artifacts stores its dataset digest
     split = LongTailSplit((0,), (1,), (2,), frozenset({1}), 1, 1.0)
     synthetic = [SyntheticNode("s", 0, {}), SyntheticNode("t", 1, {})]
     write_artifacts(

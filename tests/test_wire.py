@@ -22,6 +22,7 @@ from tagaug.embedding import (
     encode_remote,
 )
 from tagaug.generation import (
+    GenCache,
     GeneratorConfig,
     GeneratorError,
     PromptSpec,
@@ -588,6 +589,25 @@ def test_strict_parse_skips_reply_without_end(stub_server, tmp_path):
     )
     assert [node.text for node in lenient_nodes] == ["no end marker"] * 2
     assert lenient.generated == 2 and lenient.skipped == []
+
+
+def test_reply_with_a_lone_surrogate_is_skipped_and_the_cache_reread(stub_server, tmp_path):
+    # The stub escapes the reply's lone surrogate as "\ud800" in its JSON.
+    server, base = stub_server
+    server.state["chat_fn"] = lambda body: (
+        "<START>bad \ud800<END>" if anchor_id(body) == 1 else f"<START>to {anchor_id(body)}<END>"
+    )
+    texts = [f"t-{i}" for i in range(4)]
+    cache = tmp_path / "gen_cache.jsonl"
+    nodes, stats = run_generation(texts, pair_schedule(3), base, cache)
+    assert [node.text for node in nodes] == ["to 0", "to 2"] and stats.generated == 2
+    assert stats.skipped == [
+        {"anchor": 1, "partner": 2, "error": "generation holds a lone surrogate '\\ud800'"}
+    ]
+    assert [rec["text"] for rec in GenCache(cache).entries.values()] == ["to 0", "to 2"]
+    again, stats = run_generation(texts, pair_schedule(3), base, cache)
+    assert again == nodes and stats.cache_hits == 2 and stats.generated == 0
+    assert len(stats.skipped) == 1
 
 
 class TestCancellation:
