@@ -7,7 +7,7 @@ with an optional score threshold selects the edges. Synthetic nodes that
 win no edge stay isolated, which keeps them out of message passing.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,30 +158,27 @@ def duplicate_edges(anchor, graph):
     return graph.neighbors(anchor)
 
 
-def assign_edges(synthetic, graph, emb, conf, cfg):
-    """Fill edges/isolated on copies of the synthetic nodes and summarize.
+def assign_edges(rows, graph, emb, conf, cfg):
+    """One sorted list of (original id, score) edges per synthetic row,
+    chosen by global top-k over kappa x cosine scores, and the summary.
 
-    emb must hold rows for all original nodes; every synthetic node must
-    already carry its embedding.
+    rows holds one embedding per synthetic node; emb holds rows for all
+    original nodes.
     """
-    if not synthetic:
+    if not len(rows):
         return [], {"k_edge": 0, "edges_added": 0, "isolated": 0, "score_quantiles": []}
-    rows = np.vstack([node.embedding for node in synthetic])
+    k = len(rows) * cfg.factor
     scores = score_edges(rows, emb, conf)
     # Only the candidates at or above the k-th best score can win, so the
     # table handed to select_topk_global holds those alone.
     flat = scores.ravel()
-    pos = np.flatnonzero(flat >= _topk_cut(flat, len(synthetic) * cfg.factor, cfg.tau_conf))
+    pos = np.flatnonzero(flat >= _topk_cut(flat, k, cfg.tau_conf))
     candidates = np.column_stack([*np.divmod(pos, scores.shape[1]), flat[pos]])
-    selected, isolated = select_topk_global(candidates, len(synthetic), cfg)
+    selected, isolated = select_topk_global(candidates, len(rows), cfg)
 
-    per_node = [[] for _ in synthetic]
+    edges = [[] for _ in range(len(rows))]
     for syn, orig, score in selected:
-        per_node[int(syn)].append((int(orig), float(score)))
-    out = []
-    for i, node in enumerate(synthetic):
-        edges = sorted(per_node[i])
-        out.append(replace(node, edges=edges, isolated=not edges))
+        edges[int(syn)].append((int(orig), float(score)))
 
     # scores is dead once the candidates are taken, so it is reordered.
     quantiles = (
@@ -190,38 +187,35 @@ def assign_edges(synthetic, graph, emb, conf, cfg):
         else []
     )
     summary = {
-        "k_edge": len(synthetic) * cfg.factor,
+        "k_edge": k,
         "edges_added": int(len(selected)),
         "isolated": len(isolated),
         "score_quantiles": quantiles,
     }
-    return out, summary
+    return [sorted(node_edges) for node_edges in edges], summary
 
 
-def wire_nodes(nodes, graph, strategy, emb, conf, cfg):
-    """Wire synthetic nodes into the graph by one of the edge strategies.
+def wire_nodes(rows, anchors, graph, strategy, emb, conf, cfg):
+    """Wire synthetic nodes, given as their embedding rows and anchor ids,
+    into the graph by one of the edge strategies.
 
     confidence: global top-k over kappa x cosine scores (assign_edges);
     duplicate: copy the anchor's edges, each scored 1.0; none: leave every
-    node isolated. Returns copies of the nodes with edges/isolated filled
-    and the edge-assignment summary.
+    node isolated. Returns one sorted list of (original id, score) edges
+    per node, empty for an isolated one, and the edge-assignment summary.
     """
     if strategy == "confidence":
-        return assign_edges(nodes, graph, emb, conf, cfg)
+        return assign_edges(rows, graph, emb, conf, cfg)
     if strategy == "duplicate":
-        wired = []
-        for node in nodes:
-            edges = [(t, 1.0) for t in duplicate_edges(node.provenance["anchor"], graph)]
-            wired.append(replace(node, edges=edges, isolated=not edges))
-        nodes = wired
+        edges = [[(t, 1.0) for t in duplicate_edges(anchor, graph)] for anchor in anchors]
     elif strategy == "none":
-        nodes = [replace(node, edges=[], isolated=True) for node in nodes]
+        edges = [[] for _ in anchors]
     else:
         raise ValueError(f"unknown edge strategy: {strategy!r}")
     summary = {
         "k_edge": 0,
-        "edges_added": sum(len(node.edges) for node in nodes),
-        "isolated": sum(1 for node in nodes if node.isolated),
+        "edges_added": sum(map(len, edges)),
+        "isolated": edges.count([]),
         "score_quantiles": [],
     }
-    return nodes, summary
+    return edges, summary

@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .embedding import _in_order, _post_with_retries, knn_embedding, knn_same_class
-from .graph import _decode, _encode_record, _jsonl_records, _strings
+from .graph import _decode, _encode_record, _jsonl_records, _lone_surrogate, _strings
 
 logger = logging.getLogger(__name__)
 
@@ -71,14 +71,11 @@ class GeneratorConfig:
             raise ValueError("temperature must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticNode:
     text: str
     label: int
     provenance: dict
-    embedding: np.ndarray = None
-    edges: list = field(default_factory=list)
-    isolated: bool = False
 
 
 @dataclass(frozen=True)
@@ -257,12 +254,8 @@ def parse_generation(raw, strict=False):
     content = content.strip()
     if not content:
         raise GenerationParseError("empty generation")
-    try:
-        content.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise GenerationParseError(
-            f"generation holds a lone surrogate {content[exc.start]!r}"
-        ) from None
+    if (char := _lone_surrogate(content)) is not None:
+        raise GenerationParseError(f"generation holds a lone surrogate {char!r}")
     return content
 
 
@@ -334,8 +327,8 @@ class GenCache:
     newline that does not parse. Loading drops it (with a warning) and the
     next append first truncates the file back to the last newline, so the
     cache stays a valid resume point. A malformed line anywhere else, or a
-    record whose "key" or "text" is missing or not a string, raises
-    DatasetError naming the line.
+    record whose "key" or "text" is missing or not a string UTF-8 can
+    encode, raises DatasetError naming the line.
     """
 
     def __init__(self, path):

@@ -352,14 +352,28 @@ def _node_ids(columns):
             return i, f"node ids must be 0-based contiguous ascending, got {nid}"
 
 
+def _lone_surrogate(text):
+    """The first character of text that UTF-8 cannot encode, a lone
+    surrogate (json.loads returns one for the escape "\\ud800"), or None."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return text[exc.start]
+
+
 def _strings(key):
-    """Rule: each record's key holds a string."""
+    """Rule: each record's key holds a string that UTF-8 can encode. The
+    whole column is encoded at once; only a failure scans it record by
+    record."""
     def rule(columns):
-        if set(map(type, columns[key])) <= {str}:
+        values = columns[key]
+        if set(map(type, values)) <= {str} and _lone_surrogate("".join(values)) is None:
             return None
-        for i, value in enumerate(columns[key]):
+        for i, value in enumerate(values):
             if type(value) is not str:
                 return i, f"{key} {json.dumps(value, default=repr)} is not a string"
+            if (char := _lone_surrogate(value)) is not None:
+                return i, f"{key} holds a lone surrogate {char!r}"
     return rule
 
 
@@ -394,6 +408,9 @@ def _meta_blob(blob):
         raise DatasetError("meta.json: class_names must be a list")
     if not set(map(type, meta["class_names"])) <= {str}:
         raise DatasetError("meta.json: class_names must be a list of strings")
+    fault = _strings("class_names")(meta)
+    if fault:
+        raise DatasetError(f"meta.json: {fault[1]}")
     if type(meta.get("tail_class_count", 0)) is not int:
         raise DatasetError("meta.json: tail_class_count must be an integer")
     if meta.get("tail_class_count", 0) < 0:
@@ -498,9 +515,8 @@ def write_dataset(graph, directory_path, tail_class_count=None, provenance=None)
 
 def _pack_strings(strings):
     """strings as one UTF-8 byte array and each one's int64 end offset in
-    it. A lone surrogate, which json.loads returns for the escape "\\ud800",
-    passes through."""
-    encoded = [text.encode("utf-8", "surrogatepass") for text in strings]
+    it."""
+    encoded = [text.encode("utf-8") for text in strings]
     ends = np.cumsum([len(blob) for blob in encoded], dtype=np.int64)
     return np.frombuffer(b"".join(encoded), dtype=np.uint8), ends
 
@@ -509,7 +525,7 @@ def _unpack_strings(blob, ends):
     """The strings _pack_strings packed into blob and ends."""
     data, ends = blob.tobytes(), ends.tolist()
     return tuple(
-        data[start:end].decode("utf-8", "surrogatepass")
+        data[start:end].decode("utf-8")
         for start, end in zip([0] + ends[:-1], ends)
     )
 
@@ -591,7 +607,8 @@ def make_longtail_split(
     graph,
     head_count=20,
     imbalance_ratio=1.0,
-    tail_class_count=None,
+    *,
+    tail_class_count,
     val_fraction=0.25,
     seed=0,
 ):
@@ -604,8 +621,6 @@ def make_longtail_split(
         raise ValueError("imbalance_ratio must lie in (0, 1]")
     if not 0 <= val_fraction < 1:
         raise ValueError(f"val_fraction must lie in [0, 1), got {val_fraction}")
-    if tail_class_count is None:
-        raise ValueError("tail_class_count is required")
     tail = tail_classes_by_frequency(graph, tail_class_count)
 
     tail_train = max(1, int(math.floor(head_count * imbalance_ratio + 0.5)))
@@ -669,23 +684,22 @@ def normalized_adjacency(graph):
     )
 
 
-def merge_augmented(graph, synthetic):
-    """Append synthetic nodes (ids node_count + i) and their edges."""
+def merge_augmented(graph, texts, labels, edges):
+    """Append synthetic node i (id node_count + i) with texts[i], labels[i]
+    and an edge to each original id of edges[i], a list of (id, score)."""
     n = graph.node_count
-    new_ids = np.repeat(
-        np.arange(n, n + len(synthetic)), [len(node.edges) for node in synthetic]
-    )
+    new_ids = np.repeat(np.arange(n, n + len(edges)), [len(node_edges) for node_edges in edges])
     targets = np.array(
-        [target for node in synthetic for target, _score in node.edges], dtype=np.int64
+        [target for node_edges in edges for target, _score in node_edges], dtype=np.int64
     )
     bad = np.flatnonzero((targets < 0) | (targets >= new_ids))
     if len(bad):
         i, target = new_ids[bad[0]] - n, targets[bad[0]]
         raise ValueError(f"synthetic node {i} references unknown id {target}")
     return TextGraph(
-        node_count=n + len(synthetic),
-        texts=tuple(graph.texts) + tuple(node.text for node in synthetic),
-        labels=tuple(graph.labels) + tuple(node.label for node in synthetic),
+        node_count=n + len(edges),
+        texts=tuple(graph.texts) + tuple(texts),
+        labels=tuple(graph.labels) + tuple(labels),
         class_names=graph.class_names,
         edges=np.concatenate([graph._pairs, np.column_stack((targets, new_ids))]),
     )

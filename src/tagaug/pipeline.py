@@ -20,7 +20,6 @@ from .edges import EdgeAssignConfig, train_confidence, wire_nodes
 from .embedding import EmbeddingMatrix, EncoderConfig, encode_texts
 from .generation import (
     GeneratorConfig,
-    SyntheticNode,
     default_prompt_spec,
     find_vicinal_twins,
     generate_interpolations,
@@ -204,21 +203,20 @@ def run_augment(cfg):
 
     t3 = time.perf_counter()
     syn_emb = encode_texts([node.text for node in nodes], cfg.encoder)
-    for node, row in zip(nodes, syn_emb.vectors):
-        node.embedding = row
     timings["encode_synthetic_s"] = time.perf_counter() - t3
 
     t4 = time.perf_counter()
     conf = None
     if cfg.edge_strategy == "confidence" and nodes:
         conf = train_confidence(emb, labels, split.train_idx, cfg.confidence)
-    nodes, edge_summary = wire_nodes(
-        nodes, graph, cfg.edge_strategy, emb, conf, cfg.edge_config()
+    edges, edge_summary = wire_nodes(
+        syn_emb.vectors, [node.provenance["anchor"] for node in nodes], graph,
+        cfg.edge_strategy, emb, conf, cfg.edge_config(),
     )
     timings["edges_s"] = time.perf_counter() - t4
 
     t5 = time.perf_counter()
-    write_artifacts(cfg.out_dir, graph, split, tail_count, nodes, emb, syn_emb)
+    write_artifacts(cfg.out_dir, graph, split, tail_count, nodes, edges, emb, syn_emb)
     timings["write_s"] = time.perf_counter() - t5
 
     report = {
@@ -238,25 +236,28 @@ def run_augment(cfg):
     return report
 
 
-def write_artifacts(out_dir, graph, split, tail_count, nodes, emb, syn_emb):
+def write_artifacts(out_dir, graph, split, tail_count, nodes, edges, emb, syn_emb):
     """Persist what augment made: source_graph.npz (graph, which must come
-    from load_dataset), the augmented graph with its provenance sidecar
-    under out_dir/augmented, embeddings.npz and split.json."""
+    from load_dataset), the graph merged with the synthetic nodes and their
+    wired edges (edges[i] for nodes[i]) with a provenance sidecar under
+    out_dir/augmented, embeddings.npz and split.json. A node's provenance
+    record adds its id, label and edges, and is "isolated" when it has no
+    edge."""
     os.makedirs(out_dir, exist_ok=True)
     write_source_graph(graph, os.path.join(out_dir, "source_graph.npz"))
-    augmented = merge_augmented(graph, nodes)
-    provenance = []
-    for i, node in enumerate(nodes):
-        rec = dict(node.provenance)
-        rec.update(
-            {
-                "node_id": graph.node_count + i,
-                "label": node.label,
-                "isolated": node.isolated,
-                "edges": [[t, round(s, 6)] for t, s in node.edges],
-            }
-        )
-        provenance.append(rec)
+    augmented = merge_augmented(
+        graph, [node.text for node in nodes], [node.label for node in nodes], edges
+    )
+    provenance = [
+        {
+            **node.provenance,
+            "node_id": graph.node_count + i,
+            "label": node.label,
+            "isolated": not node_edges,
+            "edges": [[t, round(s, 6)] for t, s in node_edges],
+        }
+        for i, (node, node_edges) in enumerate(zip(nodes, edges))
+    ]
     write_dataset(
         augmented, os.path.join(out_dir, "augmented"),
         tail_class_count=tail_count, provenance=provenance,
@@ -426,19 +427,14 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
         train_ids = np.asarray(split.train_idx)
         if cell != "origin":
             rows, row_labels, anchors = num if cell.startswith("num") else llm
-            nodes = [
-                SyntheticNode(
-                    text="", label=int(lab), provenance={"anchor": anchor}, embedding=row
-                )
-                for row, lab, anchor in zip(rows, row_labels, anchors)
-            ]
-            if not nodes:
+            if not len(rows):
                 raise ValueError(f"cell {cell}: nothing to augment with")
             strategy = "confidence" if cell.endswith("_C") else "duplicate"
-            nodes, _summary = wire_nodes(
-                nodes, graph, strategy, emb, conf_net, cfg.edge_config()
+            edges, _summary = wire_nodes(
+                rows, anchors, graph, strategy, emb, conf_net, cfg.edge_config()
             )
-            cell_graph = merge_augmented(graph, nodes)
+            # No cell reads the synthetic texts, so the merged nodes have none.
+            cell_graph = merge_augmented(graph, [""] * len(rows), row_labels.tolist(), edges)
             features = np.vstack([emb.vectors, rows])
             train_ids = np.concatenate(
                 [train_ids, np.arange(graph.node_count, cell_graph.node_count)]

@@ -321,9 +321,7 @@ def test_criterion_8_isolation_budget_trend(acceptance_workspace):
         pairs, "S", GeneratorConfig(kind="mock", seed=0), default_prompt_spec("toy"),
         graph.texts, graph.class_names, root / "crit8_cache.jsonl",
     )
-    syn = encode_hashing([n.text for n in nodes], 256)
-    for node, row in zip(nodes, syn.vectors):
-        node.embedding = row
+    rows = encode_hashing([n.text for n in nodes], 256).vectors
     conf = train_confidence(
         emb, labels, split.train_idx,
         TrainConfig(epochs=300, learning_rate=0.001, dropout=0.0, hidden_dims=(256,), seed=0),
@@ -331,7 +329,7 @@ def test_criterion_8_isolation_budget_trend(acceptance_workspace):
     counts = []
     for factor in (1, 4, 16, 64):
         _, summary = assign_edges(
-            nodes, graph, emb, conf, EdgeAssignConfig(factor=factor, tau_conf=0.3)
+            rows, graph, emb, conf, EdgeAssignConfig(factor=factor, tau_conf=0.3)
         )
         counts.append(summary["isolated"])
     emit(

@@ -1,4 +1,7 @@
+import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,12 +30,16 @@ from tagaug.generation import (
     rebalance_targets,
 )
 from tagaug.graph import (
+    LongTailSplit,
     TextGraph,
+    load_dataset,
     make_longtail_split,
     merge_augmented,
     normalized_adjacency,
+    write_dataset,
 )
 from tagaug.neural import TrainConfig, forward, train_classifier
+from tagaug.pipeline import write_artifacts
 
 
 def quick_cfg(epochs=200):
@@ -248,12 +255,6 @@ def full_table(scores):
     return np.column_stack([syn, orig, scores.ravel()])
 
 
-def with_embeddings(rows):
-    return [
-        SyntheticNode(text="t", label=0, provenance={}, embedding=row) for row in rows
-    ]
-
-
 @st.composite
 def wiring_cases(draw):
     n_syn, n_orig = draw(st.integers(1, 5)), draw(st.integers(1, 8))
@@ -284,13 +285,13 @@ def test_assign_edges_matches_select_topk_global_over_the_full_table(case):
     table = full_table(score_edges(syn, emb, conf))
     selected, isolated = select_topk_global(table, len(syn), cfg)
 
-    wired, summary = assign_edges(with_embeddings(syn), None, emb, conf, cfg)
+    wired, summary = assign_edges(syn, None, emb, conf, cfg)
 
     per_node = [[] for _ in syn]
     for s, o, score in selected:
         per_node[int(s)].append((int(o), float(score)))
-    assert [node.edges for node in wired] == [sorted(edges) for edges in per_node]
-    assert [i for i, node in enumerate(wired) if node.isolated] == isolated
+    assert wired == [sorted(edges) for edges in per_node]
+    assert [i for i, node_edges in enumerate(wired) if not node_edges] == isolated
     quantiles = np.quantile(table[:, 2], [0.0, 0.25, 0.5, 0.75, 1.0])
     assert summary == {
         "k_edge": len(syn) * cfg.factor,
@@ -306,14 +307,14 @@ def test_assign_edges_peak_memory_is_about_one_score_matrix():
     rng = np.random.default_rng(3)
     n_syn, n_orig, dim = 40, 2000, 16
     emb = EmbeddingMatrix(vectors=rng.normal(size=(n_orig, dim)), encoder_id="t")
-    nodes = with_embeddings(rng.normal(size=(n_syn, dim)))
+    rows = rng.normal(size=(n_syn, dim))
     conf = StubConfidence(rng.uniform(0.5, 1.0, n_orig))
     cfg = EdgeAssignConfig(factor=20)
-    assign_edges(nodes[:2], None, emb, conf, cfg)  # lazy imports stay out of the peak
+    assign_edges(rows[:2], None, emb, conf, cfg)  # lazy imports stay out of the peak
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assign_edges(nodes, None, emb, conf, cfg)
+        assign_edges(rows, None, emb, conf, cfg)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -434,66 +435,60 @@ def pipeline(tmp_path_factory, toy_graph):
         pairs, "S", GeneratorConfig(kind="mock", seed=3),
         default_prompt_spec("toy"), toy_graph.texts, toy_graph.class_names, cache,
     )
-    syn = encode_hashing([n.text for n in nodes], 256)
-    for node, row in zip(nodes, syn.vectors):
-        node.embedding = row
+    rows = encode_hashing([n.text for n in nodes], 256).vectors
     conf_cfg = TrainConfig(
         epochs=300, learning_rate=0.001, dropout=0.0, hidden_dims=(256,), seed=0
     )
     conf = train_confidence(emb, labels, split.train_idx, conf_cfg)
-    return toy_graph, emb, nodes, conf
+    return toy_graph, emb, nodes, rows, conf
 
 
 class TestAssignEdges:
     def test_in_class_nodes_rarely_isolated(self, pipeline):
-        graph, emb, nodes, conf = pipeline
-        filled, summary = wire_nodes(nodes, graph, "confidence", emb, conf, EdgeAssignConfig())
+        graph, emb, nodes, rows, conf = pipeline
+        anchors = [node.provenance["anchor"] for node in nodes]
+        filled, summary = wire_nodes(
+            rows, anchors, graph, "confidence", emb, conf, EdgeAssignConfig()
+        )
         assert summary["isolated"] / len(filled) < 0.10
         assert summary["edges_added"] == len(filled) * 20
 
         # the other strategies' summaries, and every strategy on no nodes
         none_filled, none_summary = wire_nodes(
-            nodes, graph, "none", emb, None, EdgeAssignConfig()
+            rows, anchors, graph, "none", emb, None, EdgeAssignConfig()
         )
-        assert all(n.isolated and n.edges == [] for n in none_filled)
+        assert none_filled == [[] for _ in nodes]
         assert none_summary == {
             "k_edge": 0, "edges_added": 0, "isolated": len(nodes), "score_quantiles": []
         }
         for strategy in ("confidence", "duplicate", "none"):
-            assert wire_nodes([], graph, strategy, emb, None, EdgeAssignConfig()) == (
+            assert wire_nodes([], [], graph, strategy, emb, None, EdgeAssignConfig()) == (
                 [], {"k_edge": 0, "edges_added": 0, "isolated": 0, "score_quantiles": []}
             )
 
     def test_out_of_vocabulary_text_isolated(self, pipeline):
-        graph, emb, nodes, conf = pipeline
-        alien = SyntheticNode(
-            text="qqq www zzz yyy xxx", label=nodes[0].label, provenance={},
-            embedding=encode_hashing(["qqq www zzz yyy xxx"], 256).vectors[0],
-        )
+        graph, emb, nodes, rows, conf = pipeline
+        alien = encode_hashing(["qqq www zzz yyy xxx"], 256).vectors
         filled, _ = assign_edges(
-            [alien], graph, emb, conf, EdgeAssignConfig(factor=8, tau_conf=0.5)
+            alien, graph, emb, conf, EdgeAssignConfig(factor=8, tau_conf=0.5)
         )
-        assert filled[0].isolated
+        assert filled == [[]]
 
     def test_isolated_count_non_increasing_in_factor(self, pipeline):
-        graph, emb, nodes, conf = pipeline
+        graph, emb, nodes, rows, conf = pipeline
         counts = []
         for factor in (1, 20, 400):
             _, summary = assign_edges(
-                nodes, graph, emb, conf, EdgeAssignConfig(factor=factor, tau_conf=0.35)
+                rows, graph, emb, conf, EdgeAssignConfig(factor=factor, tau_conf=0.35)
             )
             counts.append(summary["isolated"])
         assert counts == sorted(counts, reverse=True)
 
     def test_isolated_node_invariant_in_trained_forward(self, pipeline, rng):
-        graph, emb, nodes, conf = pipeline
-        lone = SyntheticNode(
-            text=nodes[0].text, label=nodes[0].label, provenance={},
-            embedding=nodes[0].embedding, edges=[], isolated=True,
-        )
-        merged = merge_augmented(graph, [lone])
+        graph, emb, nodes, rows, conf = pipeline
+        merged = merge_augmented(graph, [nodes[0].text], [nodes[0].label], [[]])
         adj = normalized_adjacency(merged)
-        features = np.vstack([emb.vectors, lone.embedding[None, :]])
+        features = np.vstack([emb.vectors, rows[:1]])
         labels = np.array(merged.labels)
         cfg = TrainConfig(epochs=30, learning_rate=0.01, dropout=0.5,
                           hidden_dims=(16,), seed=0)
@@ -506,3 +501,62 @@ class TestAssignEdges:
         perturbed[: graph.node_count] += rng.normal(size=(graph.node_count, 256))
         moved, _ = forward(model, perturbed, adjacency=adj)
         np.testing.assert_array_equal(base[-1], moved[-1])
+
+
+@pytest.fixture(scope="module")
+def loaded_toy(tmp_path_factory, toy_graph):
+    """The toy graph as load_dataset returns it (write_artifacts needs its
+    dataset digest), with 16-dim hashing embeddings and fixed kappas."""
+    data = tmp_path_factory.mktemp("toy") / "data"
+    write_dataset(toy_graph, data, tail_class_count=2)
+    graph = load_dataset(data)
+    emb = encode_hashing(graph.texts, 16)
+    kappa = np.random.default_rng(5).uniform(0.3, 1.0, graph.node_count)
+    return graph, emb, StubConfidence(kappa)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    strategy=st.sampled_from(["confidence", "duplicate", "none"]),
+    data=st.data(),
+)
+def test_wired_columns_agree_with_summary_merge_and_provenance(loaded_toy, strategy, data):
+    graph, emb, conf = loaded_toy
+    count = data.draw(st.integers(0, 6))
+    rows = np.array(
+        data.draw(st.lists(
+            st.lists(st.floats(-1, 1), min_size=emb.dim, max_size=emb.dim),
+            min_size=count, max_size=count,
+        )),
+        dtype=np.float64,
+    ).reshape(count, emb.dim)
+    anchors = data.draw(st.lists(
+        st.integers(0, graph.node_count - 1), min_size=count, max_size=count
+    ))
+    labels = data.draw(st.lists(
+        st.integers(0, graph.num_classes - 1), min_size=count, max_size=count
+    ))
+    cfg = EdgeAssignConfig(factor=data.draw(st.integers(1, 30)))
+
+    edges, summary = wire_nodes(rows, anchors, graph, strategy, emb, conf, cfg)
+
+    assert len(edges) == count
+    assert summary["edges_added"] == sum(map(len, edges))
+    assert summary["isolated"] == sum(1 for node_edges in edges if not node_edges)
+    texts = [f"syn {i}" for i in range(count)]
+    merged = merge_augmented(graph, texts, labels, edges)
+    assert len(merged.edges) == len(graph.edges) + summary["edges_added"]
+
+    nodes = [
+        SyntheticNode(text=text, label=label, provenance={"anchor": anchor})
+        for text, label, anchor in zip(texts, labels, anchors)
+    ]
+    split = LongTailSplit((0,), (1,), (2,), frozenset({1}), 1, 1.0)
+    with tempfile.TemporaryDirectory() as out:
+        write_artifacts(out, graph, split, 2, nodes, edges, emb, EmbeddingMatrix(rows, "t"))
+        lines = (Path(out) / "augmented" / "provenance.jsonl").read_text(encoding="utf-8")
+    records = [json.loads(line) for line in lines.splitlines()]
+    assert [rec["isolated"] for rec in records] == [not node_edges for node_edges in edges]
+    assert [rec["edges"] for rec in records] == [
+        [[t, round(score, 6)] for t, score in node_edges] for node_edges in edges
+    ]

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -360,6 +361,19 @@ class TestGenerateInterpolations:
         )
         assert all(n.label == 0 for n in nodes)
         assert all(n.provenance["variant"] == "M" for n in nodes)
+
+    def test_a_node_holds_what_generation_made_and_cannot_be_assigned(self, tmp_path):
+        texts = ["a b", "c d", "e f", "g h"]
+        split = split_for([0, 0, 1, 1], [0, 1, 2, 3], {0})
+        pairs = find_vicinal_twins(split, encode_hashing(texts, 32), [0, 0, 1, 1], k=2)
+        nodes, _ = generate_interpolations(
+            pairs, "S", GeneratorConfig(kind="mock"), cora_spec(), texts,
+            ("c0", "c1"), tmp_path / "c.jsonl",
+        )
+        assert [field.name for field in fields(nodes[0])] == ["text", "label", "provenance"]
+        for name in ("text", "label", "provenance", "edges"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(nodes[0], name, None)
 
     def test_cache_key_tracks_content(self):
         gen = GeneratorConfig(kind="mock")

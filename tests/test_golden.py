@@ -6,8 +6,10 @@ Every file the two commands leave is pinned by sha256: the reports without
 generation cache, and the arrays of embeddings.npz and source_graph.npz
 (not their zip containers, whose bytes carry no numbers of their own).
 source_graph.npz depends on the dataset alone, so the sets share its
-digest. A change that keeps outputs byte-identical passes unchanged; one
-that moves any output fails here and names the file.
+digest. The remote set runs against test_wire's stub on a free port, so
+its reports are digested without the endpoints and the config digest
+that name the port. A change that keeps outputs byte-identical passes
+unchanged; one that moves any output fails here and names the file.
 
 The numbers come from float64 training, so another numpy, BLAS or CPU may
 round differently; there the digests say nothing and the tests skip, as
@@ -16,12 +18,15 @@ TestGoldenBits does.
 
 import hashlib
 import json
+import threading
 from dataclasses import replace
+from http.server import ThreadingHTTPServer
+from itertools import chain, zip_longest
 
 import numpy as np
 import pytest
 
-from tagaug.embedding import EncoderConfig
+from tagaug.embedding import EncoderConfig, encode_hashing
 from tagaug.fixtures import make_toy_tag
 from tagaug.generation import GeneratorConfig
 from tagaug.graph import write_dataset
@@ -29,6 +34,7 @@ from tagaug.neural import TrainConfig
 from tagaug.pipeline import GRID_CELLS, RunConfig, run_augment, run_train_eval
 
 from test_neural import GOLDEN_FINGERPRINT, numerics_fingerprint
+from test_wire import StubHandler
 
 # Taken with the step-major sparse product on GOLDEN_FINGERPRINT's numerics.
 GOLDEN_OUTPUTS = {
@@ -72,6 +78,21 @@ GOLDEN_OUTPUTS_SMOTE = {
     "source_graph.npz": "69a721346b145000296ab6a7112c47e7c56017c6d4cd39e3fb10d956e5c6a0ed",
     "split.json": "3edb0c1296ff8d6a92f5d955d4a8d209276163faee5b690e97c165e6567038ca",
     "train_eval_report.json": "5d78fa7ba06a0de9adbb7c040bb5781109cc6828eac021620984368879165a99",
+}
+
+# Variant O with the remote encoder and generator on StubHandler, taken on
+# the same numerics before wiring and merging took synthetic rows as columns.
+GOLDEN_OUTPUTS_REMOTE = {
+    "augment_report.json": "d1b945d93861a5b993a193da755fef23d5e2ce04c86e00d3ee4366d7577fc5a7",
+    "augmented/edges.jsonl": "d4e787666af6943439e7bae345abddb6a65a774250a9371f364d6226fddfddc5",
+    "augmented/meta.json": "ee6ff93211905d7ef259ffdea703eae960bd63f88af89b72919301cf2752eeea",
+    "augmented/nodes.jsonl": "0b594dcfc3b1bde262f6b0fc3a92a70aba8ffb9d245294a116af15398422612d",
+    "augmented/provenance.jsonl": "1bf7739595792986af6cfd87ca60c343a0115d3556d4658b283acb576dd8281f",
+    "embeddings.npz": "e4c31217f326a8cd979e80a28371f3857c2cb580b29ea38f941b9a4f55d25102",
+    "gen_cache.jsonl": "b4dc9c3d3c2bee5579b5eb85ef76e775495bbb624a2f1aacbe34e5f0ddac8bab",
+    "source_graph.npz": "69a721346b145000296ab6a7112c47e7c56017c6d4cd39e3fb10d956e5c6a0ed",
+    "split.json": "3edb0c1296ff8d6a92f5d955d4a8d209276163faee5b690e97c165e6567038ca",
+    "train_eval_report.json": "f734e335fa579814bc7135b4aa0413c7ef0b24f531557105047940ae454881ad",
 }
 
 
@@ -189,3 +210,66 @@ class TestGoldenOutputsSmote(TestGoldenOutputs):
 
     golden = GOLDEN_OUTPUTS_SMOTE
     overrides = {"variant": "S"}
+
+
+def remote_reply(body):
+    """A chat reply made from the request body alone: every other word of
+    the seed texts, taken from each seed in turn."""
+    seeds = [
+        message["content"].removeprefix("<START>").removesuffix("<END>").split()
+        for message in body["messages"]
+        if message["role"] == "assistant"
+    ]
+    words = [word for word in chain.from_iterable(zip_longest(*seeds)) if word]
+    return f"<START>{' '.join(words[::2])}<END>"
+
+
+def without_endpoint(report):
+    """The report without what names the stub's port: both endpoint fields
+    and the config digest that hashes them."""
+    report.pop("config_digest")
+    for block in ("encoder", "generator"):
+        report["config"][block].pop("endpoint")
+    return report
+
+
+class TestGoldenOutputsRemote(TestGoldenOutputs):
+    """The golden run with the remote encoder and generator, served by
+    test_wire's StubHandler: the embeddings are the 32-dim hashing rows of
+    each text, and each reply depends on its request body alone. The stub
+    listens on a free port, so the reports are digested without it."""
+
+    golden = GOLDEN_OUTPUTS_REMOTE
+
+    @pytest.fixture(scope="class")
+    def out_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("golden_remote")
+        write_dataset(make_toy_tag(seed=2), root / "data", tail_class_count=2)
+        server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
+        server.state = {
+            "requests": [],
+            "fail_remaining": 0,
+            "embed_fn": lambda text, i: encode_hashing([text], 32).vectors[0].tolist(),
+            "chat_fn": remote_reply,
+        }
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.chdir(root)
+                cfg = replace(
+                    golden_config(),
+                    encoder=EncoderConfig(kind="remote", endpoint=base, model="emb-1"),
+                    generator=GeneratorConfig(kind="remote", endpoint=base, model="chat-1"),
+                )
+                run_augment(cfg)
+                run_train_eval(cfg, grid=GRID_CELLS)
+        finally:
+            server.shutdown()
+            server.server_close()
+        out = root / "out"
+        for name in ("augment_report.json", "train_eval_report.json"):
+            report = without_endpoint(json.loads((out / name).read_text(encoding="utf-8")))
+            (out / name).write_text(json.dumps(report), encoding="utf-8")
+        return out

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from tagaug import graph as graph_module
 from tagaug.fixtures import make_toy_tag
-from tagaug.generation import SyntheticNode
 from tagaug.graph import (
     DatasetError,
     TextGraph,
@@ -366,39 +365,34 @@ def test_counting_csr_matches_lexsort(graph):
         np.testing.assert_array_equal(got, want)
 
 
-def synth(label, edges=()):
-    return SyntheticNode(text="gen", label=label, provenance={}, edges=list(edges))
-
-
 class TestMergeAugmented:
     def test_empty_identity(self, toy_graph):
-        assert merge_augmented(toy_graph, []) == toy_graph
+        assert merge_augmented(toy_graph, [], [], []) == toy_graph
 
     def test_counts(self, toy_graph):
-        node = synth(2, edges=[(3, 0.9), (7, 0.8)])
-        merged = merge_augmented(toy_graph, [node])
+        merged = merge_augmented(toy_graph, ["gen"], [2], [[(3, 0.9), (7, 0.8)]])
         assert merged.node_count == toy_graph.node_count + 1
         assert len(merged.edges) == len(toy_graph.edges) + 2
         new_id = toy_graph.node_count
         assert (3, new_id) in merged.edges and (7, new_id) in merged.edges
 
     def test_isolated_has_degree_zero(self, toy_graph):
-        merged = merge_augmented(toy_graph, [synth(2)])
+        merged = merge_augmented(toy_graph, ["gen"], [2], [[]])
         assert merged.neighbors(toy_graph.node_count) == []
 
     def test_preserves_originals(self, toy_graph):
-        merged = merge_augmented(toy_graph, [synth(2, [(0, 1.0)]), synth(3)])
+        merged = merge_augmented(toy_graph, ["gen", "gen"], [2, 3], [[(0, 1.0)], []])
         assert set(toy_graph.edges) <= set(merged.edges)
         assert merged.labels[: toy_graph.node_count] == toy_graph.labels
         assert merged.texts[: toy_graph.node_count] == toy_graph.texts
 
     def test_unknown_id_rejected(self, toy_graph):
         with pytest.raises(ValueError, match="unknown id"):
-            merge_augmented(toy_graph, [synth(2, [(999, 1.0)])])
+            merge_augmented(toy_graph, ["gen"], [2], [[(999, 1.0)]])
 
     def test_edge_to_earlier_synthetic(self, toy_graph):
         n = toy_graph.node_count
-        merged = merge_augmented(toy_graph, [synth(2), synth(3, [(n, 1.0)])])
+        merged = merge_augmented(toy_graph, ["gen", "gen"], [2, 3], [[], [(n, 1.0)]])
         assert (n, n + 1) in merged.edges
 
 
@@ -497,7 +491,10 @@ def test_neighbors_match_edge_scan(data):
     targets = data.draw(
         st.lists(st.lists(st.integers(0, n - 1), unique=True, max_size=3), max_size=3)
     )
-    merged = merge_augmented(graph, [synth(0, [(t, 1.0) for t in ts]) for ts in targets])
+    merged = merge_augmented(
+        graph, ["gen"] * len(targets), [0] * len(targets),
+        [[(t, 1.0) for t in ts] for ts in targets],
+    )
     for v in range(merged.node_count):
         assert merged.neighbors(v) == edge_scan_neighbors(merged, v)
 
@@ -935,14 +932,14 @@ def test_blank_lines_keep_the_joined_parse(records, data):
     ] == records
 
 
-def naive_merge(graph, synthetic):
+def naive_merge(graph, syn_texts, syn_labels, syn_edges):
     """merge_augmented oracle: one node and one edge at a time."""
     texts, labels, edges = list(graph.texts), list(graph.labels), list(graph.edges)
-    for i, node in enumerate(synthetic):
+    for i, (text, label, node_edges) in enumerate(zip(syn_texts, syn_labels, syn_edges)):
         new_id = graph.node_count + i
-        texts.append(node.text)
-        labels.append(node.label)
-        for target, _score in node.edges:
+        texts.append(text)
+        labels.append(label)
+        for target, _score in node_edges:
             if not 0 <= target < new_id:
                 raise ValueError(f"synthetic node {i} references unknown id {target}")
             edges.append((target, new_id))
@@ -955,15 +952,17 @@ def test_merge_augmented_matches_node_loop(graph, data):
     if not graph.node_count:
         return
     top = graph.node_count + 3
-    synthetic = [
-        synth(data.draw(st.integers(0, graph.num_classes - 1)),
-              [(t, 1.0) for t in data.draw(st.lists(st.integers(-1, top), max_size=4))])
-        for _ in range(data.draw(st.integers(0, 3)))
+    count = data.draw(st.integers(0, 3))
+    texts = ["gen"] * count
+    labels = data.draw(st.lists(st.integers(0, graph.num_classes - 1), min_size=count, max_size=count))
+    edges = [
+        [(t, 1.0) for t in data.draw(st.lists(st.integers(-1, top), max_size=4))]
+        for _ in range(count)
     ]
     try:
-        expected = naive_merge(graph, synthetic)
+        expected = naive_merge(graph, texts, labels, edges)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            merge_augmented(graph, synthetic)
+            merge_augmented(graph, texts, labels, edges)
     else:
-        assert merge_augmented(graph, synthetic) == expected
+        assert merge_augmented(graph, texts, labels, edges) == expected

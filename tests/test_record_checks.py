@@ -47,7 +47,7 @@ def read(tmp_path):
     split = LongTailSplit((0,), (1,), (2,), frozenset({1}), 1, 1.0)
     synthetic = [SyntheticNode("s", 0, {}), SyntheticNode("t", 1, {})]
     write_artifacts(
-        out, graph, split, 1, synthetic,
+        out, graph, split, 1, synthetic, [[], []],
         EmbeddingMatrix(np.eye(3), "e"), EmbeddingMatrix(np.eye(3)[:2], "e"),
     )
     cfg = RunConfig(dataset_dir=str(data), out_dir=str(out), seed=0)
@@ -212,10 +212,24 @@ FAULTS = {
         "gen_cache.jsonl", with_line(CACHE, '{"key": "k0"}', 1),
         "gen_cache.jsonl line 1: missing key 'text'",
     ),
+    # json.loads reads the escape "\ud800" as a lone surrogate, which UTF-8
+    # cannot encode.
+    "text lone surrogate": (
+        "nodes.jsonl", with_line(NODES, '{"id": 1, "text": "b\\ud800", "label": 1}', 2),
+        "nodes.jsonl line 2: text holds a lone surrogate '\\ud800'",
+    ),
+    "cache text lone surrogate": (
+        "gen_cache.jsonl", with_line(CACHE, '{"key": "k1", "text": "\\udc00y"}', 2),
+        "gen_cache.jsonl line 2: text holds a lone surrogate '\\udc00'",
+    ),
     # meta.json is one object, so its reasons name no line.
     "class name not a string": (
         "meta.json", ['{"class_names": [0, 1]}'],
         "meta.json: class_names must be a list of strings",
+    ),
+    "class name lone surrogate": (
+        "meta.json", ['{"class_names": ["a", "b\\udfff"]}'],
+        "meta.json: class_names holds a lone surrogate '\\udfff'",
     ),
     # One record that breaks two rules: the earlier rule names it; a
     # missing key comes before every value rule, and keys go in order.
@@ -337,6 +351,10 @@ class TestStringFields:
 SHARED_FAULTS = {
     "text": ("nodes.jsonl", with_line(NODES, '{"id": 1, "text": 5, "label": 1}', 2),
              {"texts": ("a", 5, "c")}),
+    "lone surrogate": (
+        "nodes.jsonl", with_line(NODES, '{"id": 2, "text": "\\ud800", "label": 0}', 3),
+        {"texts": ("a", "b", "\ud800")},
+    ),
     "label": ("nodes.jsonl", with_line(NODES, '{"id": 2, "text": "c", "label": -1}', 3),
               {"labels": (0, 1, -1)}),
     "endpoint": ("edges.jsonl", with_line(EDGES, '{"src": 1, "dst": 3}', 2),

@@ -9,6 +9,7 @@ with the messages pinned here.
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from tagaug.graph import (
     write_dataset,
     write_source_graph,
 )
-from tagaug.pipeline import RunConfig, load_artifacts, write_artifacts
+from tagaug.pipeline import RunConfig, load_artifacts, run_augment, write_artifacts
 
 # Texts the JSON-lines format and UTF-8 treat specially: line and paragraph
 # separators written raw, NEL, an escaped newline, an astral character, an
@@ -54,7 +55,7 @@ def write_minimal_artifacts(data, out):
     n = graph.node_count
     split = LongTailSplit((0,), (1,), tuple(range(2, n)), frozenset({1}), 1, 1.0)
     emb = EmbeddingMatrix(np.zeros((n, 2)), "e")
-    write_artifacts(out, graph, split, 1, [], emb, EmbeddingMatrix(np.zeros((0, 2)), "e"))
+    write_artifacts(out, graph, split, 1, [], [], emb, EmbeddingMatrix(np.zeros((0, 2)), "e"))
     return RunConfig(dataset_dir=str(data), out_dir=str(out), seed=0)
 
 
@@ -81,21 +82,39 @@ def test_load_artifacts_builds_the_loaded_graph(tmp_path, dataset):
     assert_same_graph(load_artifacts(cfg)[0], want)
 
 
-def test_a_lone_surrogate_round_trips(tmp_path):
+def test_a_lone_surrogate_is_refused(tmp_path):
     # json.loads reads the escape "\ud800" as a lone surrogate, which UTF-8
-    # cannot encode; the texts' blob passes it through.
+    # cannot encode, so neither a text nor a class name may hold one.
     data = tmp_path / "data"
     data.mkdir()
     (data / "nodes.jsonl").write_text(
-        '{"id": 0, "text": "x\\ud800y", "label": 0}\n{"id": 1, "text": "", "label": 0}\n',
+        '{"id": 0, "text": "", "label": 0}\n{"id": 1, "text": "x\\ud800y", "label": 0}\n',
         encoding="utf-8",
     )
     (data / "edges.jsonl").write_text("", encoding="utf-8")
+    (data / "meta.json").write_text('{"class_names": ["a"]}', encoding="utf-8")
+    message = "nodes.jsonl line 2: text holds a lone surrogate '\\ud800'"
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        load_dataset(data)
     (data / "meta.json").write_text('{"class_names": ["\\udfff"]}', encoding="utf-8")
-    want = load_dataset(data)
-    assert want.texts == ("x\ud800y", "")
-    write_source_graph(want, tmp_path / "source_graph.npz")
-    assert_same_graph(read_source_graph(str(tmp_path / "source_graph.npz"), data), want)
+    message = "meta.json: class_names holds a lone surrogate '\\udfff'"
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        load_dataset(data)
+
+
+def test_augment_refuses_a_lone_surrogate_before_writing_a_file(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    write_dataset(make_toy_tag(seed=2), data, tail_class_count=2)
+    lines = (data / "nodes.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[5])
+    record["text"] += " \ud800"
+    lines[5] = json.dumps(record) + "\n"  # ensure_ascii writes the escape
+    (data / "nodes.jsonl").write_text("".join(lines), encoding="utf-8")
+    cfg = RunConfig(dataset_dir=str(data), out_dir=str(out), seed=0, edge_strategy="none")
+    message = "nodes.jsonl line 6: text holds a lone surrogate '\\ud800'"
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        run_augment(cfg)
+    assert not out.exists()
 
 
 def test_the_file_holds_plain_arrays_and_the_dataset_digest(tmp_path):
@@ -234,5 +253,5 @@ def test_write_artifacts_refuses_a_graph_built_in_code(tmp_path):
     split = LongTailSplit((0,), (1,), (2,), frozenset({1}), 1, 1.0)
     emb = EmbeddingMatrix(np.eye(3), "e")
     with pytest.raises(ValueError, match="from load_dataset's graph only"):
-        write_artifacts(tmp_path / "out", graph, split, 1, [], emb, emb)
+        write_artifacts(tmp_path / "out", graph, split, 1, [], [], emb, emb)
     assert list((tmp_path / "out").iterdir()) == []
