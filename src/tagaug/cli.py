@@ -10,7 +10,7 @@ import json
 import logging
 import sys
 
-from .graph import graph_stats, load_dataset, make_longtail_split
+from .graph import DatasetError, graph_stats, load_dataset, make_longtail_split
 from .pipeline import RunConfig, _resolve_tail_count, check_grid
 from .pipeline import run_augment, run_train_eval, run_verify
 
@@ -86,7 +86,16 @@ def build_parser():
 def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except DatasetError as exc:
+        # A refused dataset or artifact: one line and exit 1, no traceback.
+        print(f"tagaug {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
+
+def _run(args):
+    """The command args names; its exit status."""
     if args.command in ("augment", "train-eval"):
         # A bad config or grid is a usage error: one line and exit 2, as
         # argparse does for a bad flag, before any stage runs.

@@ -44,62 +44,67 @@ class DatasetError(ValueError):
     """Raised when a dataset directory or an artifact file fails validation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TextGraph:
     """Undirected simple graph whose nodes carry raw documents.
 
-    edges may hold (u, v) pairs in any order and orientation; a mirrored or
-    repeated pair is one edge. They are stored canonically: sorted, unique,
-    each with u < v; endpoints are Python ints (not bools) or an integer
-    numpy array. A text or label that load_dataset would refuse, an endpoint
-    that is not an integer or lies outside [0, node_count), or a self-loop
-    raises DatasetError with the loader's reason for the first one, as does
-    a class count other than 1 + the largest label. A graph load_dataset or
-    read_source_graph returns also keeps, as _digest, the sha256 of the
-    dataset files it came from, and load_dataset's also keeps meta.json's
-    object as _meta; a graph built in code has neither.
+    labels (one per node) and edges ((u, v) pairs in any order and
+    orientation) are tuples or lists of Python ints (not bools) or integer
+    numpy arrays, each stored as a read-only int64 array: edges (E, 2),
+    sorted and unique, each with u < v. A text or label that load_dataset
+    would refuse, an endpoint that is not an integer or lies outside
+    [0, node_count), or a self-loop raises DatasetError with the loader's
+    reason for the first one, as does a class count other than 1 + the
+    largest label. A graph load_dataset or read_source_graph returns also
+    keeps, as _digest, the sha256 of the dataset files it came from, and
+    load_dataset's also keeps meta.json's object as _meta.
     """
 
     node_count: int
     texts: tuple
-    labels: tuple
+    labels: np.ndarray
     class_names: tuple
-    edges: tuple
+    edges: np.ndarray
 
     def __post_init__(self):
         n, c = self.node_count, len(self.class_names)
         if len(self.texts) != n or len(self.labels) != n:
             raise DatasetError("texts/labels length must equal node_count")
-        # The loader's rules; at one node the label rule names the fault first.
-        columns = {"label": self.labels, "text": self.texts}
+        labels, pairs = _int64(self.labels, (-1,)), _int64(self.edges, (-1, 2))
+        # The loader's rules, which read the labels only when one is bad;
+        # at one node the label rule names the fault first.
+        bad_label = labels is None or n and (labels.min() < 0 or labels.max() >= c)
+        columns = {"label": _listed(self.labels) if bad_label else [], "text": self.texts}
         found = [rule(columns) for rule in (_ints_below("label", c), _strings("text"))]
         fault = min(filter(None, found), key=operator.itemgetter(0), default=None)
         if fault:
             raise DatasetError(fault[1])
-        if n and c != 1 + max(self.labels):
-            raise DatasetError(f"class_names has {c} entries but max label is {max(self.labels)}")
-        if isinstance(self.edges, np.ndarray):
-            ints = self.edges.dtype.kind in "iu" or not self.edges.size
-        else:
-            ints = _all_int(chain.from_iterable(self.edges))
-        if not ints:  # the loader's rule names the first bad edge
-            src, dst = zip(*self.edges)
+        if n and c != 1 + labels.max():
+            raise DatasetError(f"class_names has {c} entries but max label is {labels.max()}")
+        if (pairs is None or (pairs < 0).any() or (pairs >= n).any()
+                or (pairs[:, 0] == pairs[:, 1]).any()):
+            # The loader's rule names the first bad edge.
+            src, dst = zip(*_listed(self.edges))
             raise DatasetError(_edges_within(n)({"src": list(src), "dst": list(dst)})[1])
-        pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        bad = ((pairs < 0) | (pairs >= n)).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
-        if bad.any():
-            u, v = pairs[bad.argmax()].tolist()
-            raise DatasetError(_edges_within(n)({"src": [u], "dst": [v]})[1])
         # One integer code per undirected pair, sorted, repeats dropped.
         low, high = pairs[:, 0], pairs[:, 1]
         codes = np.sort(np.minimum(low, high) * n + np.maximum(low, high))
         first = np.ones(len(codes), dtype=bool)
         np.not_equal(codes[1:], codes[:-1], out=first[1:])
         pairs = np.column_stack((codes[first] // n, codes[first] % n))
-        # _pairs holds the canonical edges as an (E, 2) int64 array.
-        object.__setattr__(self, "_pairs", pairs)
-        with _gc_paused():
-            object.__setattr__(self, "edges", tuple(zip(*pairs.T.tolist())))
+        for name, column in (("labels", labels), ("edges", pairs)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __eq__(self, other):
+        if not isinstance(other, TextGraph):
+            return NotImplemented
+        return (
+            (self.node_count, self.texts, self.class_names)
+            == (other.node_count, other.texts, other.class_names)
+            and np.array_equal(self.labels, other.labels)
+            and np.array_equal(self.edges, other.edges)
+        )
 
     @property
     def num_classes(self):
@@ -117,7 +122,7 @@ class TextGraph:
         """Symmetric CSR (indptr, indices) of the edges, each row sorted."""
         # Built on first use; a frozen graph's edges never change, and every
         # derived graph (merge_augmented) is a new object with its own index.
-        return _symmetric_csr(self._pairs, self.node_count)
+        return _symmetric_csr(self.edges, self.node_count)
 
 
 def _symmetric_csr(pairs, n, loops=False):
@@ -197,8 +202,8 @@ _BLANK_LINE = re.compile(r"\n\s*\n")
 @contextmanager
 def _gc_paused():
     """The cyclic collector off for a block that makes many containers at
-    once (a parse's dicts, a graph's edge tuples): it would scan them over
-    and over for cycles that they cannot form. Left as it was found."""
+    once (a parse's dicts): it would scan them over and over for cycles that
+    they cannot form. Left as it was found."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -211,6 +216,25 @@ def _gc_paused():
 def _all_int(values):
     """True when every value is an int; bool, float and numpy ints are not."""
     return set(map(type, values)) <= {int}
+
+
+def _int64(values, shape):
+    """A tuple, list or numpy array of ints as an int64 array of shape (a
+    uint64 past int64 wraps negative); None when an array's dtype is not an
+    integer one, or a tuple or list holds other than Python ints in int64."""
+    if isinstance(values, np.ndarray):
+        ints = values.dtype.kind in "iu" or not values.size
+    else:
+        ints = _all_int(chain.from_iterable(values) if len(shape) > 1 else values)
+    try:
+        return np.array(values, dtype=np.int64).reshape(shape) if ints else None
+    except OverflowError:
+        return None
+
+
+def _listed(values):
+    """values as the loader's rules read them: an array as Python values."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
 def _parse_jsonl(text):
@@ -454,7 +478,7 @@ def load_dataset(directory_path):
     graph = TextGraph(
         node_count=n,
         texts=tuple(nodes["text"]),
-        labels=tuple(nodes["label"]),
+        labels=nodes["label"],
         class_names=class_names,
         edges=np.array([edges["src"], edges["dst"]], dtype=np.int64).T,
     )
@@ -467,17 +491,26 @@ def load_dataset(directory_path):
 def _open_atomic(path, mode="w"):
     """Open a temp file beside path for writing. A clean exit moves it over
     path (os.replace), an error deletes it, so path holds either its old
-    content or the complete new one, never a partial write."""
+    content or the complete new one, never a partial write, even on power
+    loss: the file is synced before the move, on POSIX its directory after."""
     tmp = f"{path}.{os.getpid()}.tmp"
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
     try:
         with open(tmp, mode, **text) as fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    if os.name == "posix":
+        directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
 _encode_text = json.JSONEncoder(ensure_ascii=False).encode
@@ -496,13 +529,13 @@ def write_dataset(graph, directory_path, tail_class_count=None, provenance=None)
     meta = {"class_names": list(graph.class_names)}
     if tail_class_count is not None:
         meta["tail_class_count"] = tail_class_count
-    # TextGraph holds int labels only, so no label prints as True here.
+    # The labels are int64, so no label prints as True here.
     files = {
         "nodes.jsonl": "".join(
             f'{{"id": {nid}, "label": {label}, "text": {_encode_text(text)}}}\n'
-            for nid, (text, label) in enumerate(zip(graph.texts, graph.labels))
+            for nid, (text, label) in enumerate(zip(graph.texts, graph.labels.tolist()))
         ),
-        "edges.jsonl": "".join(f'{{"dst": {v}, "src": {u}}}\n' for u, v in graph.edges),
+        "edges.jsonl": "".join(f'{{"dst": {v}, "src": {u}}}\n' for u, v in graph.edges.tolist()),
         "meta.json": json.dumps(meta, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
     }
     if provenance is not None:
@@ -543,8 +576,8 @@ def write_source_graph(graph, path):
     with _open_atomic(path, "wb") as fh:
         np.savez(
             fh,
-            labels=np.array(graph.labels, dtype=np.int64),
-            edges=graph._pairs,
+            labels=graph.labels,
+            edges=graph.edges,
             text_bytes=text_bytes,
             text_ends=text_ends,
             class_bytes=class_bytes,
@@ -575,7 +608,7 @@ def read_source_graph(path, directory_path):
             graph = TextGraph(
                 node_count=len(labels),
                 texts=_unpack_strings(data["text_bytes"], data["text_ends"]),
-                labels=tuple(labels.tolist()),
+                labels=labels,
                 class_names=_unpack_strings(data["class_bytes"], data["class_ends"]),
                 edges=data["edges"],
             )
@@ -587,20 +620,15 @@ def read_source_graph(path, directory_path):
     return graph
 
 
-def class_frequencies(graph):
-    labels = np.asarray(graph.labels, dtype=np.int64)
-    return np.bincount(labels, minlength=graph.num_classes).tolist()
-
-
 def tail_classes_by_frequency(graph, tail_class_count):
     """The tail_class_count lowest-frequency classes, ties to lower index."""
     if tail_class_count < 0:
         raise ValueError(f"tail_class_count must not be negative, got {tail_class_count}")
     if tail_class_count >= graph.num_classes:
         raise ValueError("tail_class_count must be smaller than the class count")
-    freq = class_frequencies(graph)
-    order = sorted(range(graph.num_classes), key=lambda cls: (freq[cls], cls))
-    return frozenset(order[:tail_class_count])
+    # A stable sort keeps the lower index first among equal frequencies.
+    order = np.argsort(np.bincount(graph.labels, minlength=graph.num_classes), kind="stable")
+    return frozenset(order[:tail_class_count].tolist())
 
 
 def make_longtail_split(
@@ -629,7 +657,7 @@ def make_longtail_split(
         for cls in range(graph.num_classes)
     }
 
-    freq = class_frequencies(graph)
+    freq = np.bincount(graph.labels, minlength=graph.num_classes)
     for cls, want in per_class.items():
         if freq[cls] < want + 2:
             raise ValueError(
@@ -641,28 +669,19 @@ def make_longtail_split(
         raise ValueError(f"val_fraction {val_fraction} leaves no test node of {rest_count}")
 
     rng = np.random.default_rng(seed)
-    members = [[] for _ in range(graph.num_classes)]
-    for nid, lab in enumerate(graph.labels):
-        members[lab].append(nid)
-
     train, rest = [], []
     for cls in range(graph.num_classes):
-        ids = np.array(members[cls])
-        perm = rng.permutation(len(ids))
-        take = per_class[cls]
-        train.extend(int(i) for i in ids[perm[:take]])
-        rest.extend(int(i) for i in ids[perm[take:]])
-
-    rest = np.array(sorted(rest))
-    perm = rng.permutation(len(rest))
+        ids = np.flatnonzero(graph.labels == cls)
+        ids = ids[rng.permutation(len(ids))]
+        train.append(ids[: per_class[cls]])
+        rest.append(ids[per_class[cls] :])
+    rest = np.sort(np.concatenate(rest))
+    rest = rest[rng.permutation(len(rest))]
     n_val = int(round(val_fraction * len(rest)))
-    val = [int(i) for i in rest[perm[:n_val]]]
-    test = [int(i) for i in rest[perm[n_val:]]]
-
     return LongTailSplit(
-        train_idx=tuple(sorted(train)),
-        val_idx=tuple(sorted(val)),
-        test_idx=tuple(sorted(test)),
+        train_idx=tuple(np.sort(np.concatenate(train)).tolist()),
+        val_idx=tuple(np.sort(rest[:n_val]).tolist()),
+        test_idx=tuple(np.sort(rest[n_val:]).tolist()),
         tail_classes=tail,
         head_count=head_count,
         imbalance_ratio=imbalance_ratio,
@@ -672,7 +691,7 @@ def make_longtail_split(
 def normalized_adjacency(graph):
     """D^{-1/2} (A + I) D^{-1/2} with self-loop-inclusive degrees."""
     n = graph.node_count
-    indptr, cols = _symmetric_csr(graph._pairs, n, loops=True)
+    indptr, cols = _symmetric_csr(graph.edges, n, loops=True)
     degree = np.diff(indptr)  # self loop included
     inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))
     rows = np.repeat(np.arange(n, dtype=np.int64), degree)
@@ -686,7 +705,9 @@ def normalized_adjacency(graph):
 
 def merge_augmented(graph, texts, labels, edges):
     """Append synthetic node i (id node_count + i) with texts[i], labels[i]
-    and an edge to each original id of edges[i], a list of (id, score)."""
+    and an edge to each original id of edges[i], a list of (id, score).
+    labels holds ints, as a list or an integer array; one that is not an int
+    is refused as the constructor refuses it."""
     n = graph.node_count
     new_ids = np.repeat(np.arange(n, n + len(edges)), [len(node_edges) for node_edges in edges])
     targets = np.array(
@@ -696,12 +717,16 @@ def merge_augmented(graph, texts, labels, edges):
     if len(bad):
         i, target = new_ids[bad[0]] - n, targets[bad[0]]
         raise ValueError(f"synthetic node {i} references unknown id {target}")
+    row_labels = _int64(labels, (-1,))  # None when one is not an int
     return TextGraph(
         node_count=n + len(edges),
         texts=tuple(graph.texts) + tuple(texts),
-        labels=tuple(graph.labels) + tuple(labels),
+        labels=(
+            [*graph.labels.tolist(), *_listed(labels)] if row_labels is None
+            else np.concatenate([graph.labels, row_labels])
+        ),
         class_names=graph.class_names,
-        edges=np.concatenate([graph._pairs, np.column_stack((targets, new_ids))]),
+        edges=np.concatenate([graph.edges, np.column_stack((targets, new_ids))]),
     )
 
 

@@ -184,7 +184,7 @@ def run_augment(cfg):
     emb = encode_texts(graph.texts, cfg.encoder)
     timings["encode_s"] = time.perf_counter() - t1
 
-    labels = list(graph.labels)
+    labels = graph.labels.tolist()
     targets = rebalance_targets(labels, split)
     pairs = find_vicinal_twins(
         split, emb, labels, cfg.knn_k, target_counts=targets, variant=cfg.variant
@@ -323,10 +323,9 @@ def _train_eval_cell(graph, features, train_ids, split, cfg):
     metrics, in seed order."""
     adjacency = normalized_adjacency(graph)
     adjacency.plan  # built before the jobs share it: cached_property may not lock
-    labels = graph.labels
     models = train_jobs([
         partial(
-            train_classifier, features, labels, train_ids,
+            train_classifier, features, graph.labels, train_ids,
             replace(cfg.classifier, seed=seed), kind="gcn", adjacency=adjacency,
         )
         for seed in cfg.eval_seeds
@@ -335,9 +334,7 @@ def _train_eval_cell(graph, features, train_ids, split, cfg):
     runs = []
     for model in models:
         pred, _, _ = predict(model, features, adjacency=adjacency)
-        conf = confusion_matrix(
-            np.asarray(labels)[test_idx], pred[test_idx], graph.num_classes
-        )
+        conf = confusion_matrix(graph.labels[test_idx], pred[test_idx], graph.num_classes)
         block = classification_metrics(conf)
         block["head_tail_gap"] = head_tail_gap(conf, split.tail_classes)
         block["final_loss"] = model.loss_history[-1]
@@ -359,15 +356,13 @@ def _mean_std_block(runs):
 
 def _boundary_probe(emb, labels, cfg):
     """The MLP probe the boundary block's icr reads, trained on a
-    class-balanced sample of the original rows."""
-    labels = np.asarray(labels, dtype=np.int64)
+    class-balanced sample of the original rows; labels is their array."""
     counts = np.bincount(labels)
     per_class = counts[counts > 0].min()
-    chosen = []
-    for cls in range(len(counts)):
-        members = np.flatnonzero(labels == cls)[:per_class]
-        chosen.extend(int(i) for i in members)
-    return train_classifier(emb.vectors, labels, np.array(chosen), cfg.confidence, kind="mlp")
+    chosen = np.concatenate(
+        [np.flatnonzero(labels == cls)[:per_class] for cls in range(len(counts))]
+    )
+    return train_classifier(emb.vectors, labels, chosen, cfg.confidence, kind="mlp")
 
 
 def _num_synthetic(cfg, emb, labels, split):
@@ -401,7 +396,7 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
     timings = {}
     t0 = time.perf_counter()
     graph, split, emb, llm = load_artifacts(cfg)
-    labels = list(graph.labels)
+    labels = graph.labels
     augmented = set(grid) - {"origin"}
     # Only the boundary block of a non-origin cell reads these.
     index = build_manifold_index(emb.vectors, labels) if augmented else None
@@ -434,7 +429,7 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
                 rows, anchors, graph, strategy, emb, conf_net, cfg.edge_config()
             )
             # No cell reads the synthetic texts, so the merged nodes have none.
-            cell_graph = merge_augmented(graph, [""] * len(rows), row_labels.tolist(), edges)
+            cell_graph = merge_augmented(graph, [""] * len(rows), row_labels, edges)
             features = np.vstack([emb.vectors, rows])
             train_ids = np.concatenate(
                 [train_ids, np.arange(graph.node_count, cell_graph.node_count)]

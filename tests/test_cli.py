@@ -1,6 +1,7 @@
 import builtins
 import json
 import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -151,7 +152,7 @@ class TestAugmentPipeline:
             toy_graph, head_count=20, imbalance_ratio=0.1, tail_class_count=2, seed=4
         )
         lone = min(i for i in split.train_idx if toy_graph.labels[i] in split.tail_classes)
-        graph = replace(toy_graph, edges=tuple(e for e in toy_graph.edges if lone not in e))
+        graph = replace(toy_graph, edges=toy_graph.edges[(toy_graph.edges != lone).all(axis=1)])
         write_dataset(graph, tmp_path / "data", tail_class_count=2)
         data = fast_config(tmp_path / "data", tmp_path / "run")
         data["edge_strategy"] = "duplicate"
@@ -219,6 +220,27 @@ class TestAtomicWrites:
         with pytest.raises(TypeError):
             write_dataset(toy_graph, tmp_path, provenance=[{"node_id": 1}, {"x": object()}])
         assert {name: (tmp_path / name).read_bytes() for name in all_files(tmp_path)} == before
+
+    def test_synced_before_and_after_the_move(self, tmp_path, monkeypatch):
+        # The temp file is on disk before os.replace moves it, and on POSIX
+        # the directory that holds the move after it.
+        calls = []
+        fsync, os_replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            calls.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            calls.append("replace")
+            os_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        write_report({"a": 1}, tmp_path / "report.json")
+        want = ["fsync file", "replace"] + ["fsync dir"] * (os.name == "posix")
+        assert calls == want
+        assert json.loads((tmp_path / "report.json").read_text()) == {"a": 1}
 
     def test_embeddings(self, tmp_path, toy_dataset_dir, monkeypatch):
         cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
@@ -479,10 +501,45 @@ class TestCliCommands:
         assert out["class_count"] == 4
         assert out["tail_class_count"] == 2
 
-    def test_stats_command_names_a_bad_meta_json(self, toy_dataset_dir):
+    def test_stats_command_names_a_bad_meta_json(self, toy_dataset_dir, capsys):
         (toy_dataset_dir / "meta.json").write_text('{"tail_class_count": 2}', encoding="utf-8")
-        with pytest.raises(DatasetError, match=r"^meta\.json: class_names must be a list"):
-            main(["stats", "--data", str(toy_dataset_dir)])
+        assert main(["stats", "--data", str(toy_dataset_dir)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "tagaug stats: error: meta.json: class_names must be a list"
+        ]
+
+    @pytest.mark.parametrize("command", ["augment", "stats", "train-eval"])
+    def test_refused_dataset_exits_1_with_one_line(
+        self, tmp_path, toy_dataset_dir, capsys, command
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(fast_config(toy_dataset_dir, tmp_path / "run")))
+        argv = {
+            "augment": ["augment", "--config", str(cfg_path)],
+            "stats": ["stats", "--data", str(toy_dataset_dir)],
+            "train-eval": ["train-eval", "--config", str(cfg_path), "--grid", "origin"],
+        }[command]
+        if command == "train-eval":
+            # augment read the dataset; one byte more in meta.json changes it
+            assert main(["augment", "--config", str(cfg_path)]) == 0
+            with open(toy_dataset_dir / "meta.json", "a", encoding="utf-8") as fh:
+                fh.write("\n")
+            message = "source_graph.npz: the dataset in"
+        else:
+            # the escape "\ud800" in node 5's text, a lone surrogate
+            nodes = toy_dataset_dir / "nodes.jsonl"
+            lines = nodes.read_text(encoding="utf-8").split("\n")
+            lines[5] = lines[5].replace('"text": "', '"text": "\\ud800 ', 1)
+            nodes.write_text("\n".join(lines), encoding="utf-8")
+            message = "nodes.jsonl line 6: text holds a lone surrogate '\\ud800'"
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"tagaug {command}: error: {message}")
+        assert "Traceback" not in captured.out + captured.err
+        if command == "augment":
+            assert not (tmp_path / "run" / "source_graph.npz").exists()
 
     def test_augment_and_train_eval_commands(self, tmp_path, toy_dataset_dir, capsys):
         cfg_path = tmp_path / "cfg.json"

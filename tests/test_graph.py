@@ -48,7 +48,7 @@ class TestLoadDataset:
         )
         graph = load_dataset(tmp_path)
         assert graph.node_count == 3
-        assert graph.edges == ((0, 1),)
+        np.testing.assert_array_equal(graph.edges, [(0, 1)])
 
     def test_label_out_of_range_reports_line(self, tmp_path):
         write_raw(
@@ -136,8 +136,9 @@ def test_text_graph_canonicalises_its_edges(tmp_path_factory, data):
     copies = data.draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
     raw = data.draw(st.permutations(pairs + [(v, u) for u, v in copies] + copies))
     graph = plain_graph(n, tuple(raw))
-    assert graph.edges == tuple(sorted({(min(u, v), max(u, v)) for u, v in pairs}))
-    assert all(type(end) is int for edge in graph.edges for end in edge)
+    want = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+    np.testing.assert_array_equal(graph.edges, np.array(want, dtype=np.int64).reshape(-1, 2))
+    assert graph.edges.dtype == np.int64
     out = tmp_path_factory.mktemp("canonical")
     write_dataset(graph, out)
     assert load_dataset(out) == graph
@@ -327,7 +328,7 @@ def lexsort_csr(graph):
     """Oracle: both CSR forms as two lexsorts over the mirrored pairs built
     them, the adjacency (indptr, indices) and the normalized (indptr,
     indices, data)."""
-    n, pairs = graph.node_count, graph._pairs
+    n, pairs = graph.node_count, graph.edges
     rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
     cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
     adj_ptr = np.zeros(n + 1, dtype=np.int64)
@@ -365,6 +366,11 @@ def test_counting_csr_matches_lexsort(graph):
         np.testing.assert_array_equal(got, want)
 
 
+def edge_set(graph):
+    """The edges of graph as a set of (u, v) tuples."""
+    return set(map(tuple, graph.edges.tolist()))
+
+
 class TestMergeAugmented:
     def test_empty_identity(self, toy_graph):
         assert merge_augmented(toy_graph, [], [], []) == toy_graph
@@ -374,7 +380,7 @@ class TestMergeAugmented:
         assert merged.node_count == toy_graph.node_count + 1
         assert len(merged.edges) == len(toy_graph.edges) + 2
         new_id = toy_graph.node_count
-        assert (3, new_id) in merged.edges and (7, new_id) in merged.edges
+        assert {(3, new_id), (7, new_id)} <= edge_set(merged)
 
     def test_isolated_has_degree_zero(self, toy_graph):
         merged = merge_augmented(toy_graph, ["gen"], [2], [[]])
@@ -382,9 +388,18 @@ class TestMergeAugmented:
 
     def test_preserves_originals(self, toy_graph):
         merged = merge_augmented(toy_graph, ["gen", "gen"], [2, 3], [[(0, 1.0)], []])
-        assert set(toy_graph.edges) <= set(merged.edges)
-        assert merged.labels[: toy_graph.node_count] == toy_graph.labels
+        assert edge_set(toy_graph) <= edge_set(merged)
+        np.testing.assert_array_equal(merged.labels[: toy_graph.node_count], toy_graph.labels)
         assert merged.texts[: toy_graph.node_count] == toy_graph.texts
+
+    @pytest.mark.parametrize(
+        "labels, shown",
+        [([2.0], "2.0"), ([True], "true"), (np.array([2.5]), "2.5"), (np.array([False]), "false")],
+    )
+    def test_label_that_is_not_an_int_rejected(self, toy_graph, labels, shown):
+        # numpy would cast each of these to an int
+        with pytest.raises(DatasetError, match=f"^label {re.escape(shown)} is not an integer$"):
+            merge_augmented(toy_graph, ["gen"], labels, [[]])
 
     def test_unknown_id_rejected(self, toy_graph):
         with pytest.raises(ValueError, match="unknown id"):
@@ -393,7 +408,7 @@ class TestMergeAugmented:
     def test_edge_to_earlier_synthetic(self, toy_graph):
         n = toy_graph.node_count
         merged = merge_augmented(toy_graph, ["gen", "gen"], [2, 3], [[], [(n, 1.0)]])
-        assert (n, n + 1) in merged.edges
+        assert (n, n + 1) in edge_set(merged)
 
 
 class TestBenchmarkShapedExports:
@@ -746,6 +761,93 @@ def test_text_graph_rejects_a_text_that_is_not_a_str(text, shown):
         TextGraph(2, ("a", text), (0, 0), ("a",), ((0, 1),))
 
 
+def three_nodes(labels=(0, 1, 0), edges=((0, 1), (1, 2))):
+    return TextGraph(3, ("a", "b", "c"), labels, ("a", "b"), edges)
+
+
+def loaded_copy(tmp_path):
+    write_dataset(three_nodes(), tmp_path)
+    return load_dataset(tmp_path)
+
+
+def source_graph_copy(tmp_path):
+    graph_module.write_source_graph(loaded_copy(tmp_path), tmp_path / "source_graph.npz")
+    return graph_module.read_source_graph(str(tmp_path / "source_graph.npz"), tmp_path)
+
+
+GRAPH_BUILDERS = {
+    "tuples": lambda tmp_path: three_nodes(),
+    "lists": lambda tmp_path: three_nodes([0, 1, 0], [[1, 0], [2, 1], [0, 1]]),
+    "int32 arrays": lambda tmp_path: three_nodes(
+        np.array([0, 1, 0], dtype=np.int32), np.array([[2, 1], [0, 1]], dtype=np.int32)
+    ),
+    "load_dataset": loaded_copy,
+    "read_source_graph": source_graph_copy,
+    "merge_augmented": lambda tmp_path: merge_augmented(
+        TextGraph(2, ("a", "b"), (0, 1), ("a", "b"), ((0, 1),)), ["c"],
+        np.array([0], dtype=np.int32), [[(1, 0.5)]],
+    ),
+}
+
+
+@pytest.mark.parametrize("build", GRAPH_BUILDERS.values(), ids=list(GRAPH_BUILDERS))
+def test_labels_and_edges_are_read_only_int64_arrays(tmp_path, build):
+    graph = build(tmp_path)
+    assert graph == three_nodes()
+    for column, shape in ((graph.labels, (3,)), (graph.edges, (2, 2))):
+        assert type(column) is np.ndarray and column.dtype == np.int64
+        assert column.shape == shape and not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+
+
+def test_equality_reads_every_field():
+    graph = three_nodes()
+    assert graph == three_nodes(np.array([0, 1, 0]), [[2, 1], [1, 0]])
+    assert graph != three_nodes(labels=(1, 1, 0))
+    assert graph != three_nodes(edges=((0, 1),))
+    assert graph != TextGraph(3, ("a", "b", "d"), (0, 1, 0), ("a", "b"), ((0, 1), (1, 2)))
+    assert graph != TextGraph(3, ("a", "b", "c"), (0, 1, 0), ("a", "x"), ((0, 1), (1, 2)))
+    assert graph != TextGraph(4, ("a", "b", "c", "d"), (0, 1, 0, 0), ("a", "b"), ((0, 1), (1, 2)))
+    assert graph != (3, graph.texts, graph.labels, graph.class_names, graph.edges)
+    with pytest.raises(TypeError):
+        hash(graph)
+
+
+def test_a_caller_array_stays_writeable():
+    labels, edges = np.array([0, 1, 0]), np.array([[0, 1], [1, 2]])
+    three_nodes(labels, edges)
+    labels[0] = edges[0, 0] = 1
+    assert labels.flags.writeable and edges.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "field, values, reason",
+    [
+        ("labels", np.array([0, 1, 2], dtype=np.int32), "label out of range (2 not in [0, 2))"),
+        ("labels", np.array([0, -1, 0]), "label out of range (-1 not in [0, 2))"),
+        ("labels", np.array([0, 2**64, 0], dtype=object),
+         f"label out of range ({2**64} not in [0, 2))"),
+        ("labels", np.array([False, True, False]), "label false is not an integer"),
+        ("labels", np.array([0.0, 1.5, 0.0]), "label 0.0 is not an integer"),
+        ("edges", np.array([[0, 1], [1, 3]]), "edge endpoint out of range (1, 3)"),
+        ("edges", np.array([[0, 1], [-1, 2]], dtype=np.int32),
+         "edge endpoint out of range (-1, 2)"),
+        ("edges", np.array([[0, 2**63]], dtype=np.uint64),
+         f"edge endpoint out of range (0, {2**63})"),
+        ("edges", np.array([[0, 1], [2, 2]]), "self-loop on node 2"),
+        ("edges", np.array([[True, False]]), "edge endpoints (true, false) are not integers"),
+        ("edges", np.array([[0.0, 1.0]]), "edge endpoints (0.0, 1.0) are not integers"),
+    ],
+)
+def test_an_array_is_refused_as_a_list_of_its_values(field, values, reason):
+    # The loader's reason for the first bad entry; numpy would cast a bool
+    # or float to an int.
+    for given in (values.tolist(), values):
+        with pytest.raises(DatasetError, match=f"^{re.escape(reason)}$"):
+            three_nodes(**{field: given})
+
+
 # Texts the fast writer and loader must carry unchanged: JSON escapes,
 # control characters, non-ASCII, and U+0085 / U+2028, which ensure_ascii=False
 # writes raw and str.splitlines would split on.
@@ -788,10 +890,10 @@ def oracle_write(graph, directory, provenance):
                 fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
 
     dump("nodes.jsonl", (
-        {"id": nid, "text": graph.texts[nid], "label": graph.labels[nid]}
-        for nid in range(graph.node_count)
+        {"id": nid, "text": text, "label": label}
+        for nid, (text, label) in enumerate(zip(graph.texts, graph.labels.tolist()))
     ))
-    dump("edges.jsonl", ({"src": u, "dst": v} for u, v in graph.edges))
+    dump("edges.jsonl", ({"src": u, "dst": v} for u, v in graph.edges.tolist()))
     dump("provenance.jsonl", provenance)
 
 
@@ -934,7 +1036,7 @@ def test_blank_lines_keep_the_joined_parse(records, data):
 
 def naive_merge(graph, syn_texts, syn_labels, syn_edges):
     """merge_augmented oracle: one node and one edge at a time."""
-    texts, labels, edges = list(graph.texts), list(graph.labels), list(graph.edges)
+    texts, labels, edges = list(graph.texts), graph.labels.tolist(), graph.edges.tolist()
     for i, (text, label, node_edges) in enumerate(zip(syn_texts, syn_labels, syn_edges)):
         new_id = graph.node_count + i
         texts.append(text)

@@ -317,7 +317,7 @@ def test_the_default_lines_are_valid(read):
     for name, lines in (("nodes.jsonl", NODES), ("gen_cache.jsonl", CACHE)):
         read(name, lines)
     graph, _split, _emb, (_rows, labels, anchors) = read("provenance.jsonl", PROVENANCE)
-    assert graph.edges == ((0, 1), (1, 2))
+    np.testing.assert_array_equal(graph.edges, [(0, 1), (1, 2)])
     assert labels.tolist() == [0, 1] and anchors == [0, 2]
 
 
