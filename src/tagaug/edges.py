@@ -21,13 +21,13 @@ _CUT_BLOCK = 1 << 16
 @dataclass
 class ConfidenceNet:
     """kappa(z) = max softmax probability of an embedding-space classifier,
-    so scores live in [1/C, 1]."""
+    so scores live in [1/C, 1]. kappa computes in the net's dtype, the
+    rows cast to it: float32, as train_confidence trains it."""
 
     model: object
 
     def kappa(self, rows):
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        _, probs, _ = predict(self.model, rows)
+        _, probs, _ = predict(self.model, np.atleast_2d(rows))
         return probs.max(axis=1)
 
 
@@ -44,11 +44,11 @@ class EdgeAssignConfig:
 
 
 def train_confidence(emb, labels, train_idx, cfg):
-    """Train the confidence net on (embedding, label) pairs of train_idx."""
+    """Train the confidence net on (embedding, label) pairs of train_idx,
+    in float32."""
     labels = np.asarray(labels, dtype=np.int64)
-    model = train_classifier(
-        emb.vectors, labels, train_idx, cfg, kind="mlp", adjacency=None
-    )
+    rows = np.asarray(emb.vectors, dtype=np.float32)
+    model = train_classifier(rows, labels, train_idx, cfg, kind="mlp", adjacency=None)
     return ConfidenceNet(model=model)
 
 

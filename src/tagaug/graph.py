@@ -188,7 +188,7 @@ class NormalizedAdjacency:
         return csr_matmul(self.indptr, self.indices, self.data, dense, plan=self.plan)
 
     def todense(self):
-        out = np.zeros(self.shape)
+        out = np.zeros(self.shape, dtype=self.data.dtype)
         out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
         return out
 
@@ -688,8 +688,10 @@ def make_longtail_split(
     )
 
 
-def normalized_adjacency(graph):
-    """D^{-1/2} (A + I) D^{-1/2} with self-loop-inclusive degrees."""
+def normalized_adjacency(graph, dtype=np.float64):
+    """D^{-1/2} (A + I) D^{-1/2} with self-loop-inclusive degrees. The
+    weights are computed in float64 and stored as dtype, whose products
+    (and plan) then compute in it."""
     n = graph.node_count
     indptr, cols = _symmetric_csr(graph.edges, n, loops=True)
     degree = np.diff(indptr)  # self loop included
@@ -698,7 +700,7 @@ def normalized_adjacency(graph):
     return NormalizedAdjacency(
         indptr=indptr,
         indices=cols,
-        data=inv_sqrt[rows] * inv_sqrt[cols],
+        data=(inv_sqrt[rows] * inv_sqrt[cols]).astype(dtype, copy=False),
         shape=(n, n),
     )
 

@@ -9,10 +9,10 @@ of two paths per matrix, once, and the plan is cached per adjacency
 - Dense: a matrix with at most ``DENSE_CELLS_PER_ENTRY`` cells per stored
   entry (the toy graph) is densified, and each product is one BLAS
   ``plan @ dense``, bit-equal to numpy's ``todense() @ dense`` on the same
-  numpy and BLAS and within 1e-12 relative of the index-order loop. Like
-  every other ``@`` in training, its bits may depend on the BLAS build and
-  thread count, and a non-finite entry of ``dense`` reaches every row of
-  the product (0 x inf is NaN).
+  numpy and BLAS and, in float64, within 1e-12 relative of the index-order
+  loop. Like every other ``@`` in training, its bits may depend on the
+  BLAS build and thread count, and a non-finite entry of ``dense`` reaches
+  every row of the product (0 x inf is NaN).
 - Step-major: any sparser matrix. Rows are ordered by degree, most entries
   first, so at step j the rows that still have a j-th entry form a prefix
   of that order, and one contiguous add handles all of them. Each row
@@ -20,6 +20,15 @@ of two paths per matrix, once, and the plan is cached per adjacency
   bit-equal to the sequential loop ``out[r] += data[j] * dense[indices[j]]``.
 
 Neither path reads a row of ``dense`` beyond the matrix's column count.
+
+Both paths compute in the dtype of the matrix's ``data``: float32 stays
+float32, anything else is float64, and ``dense`` is cast to it. So a
+float32 adjacency has one float32 plan, and its products are float32. In
+either dtype, step-major is bit-equal to the sequential loop in that dtype,
+and each entry of a product lies within ``gamma_k * (|A| @ |dense|)`` of
+the exact product of the same entries, where ``gamma_k = k u / (1 - k u)``,
+k is the row's entry count and u the dtype's unit roundoff (2**-24 for
+float32): that bound holds for any order of summation, BLAS's included.
 
 A row's sum does not depend on the other rows, so step-major rows are cut
 into contiguous ranges of about equal entry counts, run on one thread per
@@ -108,6 +117,12 @@ def _blas_threads():
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 return max(1, getter())
     return _usable_cpus()
+
+
+def _compute_dtype(array):
+    """The dtype products and training compute in for this array's
+    values: float32 when it is float32, else float64."""
+    return np.dtype(np.float32 if np.asarray(array).dtype == np.float32 else np.float64)
 
 
 def _range_count(work, per_range):
@@ -204,11 +219,11 @@ def csr_plan(indptr, indices, data, n_cols):
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data, dtype=_compute_dtype(data))
     nnz = int(indptr[-1])
     n_rows = len(indptr) - 1
     if n_rows * n_cols <= DENSE_CELLS_PER_ENTRY * nnz:
-        matrix = np.zeros((n_rows, n_cols))
+        matrix = np.zeros((n_rows, n_cols), dtype=data.dtype)
         np.add.at(matrix, (np.repeat(np.arange(n_rows), np.diff(indptr)), indices), data)
         return matrix
     ranges = _range_count(nnz, RANGE_MIN_ENTRIES)
@@ -223,7 +238,7 @@ def csr_plan(indptr, indices, data, n_cols):
 def _range_product(dense, out, lo, order, chunks):
     """Rows lo .. lo + len(order) of the product, into out. The range's
     accumulator and one chunk's gather are its only scratch."""
-    acc = np.zeros((len(order), dense.shape[1]))
+    acc = np.zeros((len(order), dense.shape[1]), dtype=dense.dtype)
     for cols, vals, widths in chunks:
         # np.take gathers rows faster than dense[cols], most of all on two
         # threads; with out= and mode="raise" it gathers into a temporary.
@@ -238,20 +253,21 @@ def _range_product(dense, out, lo, order, chunks):
 
 
 def csr_matmul(indptr, indices, data, dense, plan=None):
-    """Sparse (CSR) @ dense product, (n_rows x n_cols) float64 output.
+    """Sparse (CSR) @ dense product, (n_rows x n_cols), in data's compute
+    dtype (float32 for float32 data, else float64).
 
     ``plan`` is ``csr_plan(indptr, indices, data, n_cols)``; when not
     given, it is built here with n_cols ``len(dense)``. A dense plan is one
     BLAS product; step-major ranges run on threads joined before this
     returns.
     """
-    dense = np.asarray(dense, dtype=np.float64)
+    dense = np.asarray(dense, dtype=_compute_dtype(data))
     if dense.ndim != 2:
         raise ValueError("dense operand must be 2-D")
     if plan is None:
         plan = csr_plan(indptr, indices, data, len(dense))
     if isinstance(plan, np.ndarray):
         return plan @ dense[:plan.shape[1]]
-    out = np.empty((len(indptr) - 1, dense.shape[1]))
+    out = np.empty((len(indptr) - 1, dense.shape[1]), dtype=dense.dtype)
     _run_ranges(partial(_range_product, dense, out), plan)
     return out

@@ -2,8 +2,18 @@
 forward/backward pass, an abstract self/neighbor aggregator, softmax
 cross-entropy, an Adam optimizer, and a central-difference gradient checker.
 
-Everything is float64 and deterministic for a fixed seed on a given numpy
-and BLAS: weight init uses a seeded PCG64 stream, dropout masks come from a
+Training computes in the dtype of the features it is given: float32
+features train in float32, anything else in float64. The weights are the
+same seeded draws in either dtype, rounded to it, and the Adam state,
+caches, gradients, dropout masks and a GCN's adjacency products are all in
+it; a GCN's adjacency must store its weights in it (kernels.py computes in
+the adjacency's dtype). forward and predict compute in the model's dtype,
+that of its weights, and cast the input rows to it. Train-eval's GCNs, the
+boundary probe and the confidence net train in float32; verify and
+gradient_check stay float64, where central differences need its precision.
+
+Either dtype is deterministic for a fixed seed on a given numpy and BLAS:
+weight init uses a seeded PCG64 stream, dropout masks come from a
 counter-based Philox stream keyed by (seed, epoch, layer), and the sparse
 product is one BLAS product for a small, dense-enough adjacency and sums
 each row in index order for a sparser one (see kernels.py).
@@ -15,7 +25,9 @@ below ``t = ceil(keep * 2**53)`` (scaling by a power of two is exact), that
 is when ``raw <= t * 2**11 - 1``. For ``0 < keep <= 1``, t lies in
 1 .. 2**53, so that bound fits in 64 bits. So the mask keeps the same
 entries as ``Generator(Philox(key)).random(shape) < keep`` without
-shifting the words or building the doubles.
+shifting the words or building the doubles. A float32 mask compares the
+same 64-bit words against the same bound, so it keeps exactly the entries
+the float64 mask keeps, and holds float32(1 / keep) or 0.
 
 A Philox word depends only on its counter and key, so a large mask is
 filled in ranges on threads of their own, each seeking to its first word,
@@ -30,10 +42,10 @@ forward keeps for backward only what backward reads, per layer: the input
 after dropout, a bool ReLU flag ``z > 0`` (not on the last layer) and,
 from layer 1 on, a bool flag where the dropout mask kept an entry. Layer
 0's mask is never read: no gradient flows to the features. The float
-mask holds exactly ``1 / keep`` or 0, so ``(g * kept) * (1 / keep)`` has
-the bits of ``g * mask``, signed zeros, inf x 0 = NaN and NaN payloads
-included: ``g * 1.0`` is g, and a zero or NaN keeps its sign and payload
-when multiplied by a positive number.
+mask holds exactly ``1 / keep`` (rounded to the dtype) or 0, so
+``(g * kept) * (1 / keep)`` has the bits of ``g * mask``, signed zeros,
+inf x 0 = NaN and NaN payloads included: ``g * 1.0`` is g, and a zero or
+NaN keeps its sign and payload when multiplied by a positive number.
 ReLU, bias and dropout run in place on arrays nothing else reads, and
 backward frees each layer's cache once that layer's gradients are taken.
 
@@ -50,7 +62,14 @@ from functools import partial
 
 import numpy as np
 
-from .kernels import _SHARE, _blas_threads, _range_count, _run_ranges, _usable_cpus
+from .kernels import (
+    _SHARE,
+    _blas_threads,
+    _compute_dtype,
+    _range_count,
+    _run_ranges,
+    _usable_cpus,
+)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -109,6 +128,12 @@ class ClassifierModel:
         if dims and dims[-1][1] != self.class_count:
             raise ValueError("final out_dim must equal class_count")
 
+    @property
+    def dtype(self):
+        """The dtype forward computes in: float32 for float32 weights, else
+        float64."""
+        return _compute_dtype(self.layers[0].weight)
+
 
 @dataclass
 class TrainConfig:
@@ -133,8 +158,8 @@ def confidence_train_defaults():
     return TrainConfig(epochs=1000, learning_rate=0.001, dropout=0.0, hidden_dims=(256,))
 
 
-def init_model(kind, in_dim, class_count, cfg):
-    """Fan-in-scaled uniform init, seeded."""
+def init_model(kind, in_dim, class_count, cfg, dtype=np.float64):
+    """Fan-in-scaled uniform init, seeded; the float64 draws rounded to dtype."""
     rng = np.random.default_rng(cfg.seed)
     dims = [in_dim, *cfg.hidden_dims, class_count]
     layers = []
@@ -142,8 +167,8 @@ def init_model(kind, in_dim, class_count, cfg):
         bound = 1.0 / np.sqrt(a)
         layers.append(
             DenseLayer(
-                weight=rng.uniform(-bound, bound, size=(a, b)),
-                bias=np.zeros(b),
+                weight=rng.uniform(-bound, bound, size=(a, b)).astype(dtype, copy=False),
+                bias=np.zeros(b, dtype=dtype),
             )
         )
     return ClassifierModel(
@@ -151,20 +176,23 @@ def init_model(kind, in_dim, class_count, cfg):
     )
 
 
-def dropout_mask(shape, rate, seed, epoch, layer):
-    """Inverted-dropout mask from a Philox stream keyed by (seed, epoch, layer)."""
+def dropout_mask(shape, rate, seed, epoch, layer, dtype=np.float64):
+    """Inverted-dropout mask from a Philox stream keyed by (seed, epoch,
+    layer): 1 / (1 - rate), rounded to dtype, where an entry is kept, else 0.
+    The kept entries do not depend on dtype."""
     key = np.array(
         [int(seed) & 0xFFFFFFFFFFFFFFFF, (int(epoch) << 8) | int(layer)],
         dtype=np.uint64,
     )
     keep = 1.0 - rate
-    mask = np.empty(shape)
+    dtype = np.dtype(dtype)
+    mask = np.empty(shape, dtype=dtype)
     flat = mask.reshape(-1)
     n = flat.size
     # Ranges start on a Philox block of 4 words, so each can seek to its own.
     step = 4 * max(1, -(-n // (4 * _range_count(n, MASK_RANGE_MIN_WORDS))))
     last_kept = np.uint64((math.ceil(keep * 2.0**53) << 11) - 1)  # the largest kept word
-    fill = partial(_fill_mask, flat, key, last_kept, 1.0 / keep)
+    fill = partial(_fill_mask, flat, key, last_kept, dtype.type(1.0 / keep))
     _run_ranges(fill, [(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)])
     return mask
 
@@ -200,11 +228,18 @@ def forward(model, features, adjacency=None, train_mode=False, seed=0, epoch=0):
 
     Each layer computes A_hat @ (drop(h) @ W) + b (the adjacency product is
     skipped for MLPs); ReLU between layers, dropout before every weight
-    multiply in train mode. features is never written.
+    multiply in train mode. Computes in the model's dtype, features cast to
+    it; features is never written.
     """
-    if model.kind == "gcn" and adjacency is None:
-        raise ValueError("gcn forward requires an adjacency")
-    h = np.asarray(features, dtype=np.float64)
+    dtype = model.dtype
+    if model.kind == "gcn":
+        if adjacency is None:
+            raise ValueError("gcn forward requires an adjacency")
+        if _compute_dtype(adjacency.data) != dtype:
+            raise ValueError(
+                f"adjacency stores {adjacency.data.dtype} but the model computes in {dtype}"
+            )
+    h = np.asarray(features, dtype=dtype)
     caches = []
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
@@ -215,7 +250,7 @@ def forward(model, features, adjacency=None, train_mode=False, seed=0, epoch=0):
             )
         kept = None
         if train_mode and model.dropout_rate > 0:
-            mask = dropout_mask(h.shape, model.dropout_rate, seed, epoch, i)
+            mask = dropout_mask(h.shape, model.dropout_rate, seed, epoch, i, dtype)
             if i:  # h is the last layer's ReLU output, which nothing else reads
                 kept = mask != 0.0
                 h *= mask
@@ -267,14 +302,18 @@ def softmax(logits):
 def masked_cross_entropy(logits, labels, idx):
     """Mean softmax cross-entropy over the rows in idx.
 
-    Returns (loss, dlogits) with dlogits zero outside idx.
+    Returns (loss, dlogits) with dlogits zero outside idx. A picked
+    probability is floored at 1e-300, or at the dtype's smallest normal
+    number where that is larger (float32), so an underflowed softmax gives
+    a large finite loss, not an infinite one.
     """
     idx = np.asarray(idx, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     sub = logits[idx]
     probs = softmax(sub)
     y = labels[idx]
-    picked = np.clip(probs[np.arange(len(idx)), y], 1e-300, None)
+    floor = max(1e-300, float(np.finfo(probs.dtype).tiny))
+    picked = np.clip(probs[np.arange(len(idx)), y], floor, None)
     loss = float((-np.log(picked)).sum() / len(idx))
     dsub = probs
     dsub[np.arange(len(idx)), y] -= 1.0
@@ -292,7 +331,8 @@ def train_classifier(
     kind="mlp",
     adjacency=None,
 ):
-    """Full-batch Adam training of a GCN or MLP, deterministic per seed."""
+    """Full-batch Adam training of a GCN or MLP, deterministic per seed, in
+    float32 for float32 features and in float64 for any others."""
     train_idx = np.asarray(train_idx, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if len(train_idx) == 0:
@@ -301,11 +341,11 @@ def train_classifier(
     if len(set(labels[train_idx].tolist())) < 2:
         raise ValueError("training mask must cover at least 2 classes")
 
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features, dtype=_compute_dtype(features))
     if kind == "mlp":  # rows are independent: fit only the rows the loss reads
         features, labels = features[train_idx], labels[train_idx]
         train_idx = np.arange(len(train_idx))
-    model = init_model(kind, features.shape[1], class_count, cfg)
+    model = init_model(kind, features.shape[1], class_count, cfg, features.dtype)
 
     # Adam state per parameter: [param, m, v, scratch, scratch], updated in place.
     adam = [
@@ -391,7 +431,8 @@ def train_jobs(jobs):
 
 
 def predict(model, features, adjacency=None):
-    """Per-node (label, probability vector, logits); argmax takes the lowest index."""
+    """Per-node (label, probability vector, logits) in the model's dtype;
+    argmax takes the lowest index."""
     logits, _ = forward(model, features, adjacency=adjacency, train_mode=False)
     probs = softmax(logits)
     return np.argmax(logits, axis=1), probs, logits

@@ -279,10 +279,16 @@ def load_artifacts(cfg):
     source_graph.npz, refused unless cfg.dataset_dir still holds the
     dataset augment read; the labels and anchor ids from provenance.jsonl,
     the rows from embeddings.npz (row i belongs to record i). No cell reads
-    the synthetic texts. An out_dir without split.json raises
-    FileNotFoundError; files that do not fit the dataset raise DatasetError
-    naming the file."""
-    split = _load_split(os.path.join(cfg.out_dir, "split.json"))
+    the synthetic texts. Augment writes split.json last, so an out_dir
+    without it raises a DatasetError saying augment has not finished there;
+    files that do not fit the dataset raise DatasetError naming the file."""
+    try:
+        split = _load_split(os.path.join(cfg.out_dir, "split.json"))
+    except FileNotFoundError:
+        raise DatasetError(
+            f"split.json: no such file in {cfg.out_dir}; augment has not finished "
+            "there, so run augment first"
+        ) from None
     graph = read_source_graph(os.path.join(cfg.out_dir, "source_graph.npz"), cfg.dataset_dir)
     fault = _ints_below("index", graph.node_count)(
         {"index": split.train_idx + split.val_idx + split.test_idx}
@@ -318,10 +324,12 @@ def load_artifacts(cfg):
     return graph, split, emb, (synthetic, row_labels, columns["anchor"])
 
 
-def _train_eval_cell(graph, features, train_ids, split, cfg):
-    """Train the classifier for each eval seed, side by side; per-seed test
-    metrics, in seed order."""
-    adjacency = normalized_adjacency(graph)
+def _train_eval_cell(graph, original, rows, train_ids, split, cfg):
+    """Train the classifier for each eval seed, side by side, in float32 on
+    the original embedding rows followed by the cell's synthetic rows;
+    per-seed test metrics, in seed order."""
+    features = np.vstack([original, rows], dtype=np.float32)
+    adjacency = normalized_adjacency(graph, dtype=np.float32)
     adjacency.plan  # built before the jobs share it: cached_property may not lock
     models = train_jobs([
         partial(
@@ -355,14 +363,15 @@ def _mean_std_block(runs):
 
 
 def _boundary_probe(emb, labels, cfg):
-    """The MLP probe the boundary block's icr reads, trained on a
-    class-balanced sample of the original rows; labels is their array."""
+    """The MLP probe the boundary block's icr reads, trained in float32 on
+    a class-balanced sample of the original rows; labels is their array."""
     counts = np.bincount(labels)
     per_class = counts[counts > 0].min()
     chosen = np.concatenate(
         [np.flatnonzero(labels == cls)[:per_class] for cls in range(len(counts))]
     )
-    return train_classifier(emb.vectors, labels, chosen, cfg.confidence, kind="mlp")
+    rows = np.asarray(emb.vectors, dtype=np.float32)
+    return train_classifier(rows, labels, chosen, cfg.confidence, kind="mlp")
 
 
 def _num_synthetic(cfg, emb, labels, split):
@@ -418,7 +427,7 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
     cells_report = {}
     for cell in grid:
         t_cell = time.perf_counter()
-        cell_graph, features, boundary = graph, emb.vectors, None
+        cell_graph, rows, boundary = graph, emb.vectors[:0], None  # origin adds no rows
         train_ids = np.asarray(split.train_idx)
         if cell != "origin":
             rows, row_labels, anchors = num if cell.startswith("num") else llm
@@ -430,7 +439,6 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
             )
             # No cell reads the synthetic texts, so the merged nodes have none.
             cell_graph = merge_augmented(graph, [""] * len(rows), row_labels, edges)
-            features = np.vstack([emb.vectors, rows])
             train_ids = np.concatenate(
                 [train_ids, np.arange(graph.node_count, cell_graph.node_count)]
             )
@@ -440,7 +448,7 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
                 "icr": round(icr(rows, row_labels, probe), 4),
             }
 
-        runs = _train_eval_cell(cell_graph, features, train_ids, split, cfg)
+        runs = _train_eval_cell(cell_graph, emb.vectors, rows, train_ids, split, cfg)
         cells_report[cell] = {
             "metrics": _mean_std_block(runs),
             "per_seed": [

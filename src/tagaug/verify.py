@@ -23,12 +23,14 @@ from .graph import TextGraph, normalized_adjacency
 
 
 def _random_graph_instance(rng, n=6):
+    """The normalized adjacency of a random graph on n nodes. The gradient
+    check reads no node labels, so every node gets the one class."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
     graph = TextGraph(
         node_count=n,
-        texts=tuple("" for _ in range(n)),
-        labels=tuple(int(rng.integers(2)) for _ in range(n)),
-        class_names=("a", "b"),
+        texts=("",) * n,
+        labels=(0,) * n,
+        class_names=("a",),
         edges=pairs,
     )
     return normalized_adjacency(graph)

@@ -331,7 +331,7 @@ class TestTrainEval:
 
     def test_missing_artifacts_error(self, tmp_path, toy_dataset_dir):
         cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "nope"))
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(DatasetError, match=r"^split\.json: .*augment has not finished"):
             run_train_eval(cfg, grid=("llm",))
 
     def test_num_cells_and_gap_reported(self, tmp_path, toy_dataset_dir):
@@ -540,6 +540,20 @@ class TestCliCommands:
         assert "Traceback" not in captured.out + captured.err
         if command == "augment":
             assert not (tmp_path / "run" / "source_graph.npz").exists()
+
+    def test_train_eval_before_augment_exits_1_with_one_line(
+        self, tmp_path, toy_dataset_dir, capsys
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(fast_config(toy_dataset_dir, tmp_path / "empty")))
+        (tmp_path / "empty").mkdir()
+        assert main(["train-eval", "--config", str(cfg_path), "--grid", "origin"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("tagaug train-eval: error: split.json: no such file in ")
+        assert "augment has not finished" in lines[0]
+        assert "Traceback" not in captured.out + captured.err
 
     def test_augment_and_train_eval_commands(self, tmp_path, toy_dataset_dir, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -11,9 +11,17 @@ its reports are digested without the endpoints and the config digest
 that name the port. A change that keeps outputs byte-identical passes
 unchanged; one that moves any output fails here and names the file.
 
-The numbers come from float64 training, so another numpy, BLAS or CPU may
-round differently; there the digests say nothing and the tests skip, as
+The numbers come from float32 training (train-eval's GCNs, the boundary
+probe and the confidence net, whose kappa scales every edge score) and
+float64 embeddings and scores, so another numpy, BLAS or CPU may round
+differently; there the digests say nothing and the tests skip, as
 TestGoldenBits does.
+
+Each set's provenance.jsonl, and the default and mixup sets'
+augment_report.json, were re-taken when training moved to float32: the
+edge scores moved by at most 1.6e-5 (one score_quantiles entry in each
+report, in its sixth decimal), and every selected edge stayed the same.
+Every other digest is older.
 """
 
 import hashlib
@@ -38,11 +46,11 @@ from test_wire import StubHandler
 
 # Taken with the step-major sparse product on GOLDEN_FINGERPRINT's numerics.
 GOLDEN_OUTPUTS = {
-    "augment_report.json": "99080e4679b1f148fe20223ecf169c6259f91ca6b1707066895101753af79c84",
+    "augment_report.json": "dcbfabef077704f6251449a1dc9901cbbb684280ab5510b3b8ed613ef3373c0b",
     "augmented/edges.jsonl": "fb8a480fd76625617608de5effdabca92908af09094b322aa40ac718662bdbe8",
     "augmented/meta.json": "ee6ff93211905d7ef259ffdea703eae960bd63f88af89b72919301cf2752eeea",
     "augmented/nodes.jsonl": "e3472bc75d7b988d9ae2de99fb6d7a423125216d47e4b8d2f550a11fa54c37e5",
-    "augmented/provenance.jsonl": "fc2f9097ce11479b6d2f614cfb42e8f33a870aac7003e28aed4a485b3b577c0e",
+    "augmented/provenance.jsonl": "dd3202d6f61d460a8d93709b5650caa20a7e60bd3231a2b616ce8eb97f001909",
     "embeddings.npz": "735a04d3f1de3e251f8e4ab744536e79da135153470b43741e9f0ea6446d9af0",
     "gen_cache.jsonl": "a1b27cafedc8033b0d172a22f6874f7ac9d2b5b64b1752539d86e660bc165999",
     "source_graph.npz": "69a721346b145000296ab6a7112c47e7c56017c6d4cd39e3fb10d956e5c6a0ed",
@@ -52,11 +60,11 @@ GOLDEN_OUTPUTS = {
 # Taken with the dense product on the same numerics, before training kept
 # bool ReLU and dropout flags in place of float pre-activations and masks.
 GOLDEN_OUTPUTS_MIXUP = {
-    "augment_report.json": "c57abad36ffa3dd9d8afb4dbc47d56d654ecab790aafe7c167b0533da584893a",
+    "augment_report.json": "6db2f04cee37ccac395c37dd4befb6648ed6461c0bc3db86daa699fef32959e8",
     "augmented/edges.jsonl": "f96883ea1ebc56bfbaab95c5cf29780d46d7a51f4560d922ff6be15781551837",
     "augmented/meta.json": "ee6ff93211905d7ef259ffdea703eae960bd63f88af89b72919301cf2752eeea",
     "augmented/nodes.jsonl": "e5a32f42a427b9e83ab13deb3ded6cc6085026187b46b97b50537023ea725e1e",
-    "augmented/provenance.jsonl": "c712c4bda8454136e425f1b4f162fbe3c9bc7479bd74635194d72e0f1e1ad305",
+    "augmented/provenance.jsonl": "3b42896095fcbe04455f5e1574cb35620ef4a242407111031fe0610dec5cb2bf",
     "embeddings.npz": "b9be012fb155a8afb714db52496887c09eef75a1fd0f140e16898dedfa04d6b2",
     "gen_cache.jsonl": "c44beb53d7781e445516bf5824cbfcbd8a272d85f747655d23c9ce4a3472f1c7",
     "source_graph.npz": "69a721346b145000296ab6a7112c47e7c56017c6d4cd39e3fb10d956e5c6a0ed",
@@ -72,7 +80,7 @@ GOLDEN_OUTPUTS_SMOTE = {
     "augmented/edges.jsonl": "5b30b570990bc80f5830ec1e1689692b6a7d3b89c93c1f2935cf2a70babbabb1",
     "augmented/meta.json": "ee6ff93211905d7ef259ffdea703eae960bd63f88af89b72919301cf2752eeea",
     "augmented/nodes.jsonl": "09dceeea17535405ab3b8bc90771458e10b80e1b9f69e7a06b92a669a101b7c7",
-    "augmented/provenance.jsonl": "6011f08369d5cd09ef495b42810f950350dbbe3a9ef0b58b20fbaac19c10fe04",
+    "augmented/provenance.jsonl": "4c2c151f9483a82dc7afa6c638abac1c9e0f4651599d582763623705ae194c58",
     "embeddings.npz": "61402c339dcb7e33a81790838ce25216186fc35e98a6eb55feb0836668dfe884",
     "gen_cache.jsonl": "b4483d6d7f4156b83204dbc159c925fb1a57651a3dd1e003d386e7b8a1d0d30a",
     "source_graph.npz": "69a721346b145000296ab6a7112c47e7c56017c6d4cd39e3fb10d956e5c6a0ed",
@@ -87,7 +95,7 @@ GOLDEN_OUTPUTS_REMOTE = {
     "augmented/edges.jsonl": "d4e787666af6943439e7bae345abddb6a65a774250a9371f364d6226fddfddc5",
     "augmented/meta.json": "ee6ff93211905d7ef259ffdea703eae960bd63f88af89b72919301cf2752eeea",
     "augmented/nodes.jsonl": "0b594dcfc3b1bde262f6b0fc3a92a70aba8ffb9d245294a116af15398422612d",
-    "augmented/provenance.jsonl": "1bf7739595792986af6cfd87ca60c343a0115d3556d4658b283acb576dd8281f",
+    "augmented/provenance.jsonl": "50c669d26d651b6696bf8fd1762c2ee4260d2d26f29dcf4bbfa8531a169aeff7",
     "embeddings.npz": "e4c31217f326a8cd979e80a28371f3857c2cb580b29ea38f941b9a4f55d25102",
     "gen_cache.jsonl": "b4dc9c3d3c2bee5579b5eb85ef76e775495bbb624a2f1aacbe34e5f0ddac8bab",
     "source_graph.npz": "69a721346b145000296ab6a7112c47e7c56017c6d4cd39e3fb10d956e5c6a0ed",

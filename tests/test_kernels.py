@@ -19,8 +19,9 @@ from tagaug.neural import TrainConfig, TrainingDivergedError, train_classifier
 
 
 def sequential_oracle(indptr, indices, data, dense):
-    """Each row adds its entries one at a time, in index order."""
-    out = np.zeros((len(indptr) - 1, dense.shape[1]))
+    """Each row adds its entries one at a time, in index order, in dense's
+    dtype."""
+    out = np.zeros((len(indptr) - 1, dense.shape[1]), dtype=dense.dtype)
     for row in range(len(indptr) - 1):
         for j in range(indptr[row], indptr[row + 1]):
             out[row] += data[j] * dense[indices[j]]
@@ -124,6 +125,71 @@ def test_split_product_equals_sequential_index_order_sum(operands, cpus):
     assert len(plan) == (kernels.PIECES_PER_THREAD * threads if threads > 1 else 1)
     out = kernels.csr_matmul(indptr, indices, data, dense, plan=plan)
     assert np.array_equal(out, sequential_oracle(indptr, indices, data, dense))
+
+
+def as_float32(operands):
+    indptr, indices, data, dense = operands
+    return indptr, indices, data.astype(np.float32), dense.astype(np.float32)
+
+
+def float32_product_bound(indptr, indices, data, dense):
+    """Per entry, gamma_k(u32) * (|A| @ |dense|), with k the row's entry
+    count and gamma_k = k u / (1 - k u): the bound on any order of
+    summation of the row's k products in float32 (u = 2**-24), BLAS's
+    included. gamma_k(u64) more covers the float64 oracle's own rounding."""
+    k = np.diff(indptr).astype(np.float64)[:, None]
+    magnitude = to_dense(indptr, indices, np.abs(data.astype(np.float64)), dense.shape[0])
+    magnitude = magnitude @ np.abs(dense.astype(np.float64))
+    gamma = sum(k * u / (1 - k * u) for u in (2.0**-24, 2.0**-53))
+    return gamma * magnitude
+
+
+@settings(max_examples=200, deadline=None)
+@given(csr_operands(), st.integers(1, 4))
+@example((np.array([0, 3]), np.array([0, 1, 0]), np.array([1.0, 1e-8, -1.0]),
+          np.array([[1.0], [1.0]])), 1)
+def test_float32_product_is_within_its_bound_of_the_float64_oracle(operands, cpus):
+    # Both paths, on float32 entries: step-major on one range or several,
+    # and the densified matrix as one BLAS product.
+    indptr, indices, data, dense = as_float32(operands)
+    n_cols = dense.shape[0]
+    want = to_dense(indptr, indices, data.astype(np.float64), n_cols) @ dense.astype(np.float64)
+    bound = float32_product_bound(indptr, indices, data, dense)
+    for plan in (forced_plan(indptr, indices, data, n_cols, cpus),
+                 dense_plan(indptr, indices, data, n_cols)):
+        out = kernels.csr_matmul(indptr, indices, data, dense, plan=plan)
+        assert out.dtype == np.float32 and out.shape == want.shape
+        assert np.all(np.abs(out.astype(np.float64) - want) <= bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(csr_operands(), st.integers(1, 4))
+def test_float32_step_major_equals_float32_sequential_loop(operands, cpus):
+    indptr, indices, data, dense = as_float32(operands)
+    plan = forced_plan(indptr, indices, data, dense.shape[0], cpus)
+    out = kernels.csr_matmul(indptr, indices, data, dense, plan=plan)
+    want = sequential_oracle(indptr, indices, data, dense)
+    assert out.dtype == want.dtype == np.float32
+    assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("path", ["dense", "step-major"])
+def test_float32_adjacency_has_one_float32_plan(monkeypatch, path):
+    if path == "step-major":
+        monkeypatch.setattr(kernels, "DENSE_CELLS_PER_ENTRY", 0)
+    graph = make_toy_tag(seed=2)
+    adj64 = normalized_adjacency(graph)
+    adj = normalized_adjacency(graph, dtype=np.float32)
+    # the weights are the float64 weights, rounded
+    assert adj.data.dtype == np.float32
+    assert np.array_equal(adj.data, adj64.data.astype(np.float32))
+    plans = [adj.plan] if path == "dense" else [vals for _lo, _order, chunks in adj.plan
+                                               for _cols, vals, _widths in chunks]
+    assert adj.plan is adj.plan and all(p.dtype == np.float32 for p in plans)
+    dense = np.random.default_rng(1).normal(size=(adj.shape[0], 8))
+    out = adj.matmul(dense)  # a float64 operand is cast to the plan's dtype
+    assert out.dtype == np.float32
+    assert np.array_equal(out, adj.matmul(dense.astype(np.float32)))
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

@@ -552,14 +552,15 @@ def test_side_by_side_jobs_run_no_more_threads_than_cpus(monkeypatch):
 
 def reference_forward(model, features, adjacency=None, train_mode=False, seed=0, epoch=0):
     """Oracle: forward keeping each layer's float dropout mask and
-    pre-activation, as training did before its caches held bool flags."""
-    h = np.asarray(features, dtype=np.float64)
+    pre-activation, as training did before its caches held bool flags; in
+    the model's dtype."""
+    h = np.asarray(features, dtype=model.dtype)
     caches = []
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
         mask, dropped = None, h
         if train_mode and model.dropout_rate > 0:
-            mask = dropout_mask(h.shape, model.dropout_rate, seed, epoch, i)
+            mask = dropout_mask(h.shape, model.dropout_rate, seed, epoch, i, model.dtype)
             dropped = h * mask
         z = dropped @ layer.weight
         if model.kind == "gcn":
@@ -591,7 +592,7 @@ class TestBackwardBits:
     """forward and backward give the reference's bits from bool caches."""
 
     @staticmethod
-    def problem(kind, planted):
+    def problem(kind, planted, dtype):
         # 40 nodes, 3 layers: layers 1 and 2 keep dropout flags, 0 and 1
         # ReLU flags. Features are signed with exact zeros of both signs,
         # and a zero weight column and bias make one pre-activation column
@@ -599,24 +600,35 @@ class TestBackwardBits:
         rng = np.random.default_rng(5)
         n = 40
         graph, _x, labels = random_gcn_problem(n=n, dim=1, seed=5)
-        model = init_model(kind, 7, 4, TrainConfig(hidden_dims=(6, 5), dropout=0.3, seed=2))
+        cfg = TrainConfig(hidden_dims=(6, 5), dropout=0.3, seed=2)
+        model = init_model(kind, 7, 4, cfg, dtype)
         model.layers[0].weight[:, 2] = 0.0
         x = rng.normal(size=(n, 7))
         x[rng.random(size=x.shape) < 0.2] = 0.0
         x[3, :4] = -0.0
         if planted == "feature_inf":
             x[7, 1] = np.inf
-        return model, x, labels, normalized_adjacency(graph)
+        return model, x.astype(dtype), labels, normalized_adjacency(graph, dtype)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("planted", ["none", "feature_inf", "dlogits_inf"])
     @pytest.mark.parametrize("train_mode", [True, False])
     @pytest.mark.parametrize("kind", ["gcn", "gcn_step_major", "mlp"])
     def test_gradients_are_reference_bits(self, monkeypatch, kind, train_mode, planted):
+        self.check_reference_bits(monkeypatch, kind, train_mode, planted, np.float64)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("planted", ["none", "feature_inf", "dlogits_inf"])
+    @pytest.mark.parametrize("train_mode", [True, False])
+    @pytest.mark.parametrize("kind", ["gcn", "gcn_step_major", "mlp"])
+    def test_float32_gradients_are_reference_bits(self, monkeypatch, kind, train_mode, planted):
+        self.check_reference_bits(monkeypatch, kind, train_mode, planted, np.float32)
+
+    def check_reference_bits(self, monkeypatch, kind, train_mode, planted, dtype):
         if kind == "gcn_step_major":
             monkeypatch.setattr(kernels, "DENSE_CELLS_PER_ENTRY", 0)
             kind = "gcn"
-        model, x, labels, adj = self.problem(kind, planted)
+        model, x, labels, adj = self.problem(kind, planted, dtype)
         x_bytes = x.tobytes()
         run = dict(adjacency=adj if kind == "gcn" else None)
         want_logits, want_caches = reference_forward(model, x, train_mode=train_mode,
@@ -633,7 +645,9 @@ class TestBackwardBits:
         want = reference_backward(model, want_caches, dlogits.copy(), **run)
         got = backward(model, caches, dlogits, **run)
         assert caches == [None] * len(model.layers)
+        assert logits.dtype == dlogits.dtype == dtype
         for (dw, db), (want_dw, want_db) in zip(got, want):
+            assert dw.dtype == db.dtype == dtype
             assert dw.tobytes() == want_dw.tobytes()
             assert db.tobytes() == want_db.tobytes()
         if planted != "none":
@@ -646,6 +660,35 @@ class TestBackwardBits:
         model = init_model(kind, 7, 4, TrainConfig(hidden_dims=(6, 5), seed=0))
         adj = normalized_adjacency(graph) if kind == "gcn" else None
         assert gradient_check(model, x, labels, adjacency=adj) <= 1e-4
+
+
+class TestCrossEntropyFloor:
+    def test_float32_underflowed_probability_gives_a_finite_loss(self):
+        # exp(-200) underflows float32 to 0, the probability row 0 picks;
+        # it is floored at float32's smallest normal number, not at 0.
+        logits = np.array([[0.0, -200.0], [0.0, -200.0]], dtype=np.float32)
+        loss, dlogits = masked_cross_entropy(logits, np.array([1, 0]), np.array([0]))
+        assert loss == float(-np.log(np.finfo(np.float32).tiny))
+        assert dlogits.dtype == np.float32
+        assert dlogits.tolist() == [[1.0, -1.0], [0.0, 0.0]]
+
+    def test_float32_training_through_an_underflow_does_not_diverge(self):
+        # One row's logits start 200 apart, wrong way round for its label;
+        # a zero learning rate keeps them so.
+        layers = [DenseLayer(np.array([[0.0, -200.0]], dtype=np.float32),
+                             np.zeros(2, dtype=np.float32))]
+        cfg = TrainConfig(epochs=2, learning_rate=0.0, dropout=0.0, hidden_dims=(), seed=0)
+        x = np.array([[1.0], [0.0]], dtype=np.float32)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neural, "init_model",
+                       lambda *args: ClassifierModel("mlp", layers, 0.0, 2))
+            model = train_classifier(x, np.array([1, 0]), np.arange(2), cfg, kind="mlp")
+        assert all(np.isfinite(model.loss_history))
+
+    def test_float64_floor_is_1e_300(self):
+        logits = np.array([[0.0, -800.0]])  # exp(-800) underflows float64
+        loss, _ = masked_cross_entropy(logits, np.array([1]), np.array([0]))
+        assert loss == float(-np.log(1e-300))
 
 
 class TestPredict:
@@ -727,6 +770,19 @@ class TestDropout:
         want = (rng.random(shape) < keep).astype(np.float64) / keep
         assert np.array_equal(dropout_mask(shape, 1.0 - keep, seed, epoch, layer), want)
 
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.9, 2**-53, 1 - 2**-53, 0.0])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_float32_mask_keeps_the_float64_entries(self, monkeypatch, rate, cpus):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(neural, "MASK_RANGE_MIN_WORDS", 1)
+        monkeypatch.setattr(neural, "MASK_BLOCK_WORDS", 5)
+        shape = (37, 11)
+        want = dropout_mask(shape, rate, seed=3, epoch=41, layer=1)
+        got = dropout_mask(shape, rate, seed=3, epoch=41, layer=1, dtype=np.float32)
+        assert got.dtype == np.float32 and got.shape == shape
+        assert np.array_equal(got != 0, want != 0)
+        assert np.all(got[got != 0] == np.float32(1.0 / (1.0 - rate)))
+
     def test_mask_peak_is_close_to_its_bytes(self):
         shape = (10_000, 256)
         dropout_mask((8, 8), 0.5, 0, 0, 0)  # numpy's lazy set-up, outside the peak
@@ -779,6 +835,116 @@ GOLDEN_GCN_DENSE = {
     1: "b245408ba757f3f4a4de6cd27d1ee42e9e7f42ae435aa8c68ee3c288708fb2e3",
 }
 GOLDEN_MLP = "30946b11ba31f664bab0ae66dd61f79d49a2d5c15e5d0a63d71a6179bf90e818"
+# The same trainings on float32 features (and a float32 adjacency), taken
+# when training learned to run in float32.
+GOLDEN_GCN_F32 = {
+    0: "af6bafbf932eec214ef086a3259707cfc1cbd0044c39e262df8a57b87ac354c6",
+    1: "9069c87c909cbe3d5b49c219ddde68212b94705b86b0ef4cdb569125df40e8b1",
+}
+GOLDEN_GCN_DENSE_F32 = {
+    0: "9466c0b3d7bac242be8d5371eb87022b371050efb2f4570d17c9d2fef29c4b9c",
+    1: "ae0d558c5f9762d31a3ed2f6350b9b973d77e0f824c665cb15952a2f18cb6d8e",
+}
+GOLDEN_MLP_F32 = "211e372cc2ae5e88a6d7075a73853f3f691ac469faaec70be057761ca335b842"
+
+
+def golden_toy_problem():
+    """TestGoldenBits' problem: the toy graph at seed 11, 24 normal
+    features per node, every third node in the training mask."""
+    graph = make_toy_tag(seed=11)
+    x = np.random.default_rng(0).normal(size=(graph.node_count, 24))
+    train_idx = np.arange(0, graph.node_count, 3)
+    return graph, x, np.asarray(graph.labels), train_idx
+
+
+def float_arrays(value):
+    """Every float array in value, looking into tuples, lists and caches."""
+    if isinstance(value, np.ndarray):
+        return [value] if value.dtype.kind == "f" else []
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in float_arrays(item)]
+    if isinstance(value, neural._LayerCache):
+        return float_arrays(list(vars(value).values()))
+    return []
+
+
+@pytest.mark.parametrize("kind", ["gcn", "gcn_step_major", "mlp"])
+def test_float32_training_promotes_nothing_to_float64(monkeypatch, kind):
+    # Every float array training makes is float32: the weights, the Adam
+    # state, forward's logits and caches, the dropout masks, the sparse
+    # products, the loss gradient and backward's parameter gradients.
+    if kind == "gcn_step_major":
+        monkeypatch.setattr(kernels, "DENSE_CELLS_PER_ENTRY", 0)
+        kind = "gcn"
+    seen = {}
+
+    def record(namespace, name):
+        func = getattr(namespace, name)
+
+        def wrapped(*args, **kwargs):
+            out = func(*args, **kwargs)
+            seen.setdefault(name, []).extend(float_arrays(out))  # before backward frees caches
+            return out
+
+        monkeypatch.setattr(namespace, name, wrapped)
+
+    for name in ("forward", "backward", "masked_cross_entropy", "dropout_mask"):
+        record(neural, name)
+    record(graph_module, "csr_matmul")
+    adam = []
+
+    def profile(frame, event, _arg):
+        if event == "return" and frame.f_code is train_classifier.__code__:
+            adam.extend(float_arrays(frame.f_locals["adam"]))
+
+    graph, x, y, train_idx = golden_toy_problem()
+    cfg = TrainConfig(epochs=3, dropout=0.5, hidden_dims=(16, 16), weight_decay=5e-4, seed=0)
+    adj = normalized_adjacency(graph, np.float32) if kind == "gcn" else None
+    sys.setprofile(profile)
+    try:
+        model = train_classifier(x.astype(np.float32), y, train_idx, cfg, kind=kind,
+                                 adjacency=adj)
+    finally:
+        sys.setprofile(None)
+    seen["adam"] = adam
+    seen["model"] = float_arrays([[l.weight, l.bias] for l in model.layers])
+    # the weights and biases, and four Adam arrays for each
+    assert len(seen["adam"]) == 5 * len(seen["model"]) == 5 * 2 * 3
+    want = {"forward", "backward", "masked_cross_entropy", "dropout_mask", "adam", "model"}
+    assert set(seen) == want | ({"csr_matmul"} if kind == "gcn" else set())
+    for name, arrays in seen.items():
+        assert arrays and {a.dtype for a in arrays} == {np.dtype(np.float32)}, name
+    # predict casts float64 rows to the model's dtype
+    _labels, probs, logits = predict(model, x, adjacency=adj)
+    assert probs.dtype == logits.dtype == np.float32
+
+
+def test_float32_gcn_refuses_a_float64_adjacency():
+    graph, x, y, train_idx = golden_toy_problem()
+    cfg = TrainConfig(epochs=1, hidden_dims=(4,), seed=0)
+    with pytest.raises(ValueError, match="adjacency stores float64 but the model computes in"):
+        train_classifier(x.astype(np.float32), y, train_idx, cfg, kind="gcn",
+                         adjacency=normalized_adjacency(graph))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_float32_training_follows_float64_on_the_golden_toy_problem(seed):
+    # TestGoldenBits' GCN, trained 300 epochs in each dtype on the same
+    # features: the loss histories agree within 1e-4 relative (3.7e-7 and
+    # 4.3e-7 at seeds 0 and 1 on GOLDEN_FINGERPRINT's numerics), and every
+    # node gets the same prediction.
+    graph, x, y, train_idx = golden_toy_problem()
+    cfg = TrainConfig(epochs=300, learning_rate=0.01, dropout=0.5, hidden_dims=(16, 16),
+                      seed=seed)
+    runs = []
+    for dtype in (np.float64, np.float32):
+        adj = normalized_adjacency(graph, dtype)
+        model = train_classifier(x.astype(dtype), y, train_idx, cfg, kind="gcn",
+                                 adjacency=adj)
+        runs.append((model.loss_history, predict(model, x, adjacency=adj)[0]))
+    (loss64, pred64), (loss32, pred32) = runs
+    np.testing.assert_allclose(loss32, loss64, rtol=1e-4)
+    assert np.array_equal(pred32, pred64)
 
 
 class TestGoldenBits:
@@ -796,10 +962,7 @@ class TestGoldenBits:
 
     @pytest.fixture(scope="class")
     def toy_problem(self):
-        graph = make_toy_tag(seed=11)
-        x = np.random.default_rng(0).normal(size=(graph.node_count, 24))
-        train_idx = np.arange(0, graph.node_count, 3)
-        return graph, x, np.asarray(graph.labels), train_idx
+        return golden_toy_problem()
 
     @staticmethod
     def digest(model):
@@ -810,13 +973,14 @@ class TestGoldenBits:
         h.update(np.asarray(model.loss_history, dtype=np.float64).tobytes())
         return h.hexdigest()
 
-    def train_gcn(self, toy_problem, seed):
+    def train_gcn(self, toy_problem, seed, dtype=np.float64):
         graph, x, y, train_idx = toy_problem
         cfg = TrainConfig(
             epochs=30, learning_rate=0.01, dropout=0.5, hidden_dims=(16, 16), seed=seed
         )
         model = train_classifier(
-            x, y, train_idx, cfg, kind="gcn", adjacency=normalized_adjacency(graph)
+            x.astype(dtype), y, train_idx, cfg, kind="gcn",
+            adjacency=normalized_adjacency(graph, dtype),
         )
         return self.digest(model)
 
@@ -829,11 +993,25 @@ class TestGoldenBits:
     def test_gcn_with_dropout_dense_product(self, toy_problem, seed):
         assert self.train_gcn(toy_problem, seed) == GOLDEN_GCN_DENSE[seed]
 
-    def test_wide_mlp_with_weight_decay(self, toy_problem):
+    def train_mlp(self, toy_problem, dtype=np.float64):
         _graph, x, y, train_idx = toy_problem
         cfg = TrainConfig(
             epochs=30, learning_rate=0.01, dropout=0.0, hidden_dims=(256,),
             weight_decay=5e-4, seed=0,
         )
-        model = train_classifier(x, y, train_idx, cfg, kind="mlp")
-        assert self.digest(model) == GOLDEN_MLP
+        return self.digest(train_classifier(x.astype(dtype), y, train_idx, cfg, kind="mlp"))
+
+    def test_wide_mlp_with_weight_decay(self, toy_problem):
+        assert self.train_mlp(toy_problem) == GOLDEN_MLP
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_float32_gcn_with_dropout(self, toy_problem, seed, monkeypatch):
+        monkeypatch.setattr(kernels, "DENSE_CELLS_PER_ENTRY", 0)  # step-major
+        assert self.train_gcn(toy_problem, seed, np.float32) == GOLDEN_GCN_F32[seed]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_float32_gcn_with_dropout_dense_product(self, toy_problem, seed):
+        assert self.train_gcn(toy_problem, seed, np.float32) == GOLDEN_GCN_DENSE_F32[seed]
+
+    def test_float32_wide_mlp_with_weight_decay(self, toy_problem):
+        assert self.train_mlp(toy_problem, np.float32) == GOLDEN_MLP_F32
