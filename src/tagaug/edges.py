@@ -46,7 +46,6 @@ class EdgeAssignConfig:
 def train_confidence(emb, labels, train_idx, cfg):
     """Train the confidence net on (embedding, label) pairs of train_idx,
     in float32."""
-    labels = np.asarray(labels, dtype=np.int64)
     rows = np.asarray(emb.vectors, dtype=np.float32)
     model = train_classifier(rows, labels, train_idx, cfg, kind="mlp", adjacency=None)
     return ConfidenceNet(model=model)
@@ -84,6 +83,14 @@ def _topk_cut(scores, k, tau):
             best = np.partition(best, len(best) - k)[len(best) - k:]
             cut = best[0]
     return cut
+
+
+def _best(scores, k, tau):
+    """The positions of the k best of the 1-D scores at or above tau (NaN
+    never is), best first, ties to the lower position; all of them when k
+    or fewer are."""
+    pos = np.flatnonzero(scores >= _topk_cut(scores, k, tau))
+    return pos[np.argsort(-scores[pos], kind="stable")[:k]]
 
 
 def _order_values(a, positions):
@@ -136,19 +143,17 @@ def select_topk_global(candidates, synthetic_count, cfg):
     """Pick the k = synthetic_count x factor best-scoring candidates.
 
     candidates holds (syn, orig, score) rows. Candidates under tau_conf
-    are dropped first; ties break toward (lower synthetic idx, lower
-    original id). Only the candidates at or above the k-th best score
-    (ties included) are sorted. Returns the selected rows and the
-    synthetic indices left edgeless.
+    are dropped; ties break toward (lower synthetic idx, lower original
+    id), so the rows are put in that order and their scores cut as
+    assign_edges cuts its matrix. Returns the selected rows, best first,
+    and the synthetic indices left edgeless.
     """
     if synthetic_count < 1:
         raise ValueError("synthetic_count must be >= 1")
     candidates = np.asarray(candidates, dtype=np.float64).reshape(-1, 3)
-    k = synthetic_count * cfg.factor
-    top = candidates[candidates[:, 2] >= _topk_cut(candidates[:, 2], k, cfg.tau_conf)]
-    order = np.lexsort((top[:, 1], top[:, 0], -top[:, 2]))
-    selected = top[order[:k]]
-    connected = {int(s) for s in selected[:, 0]}
+    table = candidates[np.lexsort((candidates[:, 1], candidates[:, 0]))]
+    selected = table[_best(table[:, 2], synthetic_count * cfg.factor, cfg.tau_conf)]
+    connected = set(selected[:, 0].tolist())
     isolated = [i for i in range(synthetic_count) if i not in connected]
     return selected, isolated
 
@@ -158,41 +163,37 @@ def duplicate_edges(anchor, graph):
     return graph.neighbors(anchor)
 
 
-def assign_edges(rows, graph, emb, conf, cfg):
-    """One sorted list of (original id, score) edges per synthetic row,
-    chosen by global top-k over kappa x cosine scores, and the summary.
+def _summary(edges, k_edge=0, score_quantiles=()):
+    """The edge-assignment summary of one edge list per synthetic node."""
+    return {
+        "k_edge": k_edge,
+        "edges_added": sum(map(len, edges)),
+        "isolated": edges.count([]),
+        "score_quantiles": [round(float(q), 6) for q in score_quantiles],
+    }
 
-    rows holds one embedding per synthetic node; emb holds rows for all
-    original nodes.
+
+def assign_edges(rows, graph, emb, conf, cfg):
+    """One list of (original id, score) edges per synthetic row, in id
+    order, chosen by global top-k over kappa x cosine scores, and the
+    summary. rows holds one embedding per synthetic node; emb holds rows
+    for all original nodes.
     """
     if not len(rows):
-        return [], {"k_edge": 0, "edges_added": 0, "isolated": 0, "score_quantiles": []}
+        return [], _summary([])
     k = len(rows) * cfg.factor
     scores = score_edges(rows, emb, conf)
-    # Only the candidates at or above the k-th best score can win, so the
-    # table handed to select_topk_global holds those alone.
+    # A score's flat position is syn x N + orig, so ties at the cut go to
+    # the lower synthetic index, then the lower original id.
     flat = scores.ravel()
-    pos = np.flatnonzero(flat >= _topk_cut(flat, k, cfg.tau_conf))
-    candidates = np.column_stack([*np.divmod(pos, scores.shape[1]), flat[pos]])
-    selected, isolated = select_topk_global(candidates, len(rows), cfg)
-
-    edges = [[] for _ in range(len(rows))]
-    for syn, orig, score in selected:
-        edges[int(syn)].append((int(orig), float(score)))
-
-    # scores is dead once the candidates are taken, so it is reordered.
-    quantiles = (
-        [round(float(q), 6) for q in _quantiles(scores, (0.0, 0.25, 0.5, 0.75, 1.0))]
-        if scores.size
-        else []
-    )
-    summary = {
-        "k_edge": k,
-        "edges_added": int(len(selected)),
-        "isolated": len(isolated),
-        "score_quantiles": quantiles,
-    }
-    return [sorted(node_edges) for node_edges in edges], summary
+    chosen = np.sort(_best(flat, k, cfg.tau_conf))
+    syn, orig = np.divmod(chosen, scores.shape[1])
+    pairs = list(zip(orig.tolist(), flat[chosen].tolist()))
+    ends = np.searchsorted(syn, np.arange(len(rows) + 1)).tolist()
+    edges = [pairs[lo:hi] for lo, hi in zip(ends, ends[1:])]
+    # scores is dead once the edges are taken, so it is reordered.
+    quantiles = _quantiles(scores, (0.0, 0.25, 0.5, 0.75, 1.0)) if scores.size else ()
+    return edges, _summary(edges, k, quantiles)
 
 
 def wire_nodes(rows, anchors, graph, strategy, emb, conf, cfg):
@@ -212,10 +213,4 @@ def wire_nodes(rows, anchors, graph, strategy, emb, conf, cfg):
         edges = [[] for _ in anchors]
     else:
         raise ValueError(f"unknown edge strategy: {strategy!r}")
-    summary = {
-        "k_edge": 0,
-        "edges_added": sum(map(len, edges)),
-        "isolated": edges.count([]),
-        "score_quantiles": [],
-    }
-    return edges, summary
+    return edges, _summary(edges)

@@ -18,7 +18,6 @@ dataset, holds a loaded graph as plain arrays with the sha256 of the dataset
 bytes it was parsed from (write_source_graph, read_source_graph).
 """
 
-import gc
 import hashlib
 import json
 import math
@@ -199,20 +198,6 @@ _TWO_OBJECTS = re.compile(r"\}[ \t\r]*,[ \t\r]*\{")
 _BLANK_LINE = re.compile(r"\n\s*\n")
 
 
-@contextmanager
-def _gc_paused():
-    """The cyclic collector off for a block that makes many containers at
-    once (a parse's dicts): it would scan them over and over for cycles that
-    they cannot form. Left as it was found."""
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if collecting:
-            gc.enable()
-
-
 def _all_int(values):
     """True when every value is an int; bool, float and numpy ints are not."""
     return set(map(type, values)) <= {int}
@@ -256,8 +241,7 @@ def _parse_jsonl(text):
     if _BLANK_LINE.search(f"\n{body}\n"):
         body = "\n".join(filter(str.strip, body.split("\n")))
     try:
-        with _gc_paused():
-            records = json.loads("[" + body.replace("\n", ",") + "]")
+        records = json.loads("[" + body.replace("\n", ",") + "]")
     except json.JSONDecodeError:
         return None
     lines = body.count("\n") + 1 if body else 0
@@ -340,12 +324,6 @@ def _jsonl_blob(blob, name, keys, rules):
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return _jsonl_records(text, name, keys, rules)
-
-
-def _read_jsonl(directory_path, name, keys, rules):
-    """_jsonl_blob of the file name in directory_path."""
-    with open(os.path.join(directory_path, name), "rb") as fh:
-        return _jsonl_blob(fh.read(), name, keys, rules)
 
 
 def _ints_below(key, bound):
@@ -586,36 +564,48 @@ def write_source_graph(graph, path):
         )
 
 
+@contextmanager
+def _artifact(directory, name, remedy="run augment again", missing=None):
+    """The path of the artifact name in directory, for a block that reads
+    it. A missing file, or a block that fails (a truncated or corrupt file,
+    a key or value its reader refuses), raises one DatasetError that names
+    the file and ends in remedy; a missing file ends in missing instead, if
+    given."""
+    if not os.path.exists(os.path.join(directory, name)):
+        raise DatasetError(f"{name}: no such file in {directory}; {missing or remedy}")
+    try:
+        yield os.path.join(directory, name)
+    except (
+        AttributeError, KeyError, TypeError, ValueError, EOFError, OSError, RuntimeError,
+        zipfile.BadZipFile,
+    ) as exc:
+        # A truncated or corrupt zip raises BadZipFile, EOFError, OSError or
+        # NotImplementedError (a RuntimeError), as its damage falls.
+        raise DatasetError(f"{name}: {exc}; {remedy}") from None
+
+
 def read_source_graph(path, directory_path):
     """The TextGraph write_source_graph wrote to path, when the files of the
     dataset in directory_path hash to the digest stored with it. A missing,
     truncated or corrupt file, another digest, or arrays the TextGraph rules
     refuse raise DatasetError naming the file and saying to run augment
     again."""
-    name = os.path.basename(path)
-    if not os.path.exists(path):
-        raise DatasetError(f"{name}: no such file in {os.path.dirname(path)}; run augment again")
     digest = _dataset_files(directory_path)[1]
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            stored = data["dataset_sha256"].tobytes()
-            if stored != digest:
-                raise DatasetError(
-                    f"the dataset in {os.fspath(directory_path)} differs from the one augment "
-                    f"read (sha256 {digest.hex()[:12]}, was {stored.hex()[:12]})"
-                )
-            labels = data["labels"]
-            graph = TextGraph(
-                node_count=len(labels),
-                texts=_unpack_strings(data["text_bytes"], data["text_ends"]),
-                labels=labels,
-                class_names=_unpack_strings(data["class_bytes"], data["class_ends"]),
-                edges=data["edges"],
+    with _artifact(*os.path.split(path)), np.load(path, allow_pickle=False) as data:
+        stored = data["dataset_sha256"].tobytes()
+        if stored != digest:
+            raise DatasetError(
+                f"the dataset in {os.fspath(directory_path)} differs from the one augment "
+                f"read (sha256 {digest.hex()[:12]}, was {stored.hex()[:12]})"
             )
-    except (KeyError, ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile) as exc:
-        # A truncated or corrupt zip raises BadZipFile, EOFError, OSError or
-        # NotImplementedError (a RuntimeError), as its damage falls.
-        raise DatasetError(f"{name}: {exc}; run augment again") from None
+        labels = data["labels"]
+        graph = TextGraph(
+            node_count=len(labels),
+            texts=_unpack_strings(data["text_bytes"], data["text_ends"]),
+            labels=labels,
+            class_names=_unpack_strings(data["class_bytes"], data["class_ends"]),
+            edges=data["edges"],
+        )
     object.__setattr__(graph, "_digest", digest)
     return graph
 

@@ -28,9 +28,10 @@ from .generation import (
 from .graph import (
     DatasetError,
     LongTailSplit,
+    _artifact,
     _ints_below,
+    _jsonl_blob,
     _open_atomic,
-    _read_jsonl,
     graph_stats,
     load_dataset,
     make_longtail_split,
@@ -157,11 +158,6 @@ def _split_counts(split):
     }
 
 
-def _load_split(path):
-    with open(path, encoding="utf-8") as fh:
-        return _from_json(LongTailSplit, json.load(fh))
-
-
 def run_augment(cfg):
     """Algorithm: load, split, encode, schedule twins, generate, encode the
     synthetic texts, assign edges, merge, persist. Returns the report."""
@@ -281,25 +277,23 @@ def load_artifacts(cfg):
     the rows from embeddings.npz (row i belongs to record i). No cell reads
     the synthetic texts. Augment writes split.json last, so an out_dir
     without it raises a DatasetError saying augment has not finished there;
-    files that do not fit the dataset raise DatasetError naming the file."""
-    try:
-        split = _load_split(os.path.join(cfg.out_dir, "split.json"))
-    except FileNotFoundError:
-        raise DatasetError(
-            f"split.json: no such file in {cfg.out_dir}; augment has not finished "
-            "there, so run augment first"
-        ) from None
-    graph = read_source_graph(os.path.join(cfg.out_dir, "source_graph.npz"), cfg.dataset_dir)
+    a missing, damaged or unreadable artifact, or one that does not fit the
+    dataset, raises DatasetError naming the file."""
+    out = cfg.out_dir
+    unfinished = "augment has not finished there, so run augment first"
+    with _artifact(out, "split.json", missing=unfinished) as path:
+        with open(path, encoding="utf-8") as fh:
+            split = _from_json(LongTailSplit, json.load(fh))
+    graph = read_source_graph(os.path.join(out, "source_graph.npz"), cfg.dataset_dir)
     fault = _ints_below("index", graph.node_count)(
-        {"index": split.train_idx + split.val_idx + split.test_idx}
+        {"index": [*split.train_idx, *split.val_idx, *split.test_idx]}
     )
     if fault:
         raise DatasetError(f"split.json: {fault[1]}")
-    with np.load(os.path.join(cfg.out_dir, "embeddings.npz")) as data:
+    with _artifact(out, "embeddings.npz") as path, np.load(path) as data:
         original = data["original"]
         synthetic = data["synthetic"]
-        encoder_id = bytes(data["encoder_id"]).decode("utf-8")
-    emb = EmbeddingMatrix(vectors=original, encoder_id=encoder_id)
+        emb = EmbeddingMatrix(original, bytes(data["encoder_id"]).decode("utf-8"))
     if len(original) != graph.node_count:
         raise DatasetError(
             f"embeddings.npz has {len(original)} original rows but the dataset has "
@@ -311,8 +305,11 @@ def load_artifacts(cfg):
             f"original rows of shape {original.shape[1:]}"
         )
 
-    records, columns = _read_jsonl(
-        os.path.join(cfg.out_dir, "augmented"), "provenance.jsonl", ("label", "anchor"),
+    augmented = os.path.join(out, "augmented")
+    with _artifact(augmented, "provenance.jsonl") as path, open(path, "rb") as fh:
+        blob = fh.read()
+    records, columns = _jsonl_blob(
+        blob, "provenance.jsonl", ("label", "anchor"),
         (_ints_below("label", graph.num_classes), _ints_below("anchor", graph.node_count)),
     )
     if len(records) != len(synthetic):
@@ -462,18 +459,18 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
         timings[f"cell_{cell}_s"] = time.perf_counter() - t_cell
 
     theory_block = None
-    verify_path = os.path.join(cfg.out_dir, "verify_report.json")
-    if os.path.exists(verify_path):
-        with open(verify_path, encoding="utf-8") as fh:
-            stored = json.load(fh)
-        theory_block = {
-            "all_passed": stored.get("all_passed"),
-            "checks": [
-                {"name": c["name"], "passed": c["passed"]} for c in stored["checks"]
-            ],
-            "seed": stored.get("seed"),
-            "tool_version": stored.get("tool_version"),
-        }
+    if os.path.exists(os.path.join(cfg.out_dir, "verify_report.json")):
+        with _artifact(cfg.out_dir, "verify_report.json", "run verify again") as path:
+            with open(path, encoding="utf-8") as fh:
+                stored = json.load(fh)
+            theory_block = {
+                "all_passed": stored.get("all_passed"),
+                "checks": [
+                    {"name": c["name"], "passed": c["passed"]} for c in stored["checks"]
+                ],
+                "seed": stored.get("seed"),
+                "tool_version": stored.get("tool_version"),
+            }
 
     report = {
         "tool": "tagaug",

@@ -311,7 +311,7 @@ def test_criterion_7_directional_end_to_end(acceptance_workspace):
 
 def test_criterion_8_isolation_budget_trend(acceptance_workspace):
     root, data_dir, graph = acceptance_workspace
-    labels = list(graph.labels)
+    labels = graph.labels.tolist()
     split = make_longtail_split(
         graph, head_count=20, imbalance_ratio=0.1, tail_class_count=2, seed=4
     )

@@ -1,6 +1,7 @@
 import builtins
 import json
 import os
+import shutil
 import stat
 from dataclasses import replace
 
@@ -474,7 +475,7 @@ class TestTrainEval:
         cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
         run_augment(cfg)
         (tmp_path / "run" / "augmented" / "provenance.jsonl").unlink()
-        with pytest.raises(FileNotFoundError, match="provenance.jsonl"):
+        with pytest.raises(DatasetError, match=r"^provenance\.jsonl: no such file in "):
             run_train_eval(cfg, grid=("origin",))
 
     def test_warm_cache_reports_equal_modulo_timings(self, tmp_path, toy_dataset_dir):
@@ -493,7 +494,61 @@ class TestTrainEval:
         assert stripped[0] == stripped[1]
 
 
+def edit_json(edit):
+    """A damage that rewrites a JSON file with edit applied to its value."""
+    def damage(path):
+        path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))))
+    return damage
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+# case -> (file under the out dir, damage). verify_report.json is the file
+# `tagaug verify --out` writes there; train-eval reads it only when present.
+DAMAGED_ARTIFACTS = {
+    "split.json not JSON": ("split.json", lambda path: path.write_text("{\n")),
+    "split.json unknown key": ("split.json", edit_json(lambda split: {**split, "extra": 1})),
+    "split.json scalar index": ("split.json", edit_json(lambda split: {**split, "train_idx": 5})),
+    "split.json a list": ("split.json", edit_json(lambda split: [split])),
+    "embeddings.npz missing": ("embeddings.npz", os.unlink),
+    "embeddings.npz truncated": ("embeddings.npz", truncate),
+    "provenance.jsonl missing": ("augmented/provenance.jsonl", os.unlink),
+    "verify_report.json not JSON": ("verify_report.json", lambda path: path.write_text("{")),
+    "verify_report.json without checks": (
+        "verify_report.json", lambda path: path.write_text('{"all_passed": true}'),
+    ),
+    "verify_report.json a list": ("verify_report.json", lambda path: path.write_text("[]")),
+}
+
+
+@pytest.fixture(scope="module")
+def augmented_toy(tmp_path_factory, toy_graph):
+    """A toy dataset and the out dir augment made from it, built once; each
+    test damages a copy."""
+    root = tmp_path_factory.mktemp("augmented_toy")
+    write_dataset(toy_graph, root / "data", tail_class_count=2)
+    run_augment(RunConfig.from_dict(fast_config(root / "data", root / "run")))
+    return root
+
+
 class TestCliCommands:
+    @pytest.mark.parametrize("case", sorted(DAMAGED_ARTIFACTS))
+    def test_damaged_artifact_exits_1_with_one_line(self, tmp_path, augmented_toy, capsys, case):
+        shutil.copytree(augmented_toy, tmp_path, dirs_exist_ok=True)
+        name, damage = DAMAGED_ARTIFACTS[case]
+        damage(tmp_path / "run" / name)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(fast_config(tmp_path / "data", tmp_path / "run")))
+        capsys.readouterr()
+        assert main(["train-eval", "--config", str(cfg_path), "--grid", "origin"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(f"tagaug train-eval: error: {os.path.basename(name)}: ")
+        assert "Traceback" not in captured.out + captured.err
+
     def test_stats_command(self, toy_dataset_dir, capsys):
         assert main(["stats", "--data", str(toy_dataset_dir)]) == 0
         out = json.loads(capsys.readouterr().out)

@@ -284,6 +284,10 @@ def test_assign_edges_matches_select_topk_global_over_the_full_table(case):
     conf = StubConfidence(kappa)
     table = full_table(score_edges(syn, emb, conf))
     selected, isolated = select_topk_global(table, len(syn), cfg)
+    # both sides select through edges._best, so the full sort checks them
+    want, want_isolated = brute_force_topk(table.tolist(), len(syn), cfg)
+    np.testing.assert_array_equal(selected, np.reshape(want, (-1, 3)))
+    assert isolated == want_isolated
 
     wired, summary = assign_edges(syn, None, emb, conf, cfg)
 
@@ -419,7 +423,7 @@ def mock_pipeline_nodes(graph, seed=7):
     split = make_longtail_split(
         graph, head_count=20, imbalance_ratio=0.1, tail_class_count=2, seed=seed
     )
-    labels = list(graph.labels)
+    labels = graph.labels.tolist()
     emb = encode_hashing(graph.texts, 256)
     pairs = find_vicinal_twins(
         split, emb, labels, 3, rebalance_targets(labels, split), "S"

@@ -1,4 +1,3 @@
-import gc
 import hashlib
 import json
 import re
@@ -514,57 +513,38 @@ def test_neighbors_match_edge_scan(data):
         assert merged.neighbors(v) == edge_scan_neighbors(merged, v)
 
 
-class TestCollectorPausedForTheBulkParse:
-    @pytest.fixture(autouse=True)
-    def restore_collector(self):
-        was = gc.isenabled()
-        yield
-        (gc.enable if was else gc.disable)()
+@pytest.fixture()
+def parsed(monkeypatch):
+    """The text of each json.loads call of the loader."""
+    texts = []
+    loads = graph_module.json.loads
 
-    @pytest.fixture()
-    def seen(self, monkeypatch):
-        """The collector's state during each json.loads of the loader."""
-        states = []
-        loads = graph_module.json.loads
+    def watched(text, *args, **kwargs):
+        texts.append(text)
+        return loads(text, *args, **kwargs)
 
-        def watched(text, *args, **kwargs):
-            states.append(gc.isenabled())
-            return loads(text, *args, **kwargs)
+    monkeypatch.setattr(graph_module.json, "loads", watched)
+    return texts
 
-        monkeypatch.setattr(graph_module.json, "loads", watched)
-        return states
 
-    def test_good_file(self, tmp_path, seen):
-        write_raw(
-            tmp_path, small_nodes([0, 1, 0]), [{"src": 0, "dst": 1}], {"class_names": ["a", "b"]}
-        )
-        gc.enable()
+def test_each_file_parses_in_one_joined_call(tmp_path, parsed):
+    write_raw(
+        tmp_path, small_nodes([0, 1, 0]), [{"src": 0, "dst": 1}], {"class_names": ["a", "b"]}
+    )
+    load_dataset(tmp_path)
+    # nodes.jsonl and edges.jsonl each parse as one joined array
+    assert [text[0] for text in parsed].count("[") == 2
+
+
+def test_a_malformed_file_falls_back_to_the_line_by_line_parse(tmp_path, parsed):
+    write_raw(tmp_path, small_nodes([0, 0]), [], {"class_names": ["a"]})
+    with open(tmp_path / "nodes.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"id": 2, "label": 0, "text": \n')
+    with pytest.raises(DatasetError, match="malformed JSON"):
         load_dataset(tmp_path)
-        assert gc.isenabled()
-        # nodes and edges each parse in one joined call, with the collector off
-        assert seen.count(False) == 2
-
-    def test_malformed_file(self, tmp_path, seen):
-        write_raw(tmp_path, small_nodes([0, 0]), [], {"class_names": ["a"]})
-        with open(tmp_path / "nodes.jsonl", "a", encoding="utf-8") as fh:
-            fh.write('{"id": 2, "label": 0, "text": \n')
-        gc.enable()
-        with pytest.raises(DatasetError, match="malformed JSON"):
-            load_dataset(tmp_path)
-        assert gc.isenabled()
-        assert False in seen  # the joined parse failed before the line-by-line one
-
-    @pytest.mark.parametrize("malformed", [False, True])
-    def test_disabled_beforehand_stays_disabled(self, tmp_path, malformed):
-        write_raw(tmp_path, small_nodes([0, 0]), [], {"class_names": ["a"]})
-        if malformed:
-            (tmp_path / "edges.jsonl").write_text("{\n", encoding="utf-8")
-        gc.disable()
-        try:
-            load_dataset(tmp_path)
-        except DatasetError:
-            assert malformed
-        assert not gc.isenabled()
+    # the joined parse of nodes.jsonl failed, then its lines parsed one by one
+    joined = [i for i, text in enumerate(parsed) if text.startswith("[")]
+    assert len(joined) == 1 and parsed[joined[0] + 1] == json.dumps(small_nodes([0])[0])
 
 
 class TestLoaderNamesFileAndLine:

@@ -255,3 +255,29 @@ def test_write_artifacts_refuses_a_graph_built_in_code(tmp_path):
     with pytest.raises(ValueError, match="from load_dataset's graph only"):
         write_artifacts(tmp_path / "out", graph, split, 1, [], [], emb, emb)
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_a_corrupt_embeddings_file_is_refused_or_read_whole(tmp_path):
+    # As above, for the embeddings train-eval reads: each byte flipped in
+    # turn is refused with the message that names the file, or the same
+    # arrays load.
+    data, out = tmp_path / "data", tmp_path / "out"
+    write_odd_dataset(data)
+    cfg = write_minimal_artifacts(data, out)
+    want = load_artifacts(cfg)
+    path = out / "embeddings.npz"
+    blob = path.read_bytes()
+    refused = 0
+    for at in range(len(blob)):
+        path.write_bytes(blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1 :])
+        try:
+            got = load_artifacts(cfg)
+        except DatasetError as exc:
+            assert str(exc).startswith("embeddings.npz: ")
+            assert str(exc).endswith("; run augment again")
+            refused += 1
+        else:
+            assert got[2].encoder_id == want[2].encoder_id
+            np.testing.assert_array_equal(got[2].vectors, want[2].vectors)
+            np.testing.assert_array_equal(got[3][0], want[3][0])  # synthetic rows
+    assert refused > len(blob) // 2
