@@ -10,7 +10,8 @@ import json
 import logging
 import sys
 
-from .graph import DatasetError, graph_stats, load_dataset, make_longtail_split
+from .graph import DatasetError, check_split_settings, graph_stats, load_dataset
+from .graph import make_longtail_split
 from .pipeline import RunConfig, _resolve_tail_count, check_grid
 from .pipeline import run_augment, run_train_eval, run_verify
 
@@ -96,17 +97,19 @@ def main(argv=None):
 
 def _run(args):
     """The command args names; its exit status."""
-    if args.command in ("augment", "train-eval"):
-        # A bad config or grid is a usage error: one line and exit 2, as
-        # argparse does for a bad flag, before any stage runs.
-        try:
+    # A bad config, grid or split setting is a usage error: one line and
+    # exit 2, as argparse does for a bad flag, before any stage runs.
+    try:
+        if args.command in ("augment", "train-eval"):
             cfg = _load_config(args)
-            if args.command == "train-eval":
-                grid = tuple(cell.strip() for cell in args.grid.split(",") if cell.strip())
-                check_grid(grid)
-        except (OSError, TypeError, ValueError) as exc:
-            print(f"tagaug {args.command}: error: {exc}", file=sys.stderr)
-            return 2
+        if args.command == "train-eval":
+            grid = tuple(cell.strip() for cell in args.grid.split(",") if cell.strip())
+            check_grid(grid)
+        if args.command == "stats":
+            check_split_settings(args.head_count, args.imbalance_ratio, RunConfig.val_fraction)
+    except (OSError, TypeError, ValueError) as exc:
+        print(f"tagaug {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
     if args.command == "augment":
         report = run_augment(cfg)
@@ -141,6 +144,7 @@ def _run(args):
             head_count=args.head_count,
             imbalance_ratio=args.imbalance_ratio,
             tail_class_count=tail_count,
+            val_fraction=RunConfig.val_fraction,
             seed=args.seed,
         )
         print(json.dumps(graph_stats(graph, split), indent=2, sort_keys=True))

@@ -93,52 +93,6 @@ def _best(scores, k, tau):
     return pos[np.argsort(-scores[pos], kind="stable")[:k]]
 
 
-def _order_values(a, positions):
-    """{position: value} for the given positions in sorted order of 1-D a.
-    Each partition takes one kth, within the segment the kths before it
-    left, and reorders a in place."""
-    found = {}
-
-    def select(lo, hi, ks):
-        if ks:
-            mid = ks[len(ks) // 2]
-            a[lo:hi].partition(mid - lo)
-            found[mid] = a[mid]
-            select(lo, mid, [k for k in ks if k < mid])
-            select(mid + 1, hi, [k for k in ks if k > mid])
-
-    select(0, len(a), sorted(set(positions)))
-    return found
-
-
-def _quantiles(values, qs):
-    """np.quantile(values, qs) (method "linear"), bit for bit, with values
-    reordered in place: numpy's partition at several kths at once is the
-    slow part of np.quantile, so each kth is taken alone. The indexes,
-    weights and lerp are numpy's own, and a NaN makes every quantile NaN.
-    Where -0.0 and 0.0 tie at a kth, or NaNs of different payloads, the two
-    partitions may pick either, so only such a zero's sign or such a NaN's
-    payload may differ."""
-    flat = values.reshape(-1)
-    n = flat.size
-    virtual = (n - 1) * np.asarray(qs, dtype=np.float64)
-    prev = np.floor(virtual)
-    nxt = prev + 1
-    last = virtual >= n - 1
-    prev[last] = nxt[last] = -1
-    gamma = virtual - prev
-    prev, nxt = prev.astype(np.intp) % n, nxt.astype(np.intp) % n
-    found = _order_values(flat, [*prev, *nxt, n - 1])
-    a = np.array([found[i] for i in prev])
-    b = np.array([found[i] for i in nxt])
-    diff = b - a
-    out = a + diff * gamma
-    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
-    if np.isnan(found[n - 1]):
-        out[:] = found[n - 1]
-    return out
-
-
 def select_topk_global(candidates, synthetic_count, cfg):
     """Pick the k = synthetic_count x factor best-scoring candidates.
 
@@ -176,8 +130,9 @@ def _summary(edges, k_edge=0, score_quantiles=()):
 def assign_edges(rows, graph, emb, conf, cfg):
     """One list of (original id, score) edges per synthetic row, in id
     order, chosen by global top-k over kappa x cosine scores, and the
-    summary. rows holds one embedding per synthetic node; emb holds rows
-    for all original nodes.
+    summary, whose score_quantiles describe the chosen edges' scores (none
+    when no edge is chosen). rows holds one embedding per synthetic node;
+    emb holds rows for all original nodes.
     """
     if not len(rows):
         return [], _summary([])
@@ -188,11 +143,11 @@ def assign_edges(rows, graph, emb, conf, cfg):
     flat = scores.ravel()
     chosen = np.sort(_best(flat, k, cfg.tau_conf))
     syn, orig = np.divmod(chosen, scores.shape[1])
-    pairs = list(zip(orig.tolist(), flat[chosen].tolist()))
+    won = flat[chosen]
+    pairs = list(zip(orig.tolist(), won.tolist()))
     ends = np.searchsorted(syn, np.arange(len(rows) + 1)).tolist()
     edges = [pairs[lo:hi] for lo, hi in zip(ends, ends[1:])]
-    # scores is dead once the edges are taken, so it is reordered.
-    quantiles = _quantiles(scores, (0.0, 0.25, 0.5, 0.75, 1.0)) if scores.size else ()
+    quantiles = np.quantile(won, (0.0, 0.25, 0.5, 0.75, 1.0)) if len(won) else ()
     return edges, _summary(edges, k, quantiles)
 
 

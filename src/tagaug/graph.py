@@ -568,9 +568,9 @@ def write_source_graph(graph, path):
 def _artifact(directory, name, remedy="run augment again", missing=None):
     """The path of the artifact name in directory, for a block that reads
     it. A missing file, or a block that fails (a truncated or corrupt file,
-    a key or value its reader refuses), raises one DatasetError that names
-    the file and ends in remedy; a missing file ends in missing instead, if
-    given."""
+    a missing key, a value its reader refuses), raises one DatasetError
+    that names the file and ends in remedy; a missing file ends in missing
+    instead, if given."""
     if not os.path.exists(os.path.join(directory, name)):
         raise DatasetError(f"{name}: no such file in {directory}; {missing or remedy}")
     try:
@@ -580,8 +580,10 @@ def _artifact(directory, name, remedy="run augment again", missing=None):
         zipfile.BadZipFile,
     ) as exc:
         # A truncated or corrupt zip raises BadZipFile, EOFError, OSError or
-        # NotImplementedError (a RuntimeError), as its damage falls.
-        raise DatasetError(f"{name}: {exc}; {remedy}") from None
+        # NotImplementedError (a RuntimeError), as its damage falls. A
+        # KeyError's text is the bare key.
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise DatasetError(f"{name}: {reason}; {remedy}") from None
 
 
 def read_source_graph(path, directory_path):
@@ -615,10 +617,25 @@ def tail_classes_by_frequency(graph, tail_class_count):
     if tail_class_count < 0:
         raise ValueError(f"tail_class_count must not be negative, got {tail_class_count}")
     if tail_class_count >= graph.num_classes:
-        raise ValueError("tail_class_count must be smaller than the class count")
+        raise DatasetError(
+            f"tail_class_count {tail_class_count} must be smaller than the dataset's "
+            f"{graph.num_classes} classes"
+        )
     # A stable sort keeps the lower index first among equal frequencies.
     order = np.argsort(np.bincount(graph.labels, minlength=graph.num_classes), kind="stable")
     return frozenset(order[:tail_class_count].tolist())
+
+
+def check_split_settings(head_count, imbalance_ratio, val_fraction):
+    """Refuse, with a ValueError, split settings make_longtail_split takes
+    on no dataset: head_count not an int of at least 1, imbalance_ratio
+    outside (0, 1] or val_fraction outside [0, 1)."""
+    if type(head_count) is not int or head_count < 1:
+        raise ValueError(f"head_count must be an integer >= 1, got {head_count!r}")
+    if not 0 < imbalance_ratio <= 1:
+        raise ValueError(f"imbalance_ratio must lie in (0, 1], got {imbalance_ratio}")
+    if not 0 <= val_fraction < 1:
+        raise ValueError(f"val_fraction must lie in [0, 1), got {val_fraction}")
 
 
 def make_longtail_split(
@@ -633,12 +650,10 @@ def make_longtail_split(
     """Long-tail training split: head classes get head_count training nodes,
     tail classes get round(head_count * imbalance_ratio), remaining nodes are
     shuffled into val/test by val_fraction, which must leave test at least
-    one node. Deterministic per seed.
+    one node. Deterministic per seed. Settings check_split_settings refuses
+    raise ValueError; a split the dataset cannot hold raises DatasetError.
     """
-    if not 0 < imbalance_ratio <= 1:
-        raise ValueError("imbalance_ratio must lie in (0, 1]")
-    if not 0 <= val_fraction < 1:
-        raise ValueError(f"val_fraction must lie in [0, 1), got {val_fraction}")
+    check_split_settings(head_count, imbalance_ratio, val_fraction)
     tail = tail_classes_by_frequency(graph, tail_class_count)
 
     tail_train = max(1, int(math.floor(head_count * imbalance_ratio + 0.5)))
@@ -650,13 +665,13 @@ def make_longtail_split(
     freq = np.bincount(graph.labels, minlength=graph.num_classes)
     for cls, want in per_class.items():
         if freq[cls] < want + 2:
-            raise ValueError(
+            raise DatasetError(
                 f"class {cls} ({graph.class_names[cls]}) has {freq[cls]} nodes, "
                 f"needs {want} training + 1 val + 1 test"
             )
     rest_count = graph.node_count - sum(per_class.values())
     if int(round(val_fraction * rest_count)) >= rest_count:
-        raise ValueError(f"val_fraction {val_fraction} leaves no test node of {rest_count}")
+        raise DatasetError(f"val_fraction {val_fraction} leaves no test node of {rest_count}")
 
     rng = np.random.default_rng(seed)
     train, rest = [], []

@@ -32,6 +32,7 @@ from .graph import (
     _ints_below,
     _jsonl_blob,
     _open_atomic,
+    check_split_settings,
     graph_stats,
     load_dataset,
     make_longtail_split,
@@ -93,8 +94,7 @@ class RunConfig:
             raise ValueError(f"tail_class_count must not be negative, got {self.tail_class_count}")
         if self.knn_k < 1:
             raise ValueError("knn_k must be >= 1")
-        if not 0 <= self.val_fraction < 1:
-            raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
+        check_split_settings(self.head_count, self.imbalance_ratio, self.val_fraction)
         if not self.eval_seeds:
             raise ValueError("eval_seeds must not be empty")
         self.edge_config()  # checks edge_factor and tau_conf
@@ -275,10 +275,11 @@ def load_artifacts(cfg):
     source_graph.npz, refused unless cfg.dataset_dir still holds the
     dataset augment read; the labels and anchor ids from provenance.jsonl,
     the rows from embeddings.npz (row i belongs to record i). No cell reads
-    the synthetic texts. Augment writes split.json last, so an out_dir
-    without it raises a DatasetError saying augment has not finished there;
-    a missing, damaged or unreadable artifact, or one that does not fit the
-    dataset, raises DatasetError naming the file."""
+    the synthetic texts. Last comes the theory block of verify_report.json,
+    None when the out dir holds none. Augment writes split.json last, so
+    an out_dir without it raises a DatasetError saying augment has not
+    finished there; a missing, damaged or unreadable artifact, or one that
+    does not fit the dataset, raises DatasetError naming the file."""
     out = cfg.out_dir
     unfinished = "augment has not finished there, so run augment first"
     with _artifact(out, "split.json", missing=unfinished) as path:
@@ -318,7 +319,23 @@ def load_artifacts(cfg):
             f"provenance.jsonl has {len(records)} records"
         )
     row_labels = np.array(columns["label"], dtype=np.int64)
-    return graph, split, emb, (synthetic, row_labels, columns["anchor"])
+    return graph, split, emb, (synthetic, row_labels, columns["anchor"]), _theory_block(out)
+
+
+def _theory_block(out_dir):
+    """What train-eval reports of the verify_report.json `tagaug verify
+    --out` wrote in out_dir, or None when there is none."""
+    if not os.path.exists(os.path.join(out_dir, "verify_report.json")):
+        return None
+    with _artifact(out_dir, "verify_report.json", "run verify again") as path:
+        with open(path, encoding="utf-8") as fh:
+            stored = json.load(fh)
+        return {
+            "all_passed": stored.get("all_passed"),
+            "checks": [{"name": c["name"], "passed": c["passed"]} for c in stored["checks"]],
+            "seed": stored.get("seed"),
+            "tool_version": stored.get("tool_version"),
+        }
 
 
 def _train_eval_cell(graph, original, rows, train_ids, split, cfg):
@@ -401,7 +418,7 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
     check_grid(grid)
     timings = {}
     t0 = time.perf_counter()
-    graph, split, emb, llm = load_artifacts(cfg)
+    graph, split, emb, llm, theory = load_artifacts(cfg)
     labels = graph.labels
     augmented = set(grid) - {"origin"}
     # Only the boundary block of a non-origin cell reads these.
@@ -409,6 +426,9 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
     centroids = class_centroids(emb, labels) if augmented else None
     # num and num_C add the same rows, so they are synthesized once.
     num = _num_synthetic(cfg, emb, labels, split) if {"num", "num_C"} & set(grid) else None
+    for cell in grid:
+        if cell != "origin" and not len((num if cell.startswith("num") else llm)[0]):
+            raise DatasetError(f"cell {cell}: augment made no synthetic nodes to add")
     timings["load_s"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -428,8 +448,6 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
         train_ids = np.asarray(split.train_idx)
         if cell != "origin":
             rows, row_labels, anchors = num if cell.startswith("num") else llm
-            if not len(rows):
-                raise ValueError(f"cell {cell}: nothing to augment with")
             strategy = "confidence" if cell.endswith("_C") else "duplicate"
             edges, _summary = wire_nodes(
                 rows, anchors, graph, strategy, emb, conf_net, cfg.edge_config()
@@ -458,20 +476,6 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
         }
         timings[f"cell_{cell}_s"] = time.perf_counter() - t_cell
 
-    theory_block = None
-    if os.path.exists(os.path.join(cfg.out_dir, "verify_report.json")):
-        with _artifact(cfg.out_dir, "verify_report.json", "run verify again") as path:
-            with open(path, encoding="utf-8") as fh:
-                stored = json.load(fh)
-            theory_block = {
-                "all_passed": stored.get("all_passed"),
-                "checks": [
-                    {"name": c["name"], "passed": c["passed"]} for c in stored["checks"]
-                ],
-                "seed": stored.get("seed"),
-                "tool_version": stored.get("tool_version"),
-            }
-
     report = {
         "tool": "tagaug",
         "tool_version": __version__,
@@ -480,7 +484,7 @@ def run_train_eval(cfg, grid=("origin", "llm", "llm_C")):
         "eval_seeds": list(cfg.eval_seeds),
         "split_counts": _split_counts(split),
         "cells": cells_report,
-        "theory_checks": theory_block,
+        "theory_checks": theory,
         "timings": {k: round(v, 6) for k, v in timings.items()},
     }
     write_report(report, os.path.join(cfg.out_dir, "train_eval_report.json"))

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tagaug import edges, pipeline
 from tagaug.cli import main
 from tagaug.graph import DatasetError, make_longtail_split, write_dataset
 from tagaug.pipeline import (
@@ -44,6 +45,23 @@ def fast_config(dataset_dir, out_dir, seed=4):
     }
 
 
+@pytest.fixture()
+def trainings(monkeypatch):
+    """The kind ("mlp" or "gcn") of each classifier trained so far, in
+    call order, over both modules that call train_classifier."""
+    kinds = []
+
+    def counted(real):
+        def train(*args, **kwargs):
+            kinds.append(kwargs.get("kind", "mlp"))
+            return real(*args, **kwargs)
+        return train
+
+    for module in (pipeline, edges):
+        monkeypatch.setattr(module, "train_classifier", counted(module.train_classifier))
+    return kinds
+
+
 class TestRunConfig:
     def test_dict_round_trip(self, tmp_path):
         data = fast_config(tmp_path / "d", tmp_path / "o")
@@ -76,6 +94,10 @@ class TestRunConfig:
             ({"edge_factor": 0}, "factor"),
             ({"tau_conf": 1.5}, "tau_conf"),
             ({"eval_seeds": []}, "eval_seeds"),
+            ({"head_count": 0}, "head_count must be an integer >= 1"),
+            ({"head_count": 2.5}, "head_count must be an integer >= 1, got 2.5"),
+            ({"imbalance_ratio": 0}, r"imbalance_ratio must lie in \(0, 1\]"),
+            ({"imbalance_ratio": float("nan")}, "imbalance_ratio"),
         ],
     )
     def test_ranges_checked_when_built(self, tmp_path, override, match):
@@ -276,27 +298,16 @@ class TestTrainEval:
         assert len(report["cells"]["origin"]["per_seed"]) == 2
 
     def test_probe_trained_only_for_non_origin_cells(
-        self, tmp_path, toy_dataset_dir, monkeypatch
+        self, tmp_path, toy_dataset_dir, trainings
     ):
-        from tagaug import edges, pipeline
-
-        kinds = []
-        original = pipeline.train_classifier
-
-        def counting(*args, **kwargs):
-            kinds.append(kwargs.get("kind", "mlp"))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "train_classifier", counting)
-        monkeypatch.setattr(edges, "train_classifier", counting)
         cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
         run_augment(cfg)
-        kinds.clear()
+        trainings.clear()
         origin_only = run_train_eval(cfg, grid=("origin",))
-        assert kinds == ["gcn", "gcn"]  # one GCN per eval seed, no probe
-        kinds.clear()
+        assert trainings == ["gcn", "gcn"]  # one GCN per eval seed, no probe
+        trainings.clear()
         with_llm = run_train_eval(cfg, grid=("origin", "llm"))
-        assert kinds == ["mlp"] + ["gcn"] * 4
+        assert trainings == ["mlp"] + ["gcn"] * 4
         assert origin_only["cells"]["origin"] == with_llm["cells"]["origin"]
 
     def test_mean_std_over_seeds(self, tmp_path, toy_dataset_dir):
@@ -346,8 +357,6 @@ class TestTrainEval:
             assert "head_tail_gap" in block["metrics"]
 
     def test_num_rows_synthesized_once(self, tmp_path, toy_dataset_dir, monkeypatch):
-        from tagaug import pipeline
-
         calls = []
         original = pipeline.numeric_augment
 
@@ -535,7 +544,9 @@ def augmented_toy(tmp_path_factory, toy_graph):
 
 class TestCliCommands:
     @pytest.mark.parametrize("case", sorted(DAMAGED_ARTIFACTS))
-    def test_damaged_artifact_exits_1_with_one_line(self, tmp_path, augmented_toy, capsys, case):
+    def test_damaged_artifact_exits_1_with_one_line(
+        self, tmp_path, augmented_toy, capsys, trainings, case
+    ):
         shutil.copytree(augmented_toy, tmp_path, dirs_exist_ok=True)
         name, damage = DAMAGED_ARTIFACTS[case]
         damage(tmp_path / "run" / name)
@@ -548,6 +559,31 @@ class TestCliCommands:
         assert len(lines) == 1, captured.err
         assert lines[0].startswith(f"tagaug train-eval: error: {os.path.basename(name)}: ")
         assert "Traceback" not in captured.out + captured.err
+        assert trainings == []  # every artifact is read before any training
+        if case == "verify_report.json without checks":
+            assert lines[0] == (
+                "tagaug train-eval: error: verify_report.json: missing key 'checks'; "
+                "run verify again"
+            )
+
+    def test_cell_with_nothing_to_add_exits_1_before_any_training(
+        self, tmp_path, toy_dataset_dir, capsys, trainings
+    ):
+        # a balanced split (the control) schedules no synthetic node
+        cfg_path = tmp_path / "cfg.json"
+        data = {**fast_config(toy_dataset_dir, tmp_path / "run"), "imbalance_ratio": 1.0}
+        cfg_path.write_text(json.dumps(data))
+        assert main(["augment", "--config", str(cfg_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["synthetic_count"] == 0
+        assert trainings == []
+        assert main(["train-eval", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "tagaug train-eval: error: cell llm: augment made no synthetic nodes to add"
+        ]
+        assert "Traceback" not in captured.out
+        assert trainings == []
+        assert not (tmp_path / "run" / "train_eval_report.json").exists()
 
     def test_stats_command(self, toy_dataset_dir, capsys):
         assert main(["stats", "--data", str(toy_dataset_dir)]) == 0
@@ -649,6 +685,10 @@ class TestCliCommands:
             ("augment", {"knn": 3}, [], "unexpected keyword argument 'knn'"),
             ("train-eval", {}, ["--grid", "origin,blah"], "unknown grid cell: blah"),
             ("augment", {"tail_class_count": -1}, [], "tail_class_count must not be negative"),
+            ("augment", {"imbalance_ratio": 0}, [], "imbalance_ratio must lie in (0, 1], got 0"),
+            ("augment", {"imbalance_ratio": 1.5}, [], "imbalance_ratio must lie in (0, 1]"),
+            ("augment", {"head_count": 0}, [], "head_count must be an integer >= 1, got 0"),
+            ("train-eval", {"head_count": -3}, ["--grid", "origin"], "head_count must be an integer"),
         ],
     )
     def test_bad_config_exits_2_before_any_stage(
@@ -662,6 +702,39 @@ class TestCliCommands:
         assert len(lines) == 1 and lines[0].startswith(f"tagaug {command}: error: ")
         assert message in lines[0]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--imbalance-ratio", "0"], "imbalance_ratio must lie in (0, 1], got 0.0"),
+            (["--imbalance-ratio", "1.5"], "imbalance_ratio must lie in (0, 1], got 1.5"),
+            (["--head-count", "0"], "head_count must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_bad_split_setting_exits_2_from_stats(self, toy_dataset_dir, capsys, flags, message):
+        assert main(["stats", "--data", str(toy_dataset_dir), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"tagaug stats: error: {message}"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["augment", "stats"])
+    def test_split_the_dataset_cannot_hold_exits_1(
+        self, tmp_path, toy_dataset_dir, capsys, command
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        data = {**fast_config(toy_dataset_dir, tmp_path / "run"), "head_count": 500}
+        cfg_path.write_text(json.dumps(data))
+        argv = {
+            "augment": ["augment", "--config", str(cfg_path)],
+            "stats": ["stats", "--data", str(toy_dataset_dir), "--head-count", "500"],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"tagaug {command}: error: class 0 (topic0) has 60 nodes, "
+            "needs 500 training + 1 val + 1 test"
+        ]
+        assert "Traceback" not in captured.out
 
     def test_missing_seed_rejected(self, tmp_path, toy_dataset_dir):
         cfg = fast_config(toy_dataset_dir, tmp_path / "run")

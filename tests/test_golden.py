@@ -21,7 +21,10 @@ Each set's provenance.jsonl, and the default and mixup sets'
 augment_report.json, were re-taken when training moved to float32: the
 edge scores moved by at most 1.6e-5 (one score_quantiles entry in each
 report, in its sixth decimal), and every selected edge stayed the same.
-Every other digest is older.
+All four augment_report.json digests were re-taken when score_quantiles
+moved from every candidate's score to the wired edges' scores: only that
+field changed, and every selected edge stayed the same. Every other
+digest is older.
 """
 
 import hashlib
@@ -46,7 +49,7 @@ from test_wire import StubHandler
 
 # Taken with the step-major sparse product on GOLDEN_FINGERPRINT's numerics.
 GOLDEN_OUTPUTS = {
-    "augment_report.json": "dcbfabef077704f6251449a1dc9901cbbb684280ab5510b3b8ed613ef3373c0b",
+    "augment_report.json": "935ec0866d402545fc79ead14da4d588e128a6d5f5f63e5b2061f9c60d150505",
     "augmented/edges.jsonl": "fb8a480fd76625617608de5effdabca92908af09094b322aa40ac718662bdbe8",
     "augmented/meta.json": "ee6ff93211905d7ef259ffdea703eae960bd63f88af89b72919301cf2752eeea",
     "augmented/nodes.jsonl": "e3472bc75d7b988d9ae2de99fb6d7a423125216d47e4b8d2f550a11fa54c37e5",
@@ -60,7 +63,7 @@ GOLDEN_OUTPUTS = {
 # Taken with the dense product on the same numerics, before training kept
 # bool ReLU and dropout flags in place of float pre-activations and masks.
 GOLDEN_OUTPUTS_MIXUP = {
-    "augment_report.json": "6db2f04cee37ccac395c37dd4befb6648ed6461c0bc3db86daa699fef32959e8",
+    "augment_report.json": "2f9db6bf86800a51c2ce744c3e6ae8b102d64bd6737557a427b033c1df5114da",
     "augmented/edges.jsonl": "f96883ea1ebc56bfbaab95c5cf29780d46d7a51f4560d922ff6be15781551837",
     "augmented/meta.json": "ee6ff93211905d7ef259ffdea703eae960bd63f88af89b72919301cf2752eeea",
     "augmented/nodes.jsonl": "e5a32f42a427b9e83ab13deb3ded6cc6085026187b46b97b50537023ea725e1e",
@@ -76,7 +79,7 @@ GOLDEN_OUTPUTS_MIXUP = {
 # variant, taken on the same numerics before the boundary references became
 # plain arrays and dicts.
 GOLDEN_OUTPUTS_SMOTE = {
-    "augment_report.json": "78ce20b877621b125ab786b28f98935185b717136a930e0282e03cc0bd92301c",
+    "augment_report.json": "22bf155e5993b2a8cb2796a4b280cbf53d7b8b906132c32cf77531348b4da9ae",
     "augmented/edges.jsonl": "5b30b570990bc80f5830ec1e1689692b6a7d3b89c93c1f2935cf2a70babbabb1",
     "augmented/meta.json": "ee6ff93211905d7ef259ffdea703eae960bd63f88af89b72919301cf2752eeea",
     "augmented/nodes.jsonl": "09dceeea17535405ab3b8bc90771458e10b80e1b9f69e7a06b92a669a101b7c7",
@@ -91,7 +94,7 @@ GOLDEN_OUTPUTS_SMOTE = {
 # Variant O with the remote encoder and generator on StubHandler, taken on
 # the same numerics before wiring and merging took synthetic rows as columns.
 GOLDEN_OUTPUTS_REMOTE = {
-    "augment_report.json": "d1b945d93861a5b993a193da755fef23d5e2ce04c86e00d3ee4366d7577fc5a7",
+    "augment_report.json": "2ab68cc87e97f56113880337db9cf5a89724d4b3284f20f53d6e093a1b246a0e",
     "augmented/edges.jsonl": "d4e787666af6943439e7bae345abddb6a65a774250a9371f364d6226fddfddc5",
     "augmented/meta.json": "ee6ff93211905d7ef259ffdea703eae960bd63f88af89b72919301cf2752eeea",
     "augmented/nodes.jsonl": "0b594dcfc3b1bde262f6b0fc3a92a70aba8ffb9d245294a116af15398422612d",
@@ -193,6 +196,15 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
     def test_output_is_byte_identical(self, digests, name):
         assert digests[name] == self.golden[name]
+
+    def test_score_quantiles_span_the_wired_edges(self, out_dir):
+        report = json.loads((out_dir / "augment_report.json").read_text(encoding="utf-8"))
+        quantiles = report["edge_assignment"]["score_quantiles"]
+        lines = (out_dir / "augmented" / "provenance.jsonl").read_text(encoding="utf-8")
+        scores = [s for line in lines.splitlines() for _, s in json.loads(line)["edges"]]
+        assert quantiles[0] >= report["config"]["tau_conf"]
+        assert quantiles[0] == pytest.approx(min(scores), abs=1e-6)
+        assert quantiles[-1] == pytest.approx(max(scores), abs=1e-6)
 
 
 class TestGoldenOutputsMixupConfidence(TestGoldenOutputs):

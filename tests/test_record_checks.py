@@ -316,7 +316,7 @@ def test_record_fault_names_file_line_and_reason(read, name, lines, message):
 def test_the_default_lines_are_valid(read):
     for name, lines in (("nodes.jsonl", NODES), ("gen_cache.jsonl", CACHE)):
         read(name, lines)
-    graph, _split, _emb, (_rows, labels, anchors) = read("provenance.jsonl", PROVENANCE)
+    graph, _split, _emb, (_rows, labels, anchors), _theory = read("provenance.jsonl", PROVENANCE)
     np.testing.assert_array_equal(graph.edges, [(0, 1), (1, 2)])
     assert labels.tolist() == [0, 1] and anchors == [0, 2]
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from tagaug import verify
+from tagaug.cli import main
 from tagaug.neural import aggregate_layer
 from tagaug.verify import (
     contraction_check,
@@ -78,3 +80,33 @@ def test_contraction_alpha_one_boundary(rng):
     d = np.linalg.norm(h_v - m)
     out = aggregate_layer(h_v[None, :], [[]], [[]], 1.0, w)
     assert np.linalg.norm(out[0] - m @ w) <= 0.8 * d + 1e-9
+
+
+def leaking(scale):
+    """aggregate_layer with scale x row 1's message added to row 0, the
+    isolated row of isolation_check's instances."""
+    def leak(h, neighbor_lists, beta_lists, alpha, weight):
+        out = aggregate_layer(h, neighbor_lists, beta_lists, alpha, weight)
+        out[0] += scale * (np.asarray(h)[1] @ weight)
+        return out
+    return leak
+
+
+def test_isolation_fails_when_a_neighbour_leaks_in(monkeypatch):
+    monkeypatch.setattr(verify, "aggregate_layer", leaking(1e-3))
+    out = isolation_check(trials=50, seed=1)
+    assert not out["passed"] and out["max_deviation"] > out["tolerance"]
+
+
+def test_isolation_fails_on_a_leak_inside_the_tolerance(monkeypatch):
+    # the closed form holds within 1e-12; perturbing the other rows shows it
+    monkeypatch.setattr(verify, "aggregate_layer", leaking(1e-14))
+    out = isolation_check(trials=50, seed=1)
+    assert not out["passed"] and out["max_deviation"] <= 1e-12
+    assert out["detail"] == "isolated row changed under perturbation of other nodes"
+
+
+def test_verify_command_exits_1_on_a_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "aggregate_layer", leaking(1e-3))
+    assert main(["verify", "--seed", "0"]) == 1
+    assert "FAIL isolation" in capsys.readouterr().out.splitlines()

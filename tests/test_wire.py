@@ -30,6 +30,7 @@ from tagaug.generation import (
     VicinalPair,
     generate_interpolations,
 )
+from tagaug.pipeline import RunConfig, run_augment
 
 
 class StubHandler(BaseHTTPRequestHandler):
@@ -47,7 +48,7 @@ class StubHandler(BaseHTTPRequestHandler):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         state = self.server.state
-        state["requests"].append({"path": self.path, "body": body})
+        state["requests"].append({"path": self.path, "body": body, "headers": dict(self.headers)})
 
         if self.should_fail(body):
             self.send_response(state.get("fail_status", 500))
@@ -570,6 +571,35 @@ class TestRequestsInFlight:
         assert [text for text, _l, _p in node_rows] == [f"reply to {i}" for i in range(10)]
         assert stats["generated"] == 10 and stats["skipped"] == []
         assert len(warnings) == 1 and "<END>" in warnings[0]
+
+
+@pytest.mark.parametrize("key", ["sk-wire-test-5f3a9c", None])
+def test_api_key_is_sent_as_a_bearer_token_and_never_written(
+    stub_server, tmp_path, toy_dataset_dir, monkeypatch, caplog, capsys, key
+):
+    # A whole augment with both remote clients, with the key set and unset.
+    server, base = stub_server
+    if key is None:
+        monkeypatch.delenv("TAGAUG_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("TAGAUG_API_KEY", key)
+    caplog.set_level(logging.DEBUG)
+    cfg = RunConfig(
+        dataset_dir=str(toy_dataset_dir), out_dir=str(tmp_path / "run"), seed=0,
+        edge_strategy="none",
+        encoder=EncoderConfig(kind="remote", endpoint=base, model="emb-1"),
+        generator=GeneratorConfig(kind="remote", endpoint=base, model="chat-1"),
+    )
+    assert run_augment(cfg)["synthetic_count"] > 0
+    requests = server.state["requests"]
+    assert {req["path"] for req in requests} == {"/v1/embeddings", "/v1/chat/completions"}
+    sent = {req["headers"].get("Authorization") for req in requests}
+    assert sent == {None if key is None else f"Bearer {key}"}
+    if key is not None:
+        for path in (tmp_path / "run").rglob("*"):
+            assert not path.is_file() or key.encode() not in path.read_bytes(), path
+        captured = capsys.readouterr()
+        assert key not in caplog.text + captured.out + captured.err
 
 
 def test_strict_parse_skips_reply_without_end(stub_server, tmp_path):
