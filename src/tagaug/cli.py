@@ -10,9 +10,8 @@ import json
 import logging
 import sys
 
-from .graph import DatasetError, check_split_settings, graph_stats, load_dataset
-from .graph import make_longtail_split
-from .pipeline import RunConfig, _resolve_tail_count, check_grid
+from .graph import DatasetError, graph_stats
+from .pipeline import RunConfig, check_grid, load_split
 from .pipeline import run_augment, run_train_eval, run_verify
 
 
@@ -21,28 +20,21 @@ def _load_config(args):
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
-    if args.data:
-        data["dataset_dir"] = args.data
-    if args.out:
-        data["out_dir"] = args.out
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if getattr(args, "variant", None):
-        data["variant"] = args.variant
-    if getattr(args, "edge", None):
-        data["edge_strategy"] = args.edge
-    if getattr(args, "generator", None):
-        gen = dict(data.get("generator", {}))
-        gen["kind"] = args.generator
-        data["generator"] = gen
-    if getattr(args, "encoder", None):
-        enc = dict(data.get("encoder", {}))
-        enc["kind"] = "hashing" if args.encoder == "hash" else args.encoder
-        data["encoder"] = enc
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config}: a config must be a JSON object")
+    flags = {"data": "dataset_dir", "out": "out_dir", "seed": "seed", "variant": "variant",
+             "edge": "edge_strategy"}
+    for flag, key in flags.items():
+        if getattr(args, flag, None) is not None:
+            data[key] = getattr(args, flag)
+    for part in ("generator", "encoder"):
+        kind = getattr(args, part, None)
+        if kind:
+            data[part] = {**data.get(part, {}), "kind": "hashing" if kind == "hash" else kind}
     if "seed" not in data:
-        raise SystemExit("a seed is required (--seed or config)")
+        raise ValueError("a seed is required (--seed or config)")
     if "dataset_dir" not in data or "out_dir" not in data:
-        raise SystemExit("dataset_dir and out_dir are required (--data/--out or config)")
+        raise ValueError("dataset_dir and out_dir are required (--data/--out or config)")
     return RunConfig.from_dict(data)
 
 
@@ -106,7 +98,9 @@ def _run(args):
             grid = tuple(cell.strip() for cell in args.grid.split(",") if cell.strip())
             check_grid(grid)
         if args.command == "stats":
-            check_split_settings(args.head_count, args.imbalance_ratio, RunConfig.val_fraction)
+            # stats writes nothing, so the out_dir is unused.
+            cfg = RunConfig(args.data, "", args.seed, head_count=args.head_count,
+                            imbalance_ratio=args.imbalance_ratio)
     except (OSError, TypeError, ValueError) as exc:
         print(f"tagaug {args.command}: error: {exc}", file=sys.stderr)
         return 2
@@ -137,16 +131,7 @@ def _run(args):
         return 0
 
     if args.command == "stats":
-        graph = load_dataset(args.data)
-        tail_count = _resolve_tail_count(None, graph._meta, graph)
-        split = make_longtail_split(
-            graph,
-            head_count=args.head_count,
-            imbalance_ratio=args.imbalance_ratio,
-            tail_class_count=tail_count,
-            val_fraction=RunConfig.val_fraction,
-            seed=args.seed,
-        )
+        graph, split, _tail_count = load_split(cfg)
         print(json.dumps(graph_stats(graph, split), indent=2, sort_keys=True))
         return 0
 

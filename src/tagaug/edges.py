@@ -11,11 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import cosine_matrix
+from .embedding import _best, cosine_matrix
 from .neural import predict, train_classifier
-
-# Scores _topk_cut scans at a time when k is smaller.
-_CUT_BLOCK = 1 << 16
 
 
 @dataclass
@@ -65,43 +62,11 @@ def score_edges(synthetic_rows, emb, conf):
     return sims
 
 
-def _topk_cut(scores, k, tau):
-    """The lowest score a top-k candidate can have: the k-th best of the
-    1-D scores at or above tau (NaN never is), or tau when k or fewer are.
-
-    Scores are scanned max(k, _CUT_BLOCK) at a time, keeping the k best
-    seen so far and, once there are k, only scores at or above the k-th of
-    them, so no copy of all the scores is made. A block of at least k keeps
-    the partitions' total work linear in the scores.
-    """
-    step = max(k, _CUT_BLOCK)
-    best, cut = scores[:0], tau
-    for lo in range(0, len(scores), step):
-        block = scores[lo:lo + step]
-        best = np.concatenate([best, block[block >= cut]])
-        if len(best) > k:
-            best = np.partition(best, len(best) - k)[len(best) - k:]
-            cut = best[0]
-    return cut
-
-
-def _best(scores, k, tau):
-    """The positions of the k best of the 1-D scores at or above tau (NaN
-    never is), best first, ties to the lower position; all of them when k
-    or fewer are."""
-    pos = np.flatnonzero(scores >= _topk_cut(scores, k, tau))
-    return pos[np.argsort(-scores[pos], kind="stable")[:k]]
-
-
 def select_topk_global(candidates, synthetic_count, cfg):
-    """Pick the k = synthetic_count x factor best-scoring candidates.
-
-    candidates holds (syn, orig, score) rows. Candidates under tau_conf
-    are dropped; ties break toward (lower synthetic idx, lower original
-    id), so the rows are put in that order and their scores cut as
-    assign_edges cuts its matrix. Returns the selected rows, best first,
-    and the synthetic indices left edgeless.
-    """
+    """The k = synthetic_count x factor best of the (syn, orig, score)
+    candidate rows at or above tau_conf, best first, ties to the lower
+    synthetic index, then the lower original id, as assign_edges ranks
+    them; and the synthetic indices left edgeless."""
     if synthetic_count < 1:
         raise ValueError("synthetic_count must be >= 1")
     candidates = np.asarray(candidates, dtype=np.float64).reshape(-1, 3)

@@ -23,6 +23,9 @@ _HASH_SALT = b"tagaug-hash-v1"
 # Requests each remote client call keeps in flight at once.
 MAX_IN_FLIGHT = 4
 
+# Scores _best scans at a time when k is smaller.
+_CUT_BLOCK = 1 << 16
+
 
 class EncoderError(RuntimeError):
     """Raised when the remote embeddings endpoint fails permanently."""
@@ -61,6 +64,10 @@ class EncoderConfig:
             raise ValueError(f"unknown encoder kind: {self.kind!r}")
         if self.kind == "hashing" and self.dim < 8:
             raise ValueError("hashing dim must be >= 8")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.retry_count < 0:
+            raise ValueError(f"retry_count must be >= 0, got {self.retry_count}")
 
 
 def _token_hash(token):
@@ -284,6 +291,27 @@ def cosine_matrix(rows_a, rows_b):
     return sims
 
 
+def _best(scores, k, tau):
+    """The positions of the k >= 1 best of the 1-D scores at or above tau
+    (NaN never is), best first, ties to the lower position; all of them
+    when k or fewer are.
+
+    The scores are scanned max(k, _CUT_BLOCK) at a time, which keeps the
+    partitions' work linear and makes no copy of all of them, keeping the
+    positions at or above the running cut, the k-th best score kept so far;
+    once k are kept, a later score equal to the cut loses to each of them."""
+    step = max(k, _CUT_BLOCK)
+    pos, cut = np.zeros(0, dtype=np.int64), tau
+    for lo in range(0, len(scores), step):
+        block = scores[lo:lo + step]
+        joins = block > cut if len(pos) >= k else block >= cut
+        pos = np.concatenate([pos, lo + np.flatnonzero(joins)])
+        if len(pos) > k:
+            cut = np.partition(scores[pos], len(pos) - k)[len(pos) - k]
+            pos = pos[scores[pos] >= cut]
+    return pos[np.argsort(-scores[pos], kind="stable")[:k]]
+
+
 def knn_same_class(anchor, k, emb, labels, candidate_idx):
     """k same-label candidates ranked by descending cosine, ties to lower id."""
     same = [cand for cand in candidate_idx if labels[cand] == labels[anchor]]
@@ -294,14 +322,10 @@ def knn_embedding(anchor, k, emb, candidate_idx):
     """k nearest candidates by cosine regardless of label, ties to lower id."""
     if k <= 0:
         return []
-    anchor_vec = emb.vectors[anchor]
-    scored = [
-        (-cosine_similarity(anchor_vec, emb.vectors[cand]), cand)
-        for cand in candidate_idx
-        if cand != anchor
-    ]
-    scored.sort()
-    return [cand for _negsim, cand in scored[:k]]
+    cands = np.sort(np.asarray(candidate_idx, dtype=np.int64))
+    cands = cands[cands != anchor]
+    sims = np.array([cosine_similarity(emb.vectors[anchor], emb.vectors[c]) for c in cands])
+    return cands[_best(sims, k, -np.inf)].tolist()
 
 
 def class_centroids(emb, labels):

@@ -69,6 +69,8 @@ class GeneratorConfig:
             raise ValueError(f"unknown generator kind: {self.kind!r}")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+        if self.retry_count < 0:
+            raise ValueError(f"retry_count must be >= 0, got {self.retry_count}")
 
 
 @dataclass(frozen=True)

@@ -581,8 +581,12 @@ def _artifact(directory, name, remedy="run augment again", missing=None):
     ) as exc:
         # A truncated or corrupt zip raises BadZipFile, EOFError, OSError or
         # NotImplementedError (a RuntimeError), as its damage falls. A
-        # KeyError's text is the bare key.
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        # KeyError's text is the bare key, or an npz file's sentence about it.
+        reason = exc
+        if isinstance(exc, KeyError):
+            key = str(exc.args[0])
+            array = key.removesuffix(" is not a file in the archive")
+            reason = f"missing array {array!r}" if array != key else f"missing key {exc}"
         raise DatasetError(f"{name}: {reason}; {remedy}") from None
 
 
@@ -629,13 +633,13 @@ def tail_classes_by_frequency(graph, tail_class_count):
 def check_split_settings(head_count, imbalance_ratio, val_fraction):
     """Refuse, with a ValueError, split settings make_longtail_split takes
     on no dataset: head_count not an int of at least 1, imbalance_ratio
-    outside (0, 1] or val_fraction outside [0, 1)."""
+    not a number in (0, 1] or val_fraction not a number in [0, 1)."""
     if type(head_count) is not int or head_count < 1:
         raise ValueError(f"head_count must be an integer >= 1, got {head_count!r}")
-    if not 0 < imbalance_ratio <= 1:
-        raise ValueError(f"imbalance_ratio must lie in (0, 1], got {imbalance_ratio}")
-    if not 0 <= val_fraction < 1:
-        raise ValueError(f"val_fraction must lie in [0, 1), got {val_fraction}")
+    if not (isinstance(imbalance_ratio, (int, float)) and 0 < imbalance_ratio <= 1):
+        raise ValueError(f"imbalance_ratio must lie in (0, 1], got {imbalance_ratio!r}")
+    if not (isinstance(val_fraction, (int, float)) and 0 <= val_fraction < 1):
+        raise ValueError(f"val_fraction must lie in [0, 1), got {val_fraction!r}")
 
 
 def make_longtail_split(

@@ -4,6 +4,7 @@ evaluator the theory-verification command checks.
 
 import numpy as np
 
+from .embedding import _best
 from .neural import predict
 
 # bps score of a sample that sits on another class's centroid (d_out = 0).
@@ -86,12 +87,9 @@ def bcr(sample_rows, sample_labels, index, k):
     boundary = 0
     for row, own in zip(sample_rows, sample_labels):
         dists = np.sqrt(((ref_rows - row) ** 2).sum(axis=1))
-        order = np.lexsort((np.arange(len(dists)), dists))
-        near = ref_labels[order[:k]]
-        counts = np.bincount(near)
-        best = counts.max()
-        winners = np.flatnonzero(counts == best)
-        if len(winners) > 1 or winners[0] != own:
+        counts = np.bincount(ref_labels[_best(-dists, k, -np.inf)], minlength=own + 1)
+        top = counts.max()
+        if counts[own] < top or np.count_nonzero(counts == top) > 1:
             boundary += 1
     return boundary / len(sample_rows)
 

@@ -81,6 +81,9 @@ class RunConfig:
     confidence: TrainConfig = field(default_factory=confidence_train_defaults)
 
     def __post_init__(self):
+        # The split settings first, so head_count names its range too.
+        check_split_settings(self.head_count, self.imbalance_ratio, self.val_fraction)
+        _check_types(self)
         if self.variant not in ("O", "S", "M"):
             raise ValueError(f"variant must be O, S, or M, got {self.variant!r}")
         if self.num_mode is not None and self.num_mode not in VARIANT_BY_MODE:
@@ -94,7 +97,6 @@ class RunConfig:
             raise ValueError(f"tail_class_count must not be negative, got {self.tail_class_count}")
         if self.knn_k < 1:
             raise ValueError("knn_k must be >= 1")
-        check_split_settings(self.head_count, self.imbalance_ratio, self.val_fraction)
         if not self.eval_seeds:
             raise ValueError("eval_seeds must not be empty")
         self.edge_config()  # checks edge_factor and tau_conf
@@ -113,6 +115,27 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data):
         return _from_json(cls, data)
+
+
+def _check_types(config, prefix=""):
+    """Refuse, with a ValueError naming it, a field of the config dataclass,
+    or of a config nested in it, whose value its annotation does not take:
+    a bool only as a bool, an int as a float too, a tuple or list of ints
+    as a tuple, and None where it is the default."""
+    nouns = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
+             tuple: "a list of integers"}
+    for f in fields(config):
+        name, value = prefix + f.name, getattr(config, f.name)
+        if is_dataclass(f.type) and isinstance(value, f.type):
+            _check_types(value, name + ".")
+            continue
+        listed = f.type is tuple and isinstance(value, (tuple, list))
+        kind, items = (int, value) if listed else (f.type, [value])
+        accepted = (int, float) if kind is float else kind
+        if not (value is None and f.default is None or all(
+            isinstance(x, accepted) and (kind is bool or not isinstance(x, bool)) for x in items
+        )):
+            raise ValueError(f"{name} must be {nouns.get(f.type, 'an object')}, got {value!r}")
 
 
 def _from_json(cls, data):
@@ -137,11 +160,18 @@ def write_report(report, path):
         fh.write(text)
 
 
-def _resolve_tail_count(tail_class_count, meta, graph):
-    """The tail-class count: the given value, else meta.json's, else C // 2."""
-    if tail_class_count is None:
-        return meta.get("tail_class_count", max(1, graph.num_classes // 2))
-    return tail_class_count
+def load_split(cfg):
+    """The dataset in cfg.dataset_dir, its long-tail split under cfg's
+    settings, and the tail-class count: cfg's, else meta.json's, else C // 2."""
+    graph = load_dataset(cfg.dataset_dir)
+    tail_count = cfg.tail_class_count
+    if tail_count is None:
+        tail_count = graph._meta.get("tail_class_count", max(1, graph.num_classes // 2))
+    split = make_longtail_split(
+        graph, cfg.head_count, cfg.imbalance_ratio, tail_class_count=tail_count,
+        val_fraction=cfg.val_fraction, seed=cfg.seed,
+    )
+    return graph, split, tail_count
 
 
 def _split_block(split):
@@ -163,17 +193,8 @@ def run_augment(cfg):
     synthetic texts, assign edges, merge, persist. Returns the report."""
     timings = {}
     t0 = time.perf_counter()
-    graph = load_dataset(cfg.dataset_dir)
+    graph, split, tail_count = load_split(cfg)
     meta = graph._meta
-    tail_count = _resolve_tail_count(cfg.tail_class_count, meta, graph)
-    split = make_longtail_split(
-        graph,
-        head_count=cfg.head_count,
-        imbalance_ratio=cfg.imbalance_ratio,
-        tail_class_count=tail_count,
-        val_fraction=cfg.val_fraction,
-        seed=cfg.seed,
-    )
     timings["load_split_s"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()

@@ -14,6 +14,7 @@ from tagaug.graph import DatasetError, make_longtail_split, write_dataset
 from tagaug.pipeline import (
     RunConfig,
     load_artifacts,
+    load_split,
     run_augment,
     run_train_eval,
     write_report,
@@ -118,6 +119,23 @@ class TestRunConfig:
         data = fast_config(tmp_path / "d", tmp_path / "o")
         with pytest.raises(ValueError, match=f"unknown {part} kind: 'mocl'"):
             RunConfig.from_dict({**data, part: {"kind": "mocl"}})
+
+
+def test_load_split_takes_an_explicit_tail_class_count_over_meta_json(
+    tmp_path, toy_dataset_dir
+):
+    cfg = RunConfig(
+        dataset_dir=str(toy_dataset_dir), out_dir=str(tmp_path / "run"), seed=7,
+        tail_class_count=1,
+    )
+    graph, split, tail_count = load_split(cfg)
+    assert tail_count == 1
+    assert split == make_longtail_split(
+        graph, head_count=20, imbalance_ratio=0.1, tail_class_count=1, val_fraction=0.25,
+        seed=7,
+    )
+    assert len(split.tail_classes) == 1
+    assert load_split(replace(cfg, tail_class_count=None))[2] == 2  # meta.json's
 
 
 class TestAugmentPipeline:
@@ -736,10 +754,88 @@ class TestCliCommands:
         ]
         assert "Traceback" not in captured.out
 
-    def test_missing_seed_rejected(self, tmp_path, toy_dataset_dir):
+    def test_missing_seed_rejected(self, tmp_path, toy_dataset_dir, capsys):
         cfg = fast_config(toy_dataset_dir, tmp_path / "run")
         del cfg["seed"]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        with pytest.raises(SystemExit, match="seed"):
-            main(["augment", "--config", str(cfg_path)])
+        assert main(["augment", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "tagaug augment: error: a seed is required (--seed or config)"
+        ]
+        assert not (tmp_path / "run").exists()
+
+    def test_missing_out_dir_rejected(self, tmp_path, toy_dataset_dir, capsys):
+        cfg = fast_config(toy_dataset_dir, tmp_path / "run")
+        del cfg["out_dir"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train-eval", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "tagaug train-eval: error: dataset_dir and out_dir are required "
+            "(--data/--out or config)"
+        ]
+
+    @pytest.mark.parametrize(
+        "command, edit, message",
+        [
+            ("augment", lambda c: c.update(edge_factor=2.5),
+             "edge_factor must be an integer, got 2.5"),
+            ("augment", lambda c: c.update(knn_k=2.5), "knn_k must be an integer, got 2.5"),
+            ("augment", lambda c: c.update(seed="x"), "seed must be an integer, got 'x'"),
+            ("augment", lambda c: c.update(tau_conf="0"), "tau_conf must be a number, got '0'"),
+            ("augment", lambda c: c.update(variant=None), "variant must be a string, got None"),
+            ("train-eval", lambda c: c.update(eval_seeds=["a"]),
+             "eval_seeds must be a list of integers, got ('a',)"),
+            ("train-eval", lambda c: c.update(eval_seeds=[True]),
+             "eval_seeds must be a list of integers, got (True,)"),
+            ("train-eval", lambda c: c["classifier"].update(epochs=2.5),
+             "classifier.epochs must be an integer, got 2.5"),
+            ("train-eval", lambda c: c["classifier"].update(hidden_dims=[2.5]),
+             "classifier.hidden_dims must be a list of integers, got (2.5,)"),
+            ("train-eval", lambda c: c["confidence"].update(seed=True),
+             "confidence.seed must be an integer, got True"),
+            ("augment", lambda c: c["generator"].update(strict_parse=1),
+             "generator.strict_parse must be a boolean, got 1"),
+            ("augment", lambda c: c.update(classifier=[]), "classifier must be an object, got []"),
+            ("augment", lambda c: c.update(encoder={"kind": "remote", "batch_size": 0}),
+             "batch_size must be >= 1, got 0"),
+            ("augment", lambda c: c.update(encoder={"kind": "remote", "retry_count": -1}),
+             "retry_count must be >= 0, got -1"),
+            ("augment", lambda c: c.update(generator={"kind": "remote", "retry_count": -1}),
+             "retry_count must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_setting_exits_2_naming_the_field(
+        self, tmp_path, toy_dataset_dir, capsys, command, edit, message
+    ):
+        cfg = fast_config(toy_dataset_dir, tmp_path / "run")
+        edit(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"tagaug {command}: error: {message}"]
+        assert not (tmp_path / "run").exists()
+
+    def test_a_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        assert main(["augment", "--config", str(cfg_path), "--seed", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"tagaug augment: error: {cfg_path}: a config must be a JSON object"
+        ]
+
+    def test_data_and_out_flags_set_the_directories(self, tmp_path, toy_dataset_dir, capsys):
+        # The config names other directories; the flags win in both stages.
+        cfg = fast_config(tmp_path / "elsewhere", tmp_path / "elsewhere_out")
+        cfg["classifier"]["epochs"] = cfg["confidence"]["epochs"] = 3
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        dirs = ["--data", str(toy_dataset_dir), "--out", str(tmp_path / "run")]
+        assert main(["augment", "--config", str(cfg_path), *dirs]) == 0
+        assert main(["train-eval", "--config", str(cfg_path), *dirs, "--grid", "origin"]) == 0
+        for name in ("augment_report.json", "train_eval_report.json"):
+            report = json.loads((tmp_path / "run" / name).read_text())
+            assert report["config"]["dataset_dir"] == str(toy_dataset_dir)
+            assert report["config"]["out_dir"] == str(tmp_path / "run")
+        assert not (tmp_path / "elsewhere_out").exists()

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tagaug import edges
+from tagaug import embedding
 from tagaug.edges import (
     EdgeAssignConfig,
-    _topk_cut,
     assign_edges,
     duplicate_edges,
     score_edges,
@@ -19,7 +18,7 @@ from tagaug.edges import (
     train_confidence,
     wire_nodes,
 )
-from tagaug.embedding import EmbeddingMatrix, encode_hashing
+from tagaug.embedding import EmbeddingMatrix, _best, encode_hashing
 from tagaug.generation import (
     GeneratorConfig,
     SyntheticNode,
@@ -286,7 +285,7 @@ def test_assign_edges_matches_select_topk_global_over_the_full_table(case):
     conf = StubConfidence(kappa)
     table = full_table(score_edges(syn, emb, conf))
     selected, isolated = select_topk_global(table, len(syn), cfg)
-    # both sides select through edges._best, so the full sort checks them
+    # both sides select through _best, so the full sort checks them
     want, want_isolated = brute_force_topk(table.tolist(), len(syn), cfg)
     np.testing.assert_array_equal(selected, np.reshape(want, (-1, 3)))
     assert isolated == want_isolated
@@ -330,51 +329,50 @@ def test_assign_edges_peak_memory_is_about_one_score_matrix():
     assert peak < 3 * n_syn * n_orig * 8 + n_orig * dim * 8
 
 
-def negated_copy_cut(scores, k, tau):
-    """Oracle: one partition of a negated copy of every score."""
-    eligible = scores >= tau
-    if np.count_nonzero(eligible) <= k:
-        return tau
-    neg = np.negative(scores)
-    neg[~eligible] = np.inf
-    neg.partition(k - 1)
-    return -neg[k - 1]
+def full_sort_best(scores, k, tau):
+    """Oracle: a full stable sort of the positions at or above tau on
+    (-score, position)."""
+    pos = np.flatnonzero(scores >= tau)
+    return pos[np.lexsort((pos, -scores[pos]))][:k]
 
 
-# Blocks of 1 to 8 scores straddle the eligible runs; -0.0 == 0.0, so a tie
-# between them may land on either.
+# Blocks of 1 to 8 scores straddle the eligible runs and the ties at the
+# running cut; -0.0 == 0.0, so the lower position wins between them.
 @settings(max_examples=1000, deadline=None)
 @given(
-    st.lists(st.floats() | st.sampled_from([0.0, 0.3, 0.5, 1.0]), max_size=60),
+    st.lists(st.floats() | st.sampled_from([0.0, -0.0, 0.3, 0.5, 1.0]), max_size=60),
     st.integers(1, 64),
-    st.sampled_from([0.0, 0.3]),
+    st.sampled_from([-np.inf, 0.0, 0.3]),
     st.integers(1, 8),
 )
 @example([float("nan")] * 5 + [0.5], 1, 0.0, 2)  # NaN is never eligible
 @example([0.3] * 9 + [float("inf"), -float("inf")], 4, 0.3, 3)  # ties at tau
+@example([-float("inf")] * 3 + [0.5], 2, -np.inf, 1)  # -inf is at or above -inf
 @example([0.5, 0.1, 0.9], 2, 0.3, 1)  # k equals the eligible count
-def test_topk_cut_matches_a_negated_copy(values, k, tau, block):
+@example([0.5, 0.9, 0.5, 0.5, 0.9, 0.5], 3, 0.0, 2)  # later ties at the cut lose
+def test_best_matches_a_full_stable_sort(values, k, tau, block):
     scores = np.array(values, dtype=np.float64)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(edges, "_CUT_BLOCK", block)
-        got = _topk_cut(scores, k, tau)
-    assert got == negated_copy_cut(scores, k, tau)
+        mp.setattr(embedding, "_CUT_BLOCK", block)
+        got = _best(scores, k, tau)
+    np.testing.assert_array_equal(got, full_sort_best(scores, k, tau))
 
 
-def test_topk_cut_holds_no_copy_of_the_scores():
+def test_best_holds_no_copy_of_the_scores():
     # wiring_10k's shape and k. With k below the block, the scan holds one
-    # block's mask and eligible scores, their concatenation with the k best
-    # and its partitioned copy: under 5 blocks of float64 (a negated copy
-    # of all the scores is 475 x 10,000 x 8 bytes, 38 MB).
+    # block's mask and eligible positions, their concatenation with the
+    # kept positions, those positions' scores and their partitioned copy,
+    # and the final sort: under 5 blocks of float64 (a negated copy of all
+    # the scores is 475 x 10,000 x 8 bytes, 38 MB).
     scores = np.random.default_rng(0).uniform(size=475 * 10_000)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _topk_cut(scores, 9_500, 0.0)
+        _best(scores, 9_500, 0.0)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 5 * edges._CUT_BLOCK * 8
+    assert peak < 5 * embedding._CUT_BLOCK * 8
 
 
 class TestDuplicateEdges:

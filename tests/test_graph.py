@@ -11,6 +11,7 @@ from tagaug import graph as graph_module
 from tagaug.fixtures import make_toy_tag
 from tagaug.graph import (
     DatasetError,
+    LongTailSplit,
     TextGraph,
     graph_stats,
     load_dataset,
@@ -727,6 +728,27 @@ class TestMetaJson:
 def test_text_graph_rejects_a_label_that_is_not_an_int(label, shown):
     with pytest.raises(DatasetError, match=rf"^label {re.escape(shown)} is not an integer$"):
         TextGraph(2, ("x", "y"), (label, 1), ("a", "b"), ())
+
+
+@pytest.mark.parametrize(
+    "texts, labels", [(("x",), (0, 1)), (("x", "y"), (0,))], ids=["texts", "labels"]
+)
+def test_text_graph_rejects_a_column_of_another_length(texts, labels):
+    with pytest.raises(DatasetError, match="^texts/labels length must equal node_count$"):
+        TextGraph(2, texts, labels, ("a", "b"), ())
+
+
+def test_text_graph_rejects_a_class_count_other_than_one_past_the_top_label():
+    with pytest.raises(DatasetError, match="^class_names has 3 entries but max label is 1$"):
+        TextGraph(2, ("x", "y"), (0, 1), ("a", "b", "c"), ())
+
+
+@pytest.mark.parametrize(
+    "train, val, test", [((0, 1), (1,), (2,)), ((0,), (1,), (0, 2)), ((0,), (1, 2), (2,))]
+)
+def test_long_tail_split_refuses_overlapping_parts(train, val, test):
+    with pytest.raises(ValueError, match="train/val/test must be pairwise disjoint"):
+        LongTailSplit(train, val, test, frozenset({1}), 1, 1.0)
 
 
 @pytest.mark.parametrize(

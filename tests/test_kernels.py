@@ -81,6 +81,13 @@ def test_csr_matmul_equals_sequential_index_order_sum(operands):
     assert np.array_equal(out, sequential_oracle(indptr, indices, data, dense))
 
 
+@pytest.mark.parametrize("dense", [np.ones(2), np.ones((2, 1, 1))], ids=["1-D", "3-D"])
+def test_csr_matmul_refuses_a_dense_operand_that_is_not_2d(dense):
+    indptr, indices, data = np.array([0, 1, 2]), np.array([0, 1]), np.ones(2)
+    with pytest.raises(ValueError, match="dense operand must be 2-D"):
+        kernels.csr_matmul(indptr, indices, data, dense)
+
+
 @settings(max_examples=200, deadline=None)
 @given(csr_operands())
 def test_csr_matmul_matches_dense_oracle(operands):

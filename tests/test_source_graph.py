@@ -167,6 +167,15 @@ def relabel(data, out):
     np.savez(path, **content)
 
 
+def drop_array(name, key):
+    """An edit that rewrites the npz file name in out without the array key."""
+    def edit(data, out):
+        with np.load(out / name) as arrays:
+            content = {k: arrays[k] for k in arrays.files if k != key}
+        np.savez(out / name, **content)
+    return edit
+
+
 # edit(data, out) and the DatasetError message after the colon that names
 # source_graph.npz; "{changed}" stands for the digest mismatch.
 REFUSALS = {
@@ -186,6 +195,8 @@ REFUSALS = {
     "label outside the classes": (
         relabel, "label out of range (2 not in [0, 2)); run augment again",
     ),
+    "array missing": (drop_array("source_graph.npz", "edges"),
+                      "missing array 'edges'; run augment again"),
     "truncated": (
         lambda data, out: (out / "source_graph.npz").write_bytes(
             (out / "source_graph.npz").read_bytes()[:-100]
@@ -222,6 +233,17 @@ def test_train_eval_refuses(tmp_path, case):
     with pytest.raises(DatasetError) as refused:
         load_artifacts(cfg)
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("key", ["original", "synthetic", "encoder_id"])
+def test_train_eval_names_a_missing_embeddings_array(tmp_path, key):
+    data, out = tmp_path / "data", tmp_path / "out"
+    write_odd_dataset(data)
+    cfg = write_minimal_artifacts(data, out)
+    drop_array("embeddings.npz", key)(data, out)
+    message = f"embeddings.npz: missing array '{key}'; run augment again"
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        load_artifacts(cfg)
 
 
 def test_a_corrupt_file_is_refused_or_read_whole(tmp_path):

@@ -274,6 +274,11 @@ class TestMalformedReplies:
             (second_row([]), ROW_1_MALFORMED),
             (second_row([[1.0, 2.0]]), ROW_1_MALFORMED),
             (second_row([float("nan"), 1.0]), ROW_1_MALFORMED),
+            (
+                {"data": [{"index": 0, "embedding": [1.0, 0.0]}]},
+                "batch 0: expected 2 rows, got 1",
+            ),
+            (second_row([[1.0], [2.0, 3.0]]), ROW_1_MALFORMED),  # ragged
         ],
     )
     def test_embeddings_reply_names_the_batch(self, stub_server, payload, match):
