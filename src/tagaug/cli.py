@@ -10,6 +10,7 @@ import json
 import logging
 import sys
 
+from . import schema
 from .graph import DatasetError, graph_stats
 from .pipeline import RunConfig, check_grid, load_split
 from .pipeline import run_augment, run_train_eval, run_verify
@@ -97,6 +98,8 @@ def _run(args):
         if args.command == "train-eval":
             grid = tuple(cell.strip() for cell in args.grid.split(",") if cell.strip())
             check_grid(grid)
+        if args.command == "verify":
+            schema.check("seed", args.seed, int, "[0, inf)")
         if args.command == "stats":
             # stats writes nothing, so the out_dir is unused.
             cfg = RunConfig(args.data, "", args.seed, head_count=args.head_count,

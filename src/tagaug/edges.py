@@ -13,6 +13,7 @@ import numpy as np
 
 from .embedding import _best, cosine_matrix
 from .neural import predict, train_classifier
+from .schema import check_fields, setting
 
 
 @dataclass
@@ -30,14 +31,11 @@ class ConfidenceNet:
 
 @dataclass
 class EdgeAssignConfig:
-    factor: int = 20  # edge budget = synthetic count x factor
-    tau_conf: float = 0.0
+    factor: int = setting(20, within="[1, inf)")  # edge budget = synthetic count x factor
+    tau_conf: float = setting(0.0, within="[0, 1)")
 
     def __post_init__(self):
-        if self.factor < 1:
-            raise ValueError("factor must be >= 1")
-        if not 0 <= self.tau_conf < 1:
-            raise ValueError("tau_conf must lie in [0, 1)")
+        check_fields(self)
 
 
 def train_confidence(emb, labels, train_idx, cfg):

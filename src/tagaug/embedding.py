@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schema import check_fields, setting
+
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 _HASH_SALT = b"tagaug-hash-v1"
 
@@ -49,25 +51,20 @@ class EmbeddingMatrix:
 
 @dataclass
 class EncoderConfig:
-    kind: str = "hashing"  # hashing | remote
-    dim: int = 256
+    kind: str = setting("hashing", choices=("hashing", "remote"))
+    dim: int = setting(256, within="[1, inf)")
     endpoint: str = ""
     model: str = ""
-    timeout: float = 30.0
+    timeout: float = setting(30.0, within="(0, inf)")
     api_key_env: str = "TAGAUG_API_KEY"
-    batch_size: int = 16
-    retry_count: int = 3
-    retry_backoff: float = 0.5
+    batch_size: int = setting(16, within="[1, inf)")
+    retry_count: int = setting(3, within="[0, inf)")
+    retry_backoff: float = setting(0.5, within="[0, inf)")
 
     def __post_init__(self):
-        if self.kind not in ("hashing", "remote"):
-            raise ValueError(f"unknown encoder kind: {self.kind!r}")
+        check_fields(self)
         if self.kind == "hashing" and self.dim < 8:
-            raise ValueError("hashing dim must be >= 8")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.retry_count < 0:
-            raise ValueError(f"retry_count must be >= 0, got {self.retry_count}")
+            raise ValueError(f"dim must be >= 8 for the hashing encoder, got {self.dim}")
 
 
 def _token_hash(token):
@@ -233,9 +230,7 @@ def _embedding_row(value, prefix):
 def encode_texts(texts, cfg):
     if cfg.kind == "hashing":
         return encode_hashing(texts, cfg.dim)
-    if cfg.kind == "remote":
-        return encode_remote(texts, cfg)
-    raise ValueError(f"unknown encoder kind: {cfg.kind}")
+    return encode_remote(texts, cfg)
 
 
 # Outside [_TINY_NORM, _HUGE_NORM] the squares inside np.linalg.norm have

@@ -19,6 +19,7 @@ import numpy as np
 
 from .embedding import _in_order, _post_with_retries, knn_embedding, knn_same_class
 from .graph import _decode, _encode_record, _jsonl_records, _lone_surrogate, _strings
+from .schema import check_fields, setting
 
 logger = logging.getLogger(__name__)
 
@@ -52,25 +53,20 @@ class VicinalPair:
 
 @dataclass
 class GeneratorConfig:
-    kind: str = "mock"  # mock | remote
-    temperature: float = 0.7
+    kind: str = setting("mock", choices=("mock", "remote"))
+    temperature: float = setting(0.7, within="[0, inf)")
     model: str = "mock"
     endpoint: str = ""
-    max_tokens: int = 512
-    retry_count: int = 3
-    retry_backoff: float = 0.5
-    timeout: float = 60.0
-    seed: int = 0
+    max_tokens: int = setting(512, within="[1, inf)")
+    retry_count: int = setting(3, within="[0, inf)")
+    retry_backoff: float = setting(0.5, within="[0, inf)")
+    timeout: float = setting(60.0, within="(0, inf)")
+    seed: int = setting(0, within="[0, inf)")
     api_key_env: str = "TAGAUG_API_KEY"
     strict_parse: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("mock", "remote"):
-            raise ValueError(f"unknown generator kind: {self.kind!r}")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.retry_count < 0:
-            raise ValueError(f"retry_count must be >= 0, got {self.retry_count}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -450,14 +446,12 @@ def generate_interpolations(pairs, variant, gen, spec, texts, class_names, cache
             f"{START_MARKER}{mock_generate(t1, t2, class1, _mock_seed(key))}{END_MARKER}"
             for key, _prompt_variant, t1, t2, class1, _class2 in misses
         )
-    elif gen.kind == "remote":
+    else:
         prompts = [
             build_prompt(prompt_variant, t1, t2, class1, class2, spec)
             for _key, prompt_variant, t1, t2, class1, class2 in misses
         ]
         replies = _in_order(RemoteChatGenerator(gen).generate, prompts)
-    else:
-        raise ValueError(f"unknown generator kind: {gen.kind}")
 
     nodes = []
     with closing(replies):

@@ -33,6 +33,7 @@ from itertools import chain
 import numpy as np
 
 from .kernels import csr_matmul, csr_plan
+from .schema import check
 
 
 # The files of a dataset directory, in the order they are checked and hashed.
@@ -630,16 +631,8 @@ def tail_classes_by_frequency(graph, tail_class_count):
     return frozenset(order[:tail_class_count].tolist())
 
 
-def check_split_settings(head_count, imbalance_ratio, val_fraction):
-    """Refuse, with a ValueError, split settings make_longtail_split takes
-    on no dataset: head_count not an int of at least 1, imbalance_ratio
-    not a number in (0, 1] or val_fraction not a number in [0, 1)."""
-    if type(head_count) is not int or head_count < 1:
-        raise ValueError(f"head_count must be an integer >= 1, got {head_count!r}")
-    if not (isinstance(imbalance_ratio, (int, float)) and 0 < imbalance_ratio <= 1):
-        raise ValueError(f"imbalance_ratio must lie in (0, 1], got {imbalance_ratio!r}")
-    if not (isinstance(val_fraction, (int, float)) and 0 <= val_fraction < 1):
-        raise ValueError(f"val_fraction must lie in [0, 1), got {val_fraction!r}")
+# make_longtail_split's settings as intervals; RunConfig's split fields declare them.
+SPLIT_SETTINGS = {"head_count": "[1, inf)", "imbalance_ratio": "(0, 1]", "val_fraction": "[0, 1)"}
 
 
 def make_longtail_split(
@@ -654,10 +647,12 @@ def make_longtail_split(
     """Long-tail training split: head classes get head_count training nodes,
     tail classes get round(head_count * imbalance_ratio), remaining nodes are
     shuffled into val/test by val_fraction, which must leave test at least
-    one node. Deterministic per seed. Settings check_split_settings refuses
+    one node. Deterministic per seed. Settings outside SPLIT_SETTINGS
     raise ValueError; a split the dataset cannot hold raises DatasetError.
     """
-    check_split_settings(head_count, imbalance_ratio, val_fraction)
+    values = (head_count, imbalance_ratio, val_fraction)
+    for (name, within), value, kind in zip(SPLIT_SETTINGS.items(), values, (int, float, float)):
+        check(name, value, kind, within)
     tail = tail_classes_by_frequency(graph, tail_class_count)
 
     tail_train = max(1, int(math.floor(head_count * imbalance_ratio + 0.5)))

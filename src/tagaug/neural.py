@@ -70,6 +70,7 @@ from .kernels import (
     _run_ranges,
     _usable_cpus,
 )
+from .schema import check_fields, setting
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -137,20 +138,15 @@ class ClassifierModel:
 
 @dataclass
 class TrainConfig:
-    epochs: int = 1000
-    learning_rate: float = 0.01
-    dropout: float = 0.5
-    hidden_dims: tuple = (64, 64)
-    weight_decay: float = 0.0
-    seed: int = 0
+    epochs: int = setting(1000, within="[1, inf)")
+    learning_rate: float = setting(0.01, within="[0, inf)")
+    dropout: float = setting(0.5, within="[0, 1)")
+    hidden_dims: tuple = setting((64, 64), within="[1, inf)")
+    weight_decay: float = setting(0.0, within="[0, inf)")
+    seed: int = setting(0, within="[0, inf)")
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+        check_fields(self)
 
 
 def confidence_train_defaults():

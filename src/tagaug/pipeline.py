@@ -20,6 +20,7 @@ from .edges import EdgeAssignConfig, train_confidence, wire_nodes
 from .embedding import EmbeddingMatrix, EncoderConfig, encode_texts
 from .generation import (
     GeneratorConfig,
+    VARIANTS,
     default_prompt_spec,
     find_vicinal_twins,
     generate_interpolations,
@@ -28,11 +29,11 @@ from .generation import (
 from .graph import (
     DatasetError,
     LongTailSplit,
+    SPLIT_SETTINGS,
     _artifact,
     _ints_below,
     _jsonl_blob,
     _open_atomic,
-    check_split_settings,
     graph_stats,
     load_dataset,
     make_longtail_split,
@@ -53,53 +54,42 @@ from .metrics import (
 )
 from .embedding import class_centroids
 from .neural import TrainConfig, confidence_train_defaults, predict, train_classifier, train_jobs
+from .schema import check_fields, setting
 
 GRID_CELLS = ("origin", "num", "num_C", "llm", "llm_C")
 
 NUM_MODE_BY_VARIANT = {variant: mode for mode, variant in VARIANT_BY_MODE.items()}
+
+_EDGE_BOUNDS = {f.name: f.metadata for f in fields(EdgeAssignConfig)}
 
 
 @dataclass
 class RunConfig:
     dataset_dir: str
     out_dir: str
-    seed: int
-    variant: str = "S"
-    knn_k: int = 3
-    head_count: int = 20
-    imbalance_ratio: float = 0.1
-    tail_class_count: int = None  # None reads meta.json
-    val_fraction: float = 0.25
-    edge_strategy: str = "confidence"  # confidence | duplicate | none
-    edge_factor: int = 20
-    tau_conf: float = 0.0
-    num_mode: str = None  # None maps the variant: O/S/M -> oversample/smote/mixup
-    eval_seeds: tuple = (0, 1, 2, 3, 4)
+    seed: int = setting(within="[0, inf)")
+    variant: str = setting("S", choices=VARIANTS)
+    knn_k: int = setting(3, within="[1, inf)")
+    head_count: int = setting(20, within=SPLIT_SETTINGS["head_count"])
+    imbalance_ratio: float = setting(0.1, within=SPLIT_SETTINGS["imbalance_ratio"])
+    tail_class_count: int = setting(None, within="[0, inf)")  # None reads meta.json
+    val_fraction: float = setting(0.25, within=SPLIT_SETTINGS["val_fraction"])
+    edge_strategy: str = setting("confidence", choices=("confidence", "duplicate", "none"))
+    edge_factor: int = setting(20, **_EDGE_BOUNDS["factor"])
+    tau_conf: float = setting(0.0, **_EDGE_BOUNDS["tau_conf"])
+    num_mode: str = setting(None, choices=tuple(VARIANT_BY_MODE))  # None maps the variant
+    eval_seeds: tuple = setting((0, 1, 2, 3, 4), within="[0, inf)")
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     classifier: TrainConfig = field(default_factory=TrainConfig)
     confidence: TrainConfig = field(default_factory=confidence_train_defaults)
 
     def __post_init__(self):
-        # The split settings first, so head_count names its range too.
-        check_split_settings(self.head_count, self.imbalance_ratio, self.val_fraction)
-        _check_types(self)
-        if self.variant not in ("O", "S", "M"):
-            raise ValueError(f"variant must be O, S, or M, got {self.variant!r}")
-        if self.num_mode is not None and self.num_mode not in VARIANT_BY_MODE:
-            raise ValueError(
-                f"num_mode must be None or one of {sorted(VARIANT_BY_MODE)}, "
-                f"got {self.num_mode!r}"
-            )
-        if self.edge_strategy not in ("confidence", "duplicate", "none"):
-            raise ValueError(f"unknown edge strategy: {self.edge_strategy!r}")
-        if self.tail_class_count is not None and self.tail_class_count < 0:
-            raise ValueError(f"tail_class_count must not be negative, got {self.tail_class_count}")
-        if self.knn_k < 1:
-            raise ValueError("knn_k must be >= 1")
+        check_fields(self)
         if not self.eval_seeds:
             raise ValueError("eval_seeds must not be empty")
-        self.edge_config()  # checks edge_factor and tau_conf
+        if len(set(self.eval_seeds)) < len(self.eval_seeds):
+            raise ValueError(f"eval_seeds must not repeat, got {self.eval_seeds}")
 
     def edge_config(self):
         """The edge budget and threshold as wire_nodes takes them."""
@@ -117,36 +107,19 @@ class RunConfig:
         return _from_json(cls, data)
 
 
-def _check_types(config, prefix=""):
-    """Refuse, with a ValueError naming it, a field of the config dataclass,
-    or of a config nested in it, whose value its annotation does not take:
-    a bool only as a bool, an int as a float too, a tuple or list of ints
-    as a tuple, and None where it is the default."""
-    nouns = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
-             tuple: "a list of integers"}
-    for f in fields(config):
-        name, value = prefix + f.name, getattr(config, f.name)
-        if is_dataclass(f.type) and isinstance(value, f.type):
-            _check_types(value, name + ".")
-            continue
-        listed = f.type is tuple and isinstance(value, (tuple, list))
-        kind, items = (int, value) if listed else (f.type, [value])
-        accepted = (int, float) if kind is float else kind
-        if not (value is None and f.default is None or all(
-            isinstance(x, accepted) and (kind is bool or not isinstance(x, bool)) for x in items
-        )):
-            raise ValueError(f"{name} must be {nouns.get(f.type, 'an object')}, got {value!r}")
-
-
 def _from_json(cls, data):
     """cls built from its JSON form: a nested dict becomes the field's
-    dataclass, a list its tuple or frozenset. Unknown keys raise TypeError."""
+    dataclass, a list its tuple or frozenset. Unknown keys raise TypeError;
+    a nested config's ValueError is prefixed with its field name."""
     types = {f.name: f.type for f in fields(cls)}
     values = {}
     for name, value in data.items():
         kind = types.get(name)
         if is_dataclass(kind) and isinstance(value, dict):
-            value = _from_json(kind, value)
+            try:
+                value = _from_json(kind, value)
+            except ValueError as exc:
+                raise ValueError(f"{name}.{exc}") from None
         elif kind in (tuple, frozenset) and isinstance(value, list):
             value = kind(value)
         values[name] = value

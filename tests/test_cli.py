@@ -95,8 +95,8 @@ class TestRunConfig:
             ({"edge_factor": 0}, "factor"),
             ({"tau_conf": 1.5}, "tau_conf"),
             ({"eval_seeds": []}, "eval_seeds"),
-            ({"head_count": 0}, "head_count must be an integer >= 1"),
-            ({"head_count": 2.5}, "head_count must be an integer >= 1, got 2.5"),
+            ({"head_count": 0}, "head_count must be >= 1"),
+            ({"head_count": 2.5}, "head_count must be an integer, got 2.5"),
             ({"imbalance_ratio": 0}, r"imbalance_ratio must lie in \(0, 1\]"),
             ({"imbalance_ratio": float("nan")}, "imbalance_ratio"),
         ],
@@ -117,7 +117,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("part", ["generator", "encoder"])
     def test_component_kind_checked_when_built(self, tmp_path, part):
         data = fast_config(tmp_path / "d", tmp_path / "o")
-        with pytest.raises(ValueError, match=f"unknown {part} kind: 'mocl'"):
+        choices = {"generator": "'mock', 'remote'", "encoder": "'hashing', 'remote'"}[part]
+        with pytest.raises(ValueError, match=f"{part}.kind must be one of {choices}, got 'mocl'"):
             RunConfig.from_dict({**data, part: {"kind": "mocl"}})
 
 
@@ -702,11 +703,11 @@ class TestCliCommands:
             ("augment", {"knn_k": 0}, [], "knn_k must be >= 1"),
             ("augment", {"knn": 3}, [], "unexpected keyword argument 'knn'"),
             ("train-eval", {}, ["--grid", "origin,blah"], "unknown grid cell: blah"),
-            ("augment", {"tail_class_count": -1}, [], "tail_class_count must not be negative"),
+            ("augment", {"tail_class_count": -1}, [], "tail_class_count must be >= 0, got -1"),
             ("augment", {"imbalance_ratio": 0}, [], "imbalance_ratio must lie in (0, 1], got 0"),
             ("augment", {"imbalance_ratio": 1.5}, [], "imbalance_ratio must lie in (0, 1]"),
-            ("augment", {"head_count": 0}, [], "head_count must be an integer >= 1, got 0"),
-            ("train-eval", {"head_count": -3}, ["--grid", "origin"], "head_count must be an integer"),
+            ("augment", {"head_count": 0}, [], "head_count must be >= 1, got 0"),
+            ("train-eval", {"head_count": -3}, ["--grid", "origin"], "head_count must be >= 1"),
         ],
     )
     def test_bad_config_exits_2_before_any_stage(
@@ -726,7 +727,7 @@ class TestCliCommands:
         [
             (["--imbalance-ratio", "0"], "imbalance_ratio must lie in (0, 1], got 0.0"),
             (["--imbalance-ratio", "1.5"], "imbalance_ratio must lie in (0, 1], got 1.5"),
-            (["--head-count", "0"], "head_count must be an integer >= 1, got 0"),
+            (["--head-count", "0"], "head_count must be >= 1, got 0"),
         ],
     )
     def test_bad_split_setting_exits_2_from_stats(self, toy_dataset_dir, capsys, flags, message):
@@ -799,11 +800,11 @@ class TestCliCommands:
              "generator.strict_parse must be a boolean, got 1"),
             ("augment", lambda c: c.update(classifier=[]), "classifier must be an object, got []"),
             ("augment", lambda c: c.update(encoder={"kind": "remote", "batch_size": 0}),
-             "batch_size must be >= 1, got 0"),
+             "encoder.batch_size must be >= 1, got 0"),
             ("augment", lambda c: c.update(encoder={"kind": "remote", "retry_count": -1}),
-             "retry_count must be >= 0, got -1"),
+             "encoder.retry_count must be >= 0, got -1"),
             ("augment", lambda c: c.update(generator={"kind": "remote", "retry_count": -1}),
-             "retry_count must be >= 0, got -1"),
+             "generator.retry_count must be >= 0, got -1"),
         ],
     )
     def test_bad_setting_exits_2_naming_the_field(
@@ -815,6 +816,67 @@ class TestCliCommands:
         cfg_path.write_text(json.dumps(cfg))
         assert main([command, "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"tagaug {command}: error: {message}"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command, edit, message",
+        [
+            ("augment", lambda c: c.update(seed=-5), "seed must be >= 0, got -5"),
+            ("train-eval", lambda c: c.update(eval_seeds=[-1]),
+             "eval_seeds[0] must be >= 0, got -1"),
+            ("train-eval", lambda c: c.update(eval_seeds=[0, 0]),
+             "eval_seeds must not repeat, got (0, 0)"),
+            ("train-eval", lambda c: c["classifier"].update(hidden_dims=[0]),
+             "classifier.hidden_dims[0] must be >= 1, got 0"),
+            ("augment", lambda c: c["confidence"].update(hidden_dims=[-3]),
+             "confidence.hidden_dims[0] must be >= 1, got -3"),
+            ("train-eval", lambda c: c["classifier"].update(learning_rate=float("nan")),
+             "classifier.learning_rate must be a finite number, got nan"),
+            ("augment", lambda c: c["confidence"].update(dropout=float("-inf")),
+             "confidence.dropout must be a finite number, got -inf"),
+            ("train-eval", lambda c: c["classifier"].update(weight_decay=-1),
+             "classifier.weight_decay must be >= 0, got -1"),
+            ("augment", lambda c: c.update(encoder={"kind": "remote", "dim": 0}),
+             "encoder.dim must be >= 1, got 0"),
+            ("augment", lambda c: c.update(encoder={"kind": "hashing", "dim": 4}),
+             "encoder.dim must be >= 8 for the hashing encoder, got 4"),
+            ("augment", lambda c: c.update(encoder={"kind": "remote", "timeout": -1}),
+             "encoder.timeout must be > 0, got -1"),
+            ("augment", lambda c: c.update(generator={"kind": "remote", "timeout": -1}),
+             "generator.timeout must be > 0, got -1"),
+            ("augment", lambda c: c.update(encoder={"kind": "remote", "retry_backoff": -0.5}),
+             "encoder.retry_backoff must be >= 0, got -0.5"),
+            ("augment", lambda c: c.update(generator={"kind": "remote", "retry_backoff": -0.5}),
+             "generator.retry_backoff must be >= 0, got -0.5"),
+            ("augment", lambda c: c["generator"].update(max_tokens=0),
+             "generator.max_tokens must be >= 1, got 0"),
+            ("augment", lambda c: c["generator"].update(temperature=float("inf")),
+             "generator.temperature must be a finite number, got inf"),
+            ("train-eval", lambda c: c["classifier"].update(epochs="x"),
+             "classifier.epochs must be an integer, got 'x'"),
+            ("augment", lambda c: c["encoder"].update(dim="x"),
+             "encoder.dim must be an integer, got 'x'"),
+        ],
+    )
+    def test_value_out_of_bounds_exits_2_naming_the_path(
+        self, tmp_path, toy_dataset_dir, capsys, command, edit, message
+    ):
+        cfg = fast_config(toy_dataset_dir, tmp_path / "run")
+        edit(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"tagaug {command}: error: {message}"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "stats"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, toy_dataset_dir, capsys, command):
+        extra = {"verify": ["--out", str(tmp_path / "run")],
+                 "stats": ["--data", str(toy_dataset_dir)]}[command]
+        assert main([command, "--seed", "-1", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"tagaug {command}: error: seed must be >= 0, got -1"]
+        assert captured.out == ""
         assert not (tmp_path / "run").exists()
 
     def test_a_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
