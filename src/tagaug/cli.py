@@ -9,8 +9,11 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 
 from . import schema
+from .embedding import EncoderConfig
+from .generation import GeneratorConfig
 from .graph import DatasetError, graph_stats
 from .pipeline import RunConfig, check_grid, load_split
 from .pipeline import run_augment, run_train_eval, run_verify
@@ -39,6 +42,11 @@ def _load_config(args):
     return RunConfig.from_dict(data)
 
 
+def _choices(config, name):
+    """The choices config declares for its field name."""
+    return next(f for f in fields(config) if f.name == name).metadata["choices"]
+
+
 def _add_common(parser):
     parser.add_argument("--config", help="JSON config mirroring RunConfig fields")
     parser.add_argument("--data", help="dataset directory")
@@ -52,10 +60,11 @@ def build_parser():
 
     p_aug = sub.add_parser("augment", help="generate synthetic nodes and edges")
     _add_common(p_aug)
-    p_aug.add_argument("--variant", choices=["O", "S", "M"])
-    p_aug.add_argument("--edge", choices=["confidence", "duplicate", "none"])
-    p_aug.add_argument("--generator", choices=["mock", "remote"])
-    p_aug.add_argument("--encoder", choices=["hash", "remote"])
+    p_aug.add_argument("--variant", choices=_choices(RunConfig, "variant"))
+    p_aug.add_argument("--edge", choices=_choices(RunConfig, "edge_strategy"))
+    p_aug.add_argument("--generator", choices=_choices(GeneratorConfig, "kind"))
+    p_aug.add_argument("--encoder", choices=[
+        "hash" if kind == "hashing" else kind for kind in _choices(EncoderConfig, "kind")])
 
     p_eval = sub.add_parser("train-eval", help="train/evaluate the ablation grid")
     _add_common(p_eval)

@@ -25,6 +25,9 @@ _HASH_SALT = b"tagaug-hash-v1"
 # Requests each remote client call keeps in flight at once.
 MAX_IN_FLIGHT = 4
 
+# Texts encode_hashing counts in one np.bincount.
+_HASH_BLOCK = 1024
+
 # Scores _best scans at a time when k is smaller.
 _CUT_BLOCK = 1 << 16
 
@@ -74,27 +77,40 @@ def _token_hash(token):
     return int.from_bytes(digest, "big")
 
 
+def _hash_counts(texts, dim, codes):
+    """The (len(texts), dim) float64 rows of signed token counts, added up
+    in one np.bincount. codes maps each token hashed so far to 2 * column +
+    sign bit, and gains this block's new tokens, so each distinct token
+    hashes once per encode_hashing call. The block's token arrays are
+    freed on return, before encode_hashing's normalization copies rows."""
+    tokens, counts = [], []
+    for text in texts:
+        found = _TOKEN_RE.findall(text.lower())
+        tokens += found
+        counts.append(len(found))
+    for token in set(tokens).difference(codes):
+        h = _token_hash(token)
+        codes[token] = 2 * (h % dim) + (h >> 63)
+    code = np.fromiter(map(codes.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    rows = np.repeat(np.arange(len(texts)), counts)
+    return np.bincount(rows * dim + (code >> 1), weights=1.0 - 2.0 * (code & 1),
+                       minlength=len(texts) * dim).reshape(len(texts), dim)
+
+
 def encode_hashing(texts, dim=256):
     """Signed feature hashing over lowercase word tokens, L2-normalized rows.
 
     Bucket index is hash mod dim, the sign comes from bit 63 of the same
-    hash, and empty texts map to the all-zero row.
+    hash, and empty texts map to the all-zero row. Texts are counted
+    _HASH_BLOCK at a time, so the token arrays do not grow with len(texts).
     """
     if dim < 8:
         raise ValueError("hashing dim must be >= 8")
     out = np.zeros((len(texts), dim), dtype=np.float64)
-    buckets = {}  # token -> (column, sign), so each distinct token hashes once
-    for i, text in enumerate(texts):
-        hits = []
-        for token in _TOKEN_RE.findall(text.lower()):
-            hit = buckets.get(token)
-            if hit is None:
-                h = _token_hash(token)
-                hit = buckets[token] = (h % dim, -1.0 if (h >> 63) & 1 else 1.0)
-            hits.append(hit)
-        if hits:
-            cols, signs = zip(*hits)
-            np.add.at(out[i], list(cols), signs)
+    codes = {}
+    for start in range(0, len(texts), _HASH_BLOCK):
+        block = texts[start:start + _HASH_BLOCK]
+        out[start:start + len(block)] = _hash_counts(block, dim, codes)
     # rows hold integer counts here, so each norm is exact however it is summed
     norms = np.linalg.norm(out, axis=1)
     nonzero = norms > 0

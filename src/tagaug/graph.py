@@ -514,7 +514,8 @@ def write_dataset(graph, directory_path, tail_class_count=None, provenance=None)
             f'{{"id": {nid}, "label": {label}, "text": {_encode_text(text)}}}\n'
             for nid, (text, label) in enumerate(zip(graph.texts, graph.labels.tolist()))
         ),
-        "edges.jsonl": "".join(f'{{"dst": {v}, "src": {u}}}\n' for u, v in graph.edges.tolist()),
+        "edges.jsonl": '{"dst": %d, "src": %d}\n' * len(graph.edges)
+        % tuple(graph.edges[:, ::-1].ravel().tolist()),
         "meta.json": json.dumps(meta, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
     }
     if provenance is not None:

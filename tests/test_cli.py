@@ -1,15 +1,16 @@
+import argparse
 import builtins
 import json
 import os
 import shutil
 import stat
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from tagaug import edges, pipeline
-from tagaug.cli import main
+from tagaug.cli import _load_config, build_parser, main
 from tagaug.graph import DatasetError, make_longtail_split, write_dataset
 from tagaug.pipeline import (
     RunConfig,
@@ -696,6 +697,34 @@ class TestCliCommands:
         assert report["config"]["seed"] == 9
         assert report["config"]["variant"] == "O"
         assert report["config"]["edge_strategy"] == "none"
+
+    def test_flag_choices_are_the_declared_ones(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: list(a.choices) for a in sub.choices["augment"]._actions if a.choices}
+
+        def declared(config, name):
+            return list(next(f for f in fields(config) if f.name == name).metadata["choices"])
+
+        assert flags == {
+            "variant": declared(RunConfig, "variant"),
+            "edge": declared(RunConfig, "edge_strategy"),
+            "generator": declared(GeneratorConfig, "kind"),
+            "encoder": ["hash" if kind == "hashing" else kind
+                        for kind in declared(EncoderConfig, "kind")],
+        }
+        assert flags["encoder"] == ["hash", "remote"]
+
+    @pytest.mark.parametrize("flag, kind", [("hash", "hashing"), ("remote", "remote")])
+    def test_encoder_flag_sets_the_declared_kind(self, tmp_path, flag, kind):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"encoder": {"dim": 64}}))
+        args = build_parser().parse_args([
+            "augment", "--config", str(cfg_path), "--data", "d", "--out", "o", "--seed", "1",
+            "--encoder", flag,
+        ])
+        encoder = _load_config(args).encoder
+        assert (encoder.kind, encoder.dim) == (kind, 64)
 
     @pytest.mark.parametrize(
         "command, override, extra, message",

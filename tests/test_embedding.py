@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tagaug
+from tagaug import embedding
 from tagaug.embedding import (
     _TOKEN_RE,
     _token_hash,
@@ -76,6 +78,50 @@ class TestHashingEncoder:
     def test_bits_match_per_token_loop(self, texts, dim):
         got = encode_hashing(texts, dim).vectors
         assert got.tobytes() == per_token_hashing(texts, dim).tobytes()
+
+    # Blocks of 1 to 3 texts: a block of empty or token-less texts only, a
+    # last block cut short, and a text count that is a multiple of the block.
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(texts=hashing_texts, dim=st.sampled_from([8, 13, 256]))
+    @example(texts=[], dim=8)
+    @example(texts=["", "", ""], dim=16)
+    @example(texts=["", "", "a b", "b"], dim=8)
+    @example(texts=["", " .,", "", "x", "x X", "東京"], dim=13)
+    @example(texts=["a a", "-", "", "", "", "", "a"], dim=8)
+    def test_bits_match_per_token_loop_at_any_block(self, block, texts, dim):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embedding, "_HASH_BLOCK", block)
+            got = encode_hashing(texts, dim).vectors
+        assert got.tobytes() == per_token_hashing(texts, dim).tobytes()
+
+    def test_peak_memory_does_not_grow_with_the_text_count(self, monkeypatch):
+        # Beyond the output and the normalization's copy of it, the peak is
+        # one block's tokens: their strings, codes and bincount arrays, under
+        # 128 bytes each. Counting 4 blocks' texts at once must break the bound.
+        per_text, dim = 64, 8
+        words = [f"w{i}" for i in range(50)]
+
+        def texts(n):
+            return [" ".join(words[(i + j) % 50] for j in range(per_text)) for i in range(n)]
+
+        def peak(n):
+            batch = texts(n)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = encode_hashing(batch, dim).vectors
+                return tracemalloc.get_traced_memory()[1] - before - 2 * out.nbytes
+            finally:
+                tracemalloc.stop()
+
+        encode_hashing(texts(2), dim)  # first-call allocations stay out of the peak
+        n = 1024  # _HASH_BLOCK's value
+        allowance = 128 * n * per_text
+        assert peak(n) < allowance
+        assert peak(4 * n) < allowance
+        monkeypatch.setattr(embedding, "_HASH_BLOCK", 4 * n)
+        assert peak(4 * n) > allowance
 
     def test_dim_floor(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -167,6 +168,35 @@ def test_toy_fixture_files_are_pinned(tmp_path):
         "meta.json": "ee6ff93211905d7ef259ffdea703eae960bd63f88af89b72919301cf2752eeea",
         "nodes.jsonl": "88c1a900d883b0060de1e40b1bb9778f3a8eeab79402f07e6c524c1e9768e548",
     }
+
+
+def per_edge_lines(edges):
+    """Oracle: edges.jsonl built with one f-string per (u, v) edge."""
+    return "".join(f'{{"dst": {v}, "src": {u}}}\n' for u, v in edges).encode()
+
+
+@pytest.mark.parametrize("edges", [(), ((2, 0),)], ids=["no edge", "one edge"])
+def test_edges_file_matches_per_edge_lines_and_loads_back(tmp_path, edges):
+    graph = TextGraph(node_count=3, texts=("a", "b", "c"), labels=(0, 1, 0),
+                      class_names=("x", "y"), edges=edges)
+    write_dataset(graph, tmp_path)
+    assert (tmp_path / "edges.jsonl").read_bytes() == per_edge_lines(graph.edges.tolist())
+    back = load_dataset(tmp_path)
+    assert back.edges.shape == (len(edges), 2)
+    np.testing.assert_array_equal(back.edges, graph.edges)
+    assert (back.texts, back.labels.tolist()) == (graph.texts, graph.labels.tolist())
+
+
+def test_edges_file_writes_node_ids_above_2_31(tmp_path):
+    # No TextGraph of 2**31 nodes fits in memory, so a stand-in carries the
+    # four fields write_dataset reads.
+    edges = np.array([[0, 2**31], [2**31 + 1, 2**62]], dtype=np.int64)
+    graph = SimpleNamespace(class_names=("x",), texts=(), labels=np.zeros(0, np.int64),
+                            edges=edges)
+    write_dataset(graph, tmp_path)
+    written = (tmp_path / "edges.jsonl").read_bytes()
+    assert written == per_edge_lines(edges.tolist())
+    assert written.splitlines()[0] == b'{"dst": 2147483648, "src": 0}'
 
 
 class TestLongtailSplit:
