@@ -82,7 +82,7 @@ def _hash_counts(texts, dim, codes):
     in one np.bincount. codes maps each token hashed so far to 2 * column +
     sign bit, and gains this block's new tokens, so each distinct token
     hashes once per encode_hashing call. The block's token arrays are
-    freed on return, before encode_hashing's normalization copies rows."""
+    freed on return, and encode_hashing normalizes the rows into its output."""
     tokens, counts = [], []
     for text in texts:
         found = _TOKEN_RE.findall(text.lower())
@@ -101,8 +101,9 @@ def encode_hashing(texts, dim=256):
     """Signed feature hashing over lowercase word tokens, L2-normalized rows.
 
     Bucket index is hash mod dim, the sign comes from bit 63 of the same
-    hash, and empty texts map to the all-zero row. Texts are counted
-    _HASH_BLOCK at a time, so the token arrays do not grow with len(texts).
+    hash, and empty texts map to the all-zero row. Texts are counted and
+    normalized _HASH_BLOCK at a time, so beyond the output the peak memory
+    does not grow with len(texts).
     """
     if dim < 8:
         raise ValueError("hashing dim must be >= 8")
@@ -110,11 +111,10 @@ def encode_hashing(texts, dim=256):
     codes = {}
     for start in range(0, len(texts), _HASH_BLOCK):
         block = texts[start:start + _HASH_BLOCK]
-        out[start:start + len(block)] = _hash_counts(block, dim, codes)
-    # rows hold integer counts here, so each norm is exact however it is summed
-    norms = np.linalg.norm(out, axis=1)
-    nonzero = norms > 0
-    out[nonzero] /= norms[nonzero, None]
+        counts = _hash_counts(block, dim, codes)
+        # the counts are integers, so each norm is exact however it is summed
+        norms = np.linalg.norm(counts, axis=1, keepdims=True)
+        np.divide(counts, norms, out=out[start:start + len(block)], where=norms > 0)
     return EmbeddingMatrix(vectors=out, encoder_id=f"hashing-{dim}")
 
 

@@ -173,16 +173,14 @@ class LongTailSplit:
 
 @dataclass(frozen=True)
 class NormalizedAdjacency:
-    """Symmetric-normalized adjacency with self-loops, in CSR form."""
+    """Symmetric-normalized adjacency with self-loops, in CSR form, with
+    its product plan, csr_plan of the same arrays."""
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     shape: tuple
-
-    @cached_property
-    def plan(self):
-        return csr_plan(self.indptr, self.indices, self.data, self.shape[1])
+    plan: object
 
     def matmul(self, dense):
         return csr_matmul(self.indptr, self.indices, self.data, dense, plan=self.plan)
@@ -694,20 +692,16 @@ def make_longtail_split(
 
 
 def normalized_adjacency(graph, dtype=np.float64):
-    """D^{-1/2} (A + I) D^{-1/2} with self-loop-inclusive degrees. The
-    weights are computed in float64 and stored as dtype, whose products
-    (and plan) then compute in it."""
+    """D^{-1/2} (A + I) D^{-1/2} with self-loop-inclusive degrees, and its
+    plan. The weights are computed in float64 and stored as dtype, whose
+    plan and products then compute in it."""
     n = graph.node_count
     indptr, cols = _symmetric_csr(graph.edges, n, loops=True)
     degree = np.diff(indptr)  # self loop included
     inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))
     rows = np.repeat(np.arange(n, dtype=np.int64), degree)
-    return NormalizedAdjacency(
-        indptr=indptr,
-        indices=cols,
-        data=(inv_sqrt[rows] * inv_sqrt[cols]).astype(dtype, copy=False),
-        shape=(n, n),
-    )
+    data = (inv_sqrt[rows] * inv_sqrt[cols]).astype(dtype, copy=False)
+    return NormalizedAdjacency(indptr, cols, data, (n, n), csr_plan(indptr, cols, data, n))
 
 
 def merge_augmented(graph, texts, labels, edges):

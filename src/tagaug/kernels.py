@@ -3,8 +3,8 @@ the helper that splits it and the dropout masks across CPUs.
 
 The product runs twice per layer per epoch (forward and backward) for
 every training epoch, so it dominates GCN training. ``csr_plan`` picks one
-of two paths per matrix, once, and the plan is cached per adjacency
-(``NormalizedAdjacency``):
+of two paths per matrix, once: ``normalized_adjacency`` builds the plan
+with the adjacency, and every product of that adjacency reuses it:
 
 - Dense: a matrix with at most ``DENSE_CELLS_PER_ENTRY`` cells per stored
   entry (the toy graph) is densified, and each product is one BLAS

@@ -330,6 +330,46 @@ class TestTrainEval:
         assert trainings == ["mlp"] + ["gcn"] * 4
         assert origin_only["cells"]["origin"] == with_llm["cells"]["origin"]
 
+    def test_every_cell_seed_gcn_trains_from_one_job_list(
+        self, tmp_path, toy_dataset_dir, monkeypatch
+    ):
+        cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
+        run_augment(cfg)
+        lists, real = [], pipeline.train_jobs
+        monkeypatch.setattr(pipeline, "train_jobs", lambda jobs: lists.append(jobs) or real(jobs))
+        grid = ("origin", "llm", "llm_C")
+        report = run_train_eval(cfg, grid=grid)
+        assert [len(jobs) for jobs in lists] == [2, len(grid) * len(cfg.eval_seeds)]
+        gcns = lists[1]
+        assert all(job.keywords["kind"] == "gcn" for job in gcns)
+        assert [job.args[3].seed for job in gcns] == list(cfg.eval_seeds) * len(grid)
+        for i, cell in enumerate(grid):
+            jobs = gcns[i * len(cfg.eval_seeds):(i + 1) * len(cfg.eval_seeds)]
+            adjacency = jobs[0].keywords["adjacency"]
+            assert all(job.keywords["adjacency"] is adjacency for job in jobs)
+            n = report["cells"][cell]["node_count"]
+            assert adjacency.shape == (n, n)
+            assert len(adjacency.indices) == n + 2 * report["cells"][cell]["edge_count"]
+
+    def test_a_failing_cell_build_trains_no_gcn(
+        self, tmp_path, toy_dataset_dir, monkeypatch, trainings
+    ):
+        cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
+        run_augment(cfg)
+        real = pipeline.wire_nodes
+
+        def wire_nodes(rows, anchors, graph, strategy, *args):
+            if strategy == "confidence":
+                raise RuntimeError("llm_C wiring failed")
+            return real(rows, anchors, graph, strategy, *args)
+
+        monkeypatch.setattr(pipeline, "wire_nodes", wire_nodes)
+        trainings.clear()
+        with pytest.raises(RuntimeError, match="llm_C wiring failed"):
+            run_train_eval(cfg, grid=("origin", "llm", "llm_C"))
+        assert sorted(trainings) == ["mlp", "mlp"]  # the probe and the confidence net
+        assert not (tmp_path / "run" / "train_eval_report.json").exists()
+
     def test_mean_std_over_seeds(self, tmp_path, toy_dataset_dir):
         cfg = RunConfig.from_dict(fast_config(toy_dataset_dir, tmp_path / "run"))
         run_augment(cfg)
@@ -541,6 +581,12 @@ DAMAGED_ARTIFACTS = {
     "split.json unknown key": ("split.json", edit_json(lambda split: {**split, "extra": 1})),
     "split.json scalar index": ("split.json", edit_json(lambda split: {**split, "train_idx": 5})),
     "split.json a list": ("split.json", edit_json(lambda split: [split])),
+    "split.json tail class out of range": (
+        "split.json", edit_json(lambda split: {**split, "tail_classes": [99]}),
+    ),
+    "split.json head_count not an integer": (
+        "split.json", edit_json(lambda split: {**split, "head_count": "x"}),
+    ),
     "embeddings.npz missing": ("embeddings.npz", os.unlink),
     "embeddings.npz truncated": ("embeddings.npz", truncate),
     "provenance.jsonl missing": ("augmented/provenance.jsonl", os.unlink),

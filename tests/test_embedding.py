@@ -96,9 +96,9 @@ class TestHashingEncoder:
         assert got.tobytes() == per_token_hashing(texts, dim).tobytes()
 
     def test_peak_memory_does_not_grow_with_the_text_count(self, monkeypatch):
-        # Beyond the output and the normalization's copy of it, the peak is
-        # one block's tokens: their strings, codes and bincount arrays, under
-        # 128 bytes each. Counting 4 blocks' texts at once must break the bound.
+        # Beyond twice the output, the peak is one block's tokens: their
+        # strings, codes and bincount arrays, under 128 bytes each. Counting
+        # 4 blocks' texts at once must break the bound.
         per_text, dim = 64, 8
         words = [f"w{i}" for i in range(50)]
 
@@ -122,6 +122,22 @@ class TestHashingEncoder:
         assert peak(4 * n) < allowance
         monkeypatch.setattr(embedding, "_HASH_BLOCK", 4 * n)
         assert peak(4 * n) > allowance
+
+    def test_peak_is_the_output_and_one_block(self):
+        # At dim 256 with three tokens a text, one block's counts and norm
+        # squares take 2 * 1024 * 256 * 8 bytes, a quarter of 8 blocks'
+        # output. Normalizing the whole output at once holds a copy of it.
+        n, dim = 8 * embedding._HASH_BLOCK, 256
+        texts = [f"w{i % 97} v{i % 13} u{i}" for i in range(n)]
+        encode_hashing(texts[:2], dim)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = encode_hashing(texts, dim).vectors
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.nbytes
 
     def test_dim_floor(self):
         with pytest.raises(ValueError):

@@ -296,6 +296,30 @@ class TestNormalizedAdjacency:
         x = rng.normal(size=(n, 3))
         np.testing.assert_allclose(adj.matmul(x), oracle @ x, atol=1e-12)
 
+    @pytest.mark.parametrize("path", ["dense", "step-major"])
+    def test_plan_is_built_with_the_adjacency(self, monkeypatch, path):
+        # the toy graph is dense enough to densify; a 200-node path is not
+        graph = make_toy_tag(seed=2) if path == "dense" else plain_graph(
+            200, tuple((i, i + 1) for i in range(199))
+        )
+        calls, csr_plan = [], graph_module.csr_plan
+        monkeypatch.setattr(graph_module, "csr_plan", lambda *a: calls.append(a) or csr_plan(*a))
+        adj = normalized_adjacency(graph, dtype=np.float32)
+        assert len(calls) == 1
+        want = csr_plan(adj.indptr, adj.indices, adj.data, graph.node_count)
+        assert isinstance(adj.plan, np.ndarray) == (path == "dense")
+        if path == "dense":
+            assert np.array_equal(adj.plan, want)
+        else:
+            assert len(adj.plan) == len(want)
+            for (lo, order, chunks), (want_lo, want_order, want_chunks) in zip(adj.plan, want):
+                assert lo == want_lo and np.array_equal(order, want_order)
+                assert len(chunks) == len(want_chunks)
+                for got, expected in zip(chunks, want_chunks):
+                    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        adj.matmul(np.ones((graph.node_count, 2)))
+        assert len(calls) == 1  # every product reuses the plan
+
 
 def edge_loop_normalized_adjacency(graph):
     """Oracle: the normalized CSR built by loops over the nodes and edges."""
